@@ -20,7 +20,7 @@ from .config import (ConfigError, ScenarioConfig, apply_overrides, Block,
                      serialize_scenario)
 from .detector import write_detections_csv
 from .galvo import write_scan_log
-from .ppm import build_ppm, write_ppm_csv
+from .ppm import build_ppm, region_sampling_prob, write_ppm_csv
 from .refinement import write_windows_csv
 from .scene import build_scene, write_label_grid
 
@@ -96,9 +96,14 @@ def cmd_validate(args) -> int:
     errors.extend(check_scenario(cfg))
     if not errors:
         try:
-            build_scene(cfg.scene, seed=0)
+            scene = build_scene(cfg.scene, seed=0)
         except ConfigError as exc:
             errors.append(str(exc))
+        else:
+            try:
+                region_sampling_prob(scene.regions, cfg.experiment.target)
+            except ValueError as exc:
+                errors.append(f"experiment: {exc}")
     if errors:
         for err in errors:
             print(f"error: {err}")
@@ -113,9 +118,9 @@ def cmd_trial(args) -> int:
     seed = args.seed if args.seed is not None else 0
     scene = build_scene(cfg.scene, seed=[11, 0, seed])
     trace = exp.TrialTrace() if args.dump else None
+    budget = cfg.engine.n_particles if args.budget is None else args.budget
     result = exp.run_trial_spec(scene, args.method, exp.METHODS[args.method],
-                                args.budget or cfg.engine.n_particles,
-                                cfg.engine.iterations, [13, 0, seed], cfg,
+                                budget, cfg.engine.iterations, [13, 0, seed], cfg,
                                 seed_label=seed, trace=trace)
     rows = [{
         "method": result.method, "seed": seed, "budget": result.budget,
@@ -139,9 +144,12 @@ def cmd_trial(args) -> int:
         write_detections_csv(os.path.join(out, "detections.csv"), trace.detections)
         write_windows_csv(os.path.join(out, "windows.csv"), trace.windows)
         _write_particles(os.path.join(out, "particles.csv"), trace.particles)
+    wall_views_per_s = (result.views / (result.wall_ms / 1e3)
+                        if result.views else 0.0)
     print(f"trial method={result.method} seed={seed} budget={result.budget} "
           f"recall={result.recall:.3f} ap={result.ap:.3f} "
-          f"found={len(result.found)}/{result.n_objects}")
+          f"found={len(result.found)}/{result.n_objects} "
+          f"wall_views_per_s={wall_views_per_s:.0f}")
     return 0
 
 

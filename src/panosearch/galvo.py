@@ -121,23 +121,38 @@ def plan_scan(state: GalvoState, positions, dwell_ms: float = 2.0):
     visiting order (indices into `positions`) and the total time in ms:
     one step-response per move plus one dwell per view.  Ties break toward
     the lower index so the tour is deterministic.
+
+    Cost: O(n) array work per step, O(n^2) per pass.  Each step computes
+    the squared distance from the cursor to every position, sets the
+    visited ones to inf and takes argmin, which returns the first minimum.
     """
     n = len(positions)
     if n == 0:
         raise ValueError("cannot plan a scan over zero positions")
     pts = np.asarray(positions, dtype=float).reshape(n, 2)
-    order = np.empty(n, dtype=np.intp)
-    remaining = np.arange(n, dtype=np.intp)
-    cur = np.array([state.theta_h, state.theta_v])
+    xs = pts[:, 0].copy()
+    ys = pts[:, 1].copy()
+    dx = np.empty(n)
+    dy = np.empty(n)
+    visited = np.zeros(n, dtype=bool)
+    order = [0] * n
+    cx, cy = float(state.theta_h), float(state.theta_v)
     for i in range(n):
-        d = pts[remaining] - cur
-        best = int(np.argmin(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
-        pick = remaining[best]
+        np.subtract(xs, cx, out=dx)
+        np.multiply(dx, dx, out=dx)
+        np.subtract(ys, cy, out=dy)
+        np.multiply(dy, dy, out=dy)
+        np.add(dx, dy, out=dx)
+        np.putmask(dx, visited, np.inf)
+        pick = int(dx.argmin())
+        if visited[pick]:  # every unvisited distance is inf: take the first
+            pick = int(visited.argmin())
         order[i] = pick
-        cur = pts[pick]
-        remaining = np.delete(remaining, best)
+        visited[pick] = True
+        cx = xs[pick]
+        cy = ys[pick]
     total_ms = n * state.step_response_ms + n * dwell_ms
-    return order.tolist(), total_ms
+    return order, total_ms
 
 
 def write_scan_log(path: str, rows) -> None:

@@ -94,6 +94,10 @@ def region_sampling_prob(regions, target: str) -> dict[int, float]:
     numerators = {r.id: (r.area_px / total_area) * r.prior(target) for r in regions}
     z = sum(numerators.values())
     if z <= 0.0:
+        # an area share times a subnormal prior can underflow to zero
+        numerators = {r.id: r.area_px * r.prior(target) for r in regions}
+        z = sum(numerators.values())
+    if z <= 0.0:
         raise ValueError(f"no admissible region for target {target!r}: "
                          "every area x prior product is zero")
     return {rid: v / z for rid, v in numerators.items()}

@@ -119,6 +119,14 @@ def test_validate_rejects_overlapping_regions(tmp_path, capsys):
     assert "overlap" in capsys.readouterr().out
 
 
+def test_validate_rejects_target_without_admissible_region(capsys):
+    code = main(["validate", "--config", DEFAULT_CFG,
+                 "--set", "scene.priors.car|road=0",
+                 "--set", "scene.priors.car|field=0"])
+    assert code == 1
+    assert "no admissible region for target 'car'" in capsys.readouterr().out
+
+
 def test_trial_writes_csv_and_echoes_config(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["trial", "--seed", "7", "--budget", "60", "--out", str(out)])
@@ -128,9 +136,23 @@ def test_trial_writes_csv_and_echoes_config(tmp_path, capsys):
     assert header == ("method,seed,budget,recall,ap,found,objects,views,"
                       "elapsed_sim_ms,vacuous")
     assert row.startswith("ppm_ps,7,60,")
+    console = capsys.readouterr().out
+    assert int(console.split("wall_views_per_s=")[1]) > 0
     # the echoed config is itself a loadable scenario
     rebuilt, errors = build_scenario(parse_text((out / "effective.cfg").read_text()))
     assert errors == []
+
+
+@pytest.mark.parametrize("dump", [[], ["--dump"]])
+def test_trial_budget_zero_runs_no_views(tmp_path, capsys, dump):
+    out = tmp_path / "run"
+    assert main(["trial", "--seed", "4", "--budget", "0", "--out", str(out)]
+                + dump) == 0
+    header, row = (out / "trial.csv").read_text().strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["budget"] == "0"
+    assert fields["views"] == "0"
+    assert capsys.readouterr().out.strip().endswith("wall_views_per_s=0")
 
 
 def test_trial_rerun_is_byte_identical(tmp_path):

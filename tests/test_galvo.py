@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panosearch.config import ObjectGroupSpec, SceneConfig
 from panosearch.galvo import (GalvoState, capture_view, image_to_galvo,
@@ -123,3 +126,79 @@ def test_timing_linear_in_particle_count():
 def test_empty_plan_rejected():
     with pytest.raises(ValueError):
         plan_scan(GalvoState(), [])
+
+
+def reference_plan_scan(state, positions, dwell_ms=2.0):
+    """The original tour: rescan the remaining points, np.delete the pick."""
+    n = len(positions)
+    pts = np.asarray(positions, dtype=float).reshape(n, 2)
+    order = np.empty(n, dtype=np.intp)
+    remaining = np.arange(n, dtype=np.intp)
+    cur = np.array([state.theta_h, state.theta_v])
+    for i in range(n):
+        d = pts[remaining] - cur
+        best = int(np.argmin(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
+        pick = remaining[best]
+        order[i] = pick
+        cur = pts[pick]
+        remaining = np.delete(remaining, best)
+    total_ms = n * state.step_response_ms + n * dwell_ms
+    return order.tolist(), total_ms
+
+
+def tour_positions(layout: str, n: int, seed: int) -> list[tuple[float, float]]:
+    rng = np.random.default_rng(seed)
+    if layout == "uniform":
+        pts = rng.uniform(-20.0, 20.0, size=(n, 2))
+    elif layout == "rounded":
+        # a coarse grid: many equal distances, so ties decide the tour
+        pts = np.round(rng.uniform(-3.0, 3.0, size=(n, 2)))
+    elif layout == "duplicated":
+        base = rng.uniform(-20.0, 20.0, size=(max(1, n // 4), 2))
+        pts = base[rng.integers(0, len(base), size=n)]
+    else:  # clustered
+        centers = rng.uniform(-18.0, 18.0, size=(3, 2))
+        pts = (centers[rng.integers(0, 3, size=n)]
+               + rng.normal(0.0, 0.01, size=(n, 2)))
+    return [(float(h), float(v)) for h, v in pts]
+
+
+@given(layout=st.sampled_from(["uniform", "rounded", "duplicated", "clustered"]),
+       n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+       start=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+       round_start=st.booleans(), step_ms=st.floats(0.0, 5.0),
+       dwell_ms=st.floats(0.0, 5.0))
+@settings(max_examples=150, deadline=None)
+def test_tour_matches_reference(layout, n, seed, start, round_start, step_ms,
+                                dwell_ms):
+    theta_h, theta_v = (round(start[0]), round(start[1])) if round_start else start
+    state = GalvoState(theta_h, theta_v, step_response_ms=step_ms)
+    positions = tour_positions(layout, n, seed)
+    assert (plan_scan(state, positions, dwell_ms=dwell_ms)
+            == reference_plan_scan(state, positions, dwell_ms=dwell_ms))
+
+
+@pytest.mark.parametrize("layout", ["uniform", "rounded"])
+def test_large_tour_matches_reference(layout):
+    state = GalvoState(0.5, -0.25)
+    positions = tour_positions(layout, 1600, seed=11)
+    assert plan_scan(state, positions) == reference_plan_scan(state, positions)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("start,positions", [
+    # squared distances overflow to inf, so every candidate ties at inf
+    ((0.0, 0.0), [(1e200, 0.0), (-1e200, 0.0), (3.0, 3.0)]),
+    ((0.0, 0.0), [(NAN, 0.0), (1.0, 1.0), (2.0, 2.0)]),
+    ((0.0, 0.0), [(1.0, 1.0), (INF, 0.0), (2.0, 2.0)]),
+    ((NAN, 0.0), [(1.0, 1.0), (2.0, 2.0)]),
+    ((INF, 0.0), [(1.0, 1.0), (INF, INF), (2.0, 2.0), (-INF, 3.0)]),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_tour_matches_reference(start, positions):
+    state = GalvoState(*start)
+    order, total_ms = plan_scan(state, positions)
+    assert sorted(order) == list(range(len(positions)))
+    assert (order, total_ms) == reference_plan_scan(state, positions)

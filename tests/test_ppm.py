@@ -44,6 +44,13 @@ def test_no_admissible_region_raises():
         region_sampling_prob([make_region(prior=0.0)], "car")
 
 
+def test_subnormal_prior_is_admissible():
+    # (1 / 2) * 5e-324 underflows to zero, but the product area x prior does not
+    probs = region_sampling_prob([make_region(0, 1.0, 0.0),
+                                  make_region(1, 1.0, 5e-324)], "car")
+    assert probs == {0: 0.0, 1: 1.0}
+
+
 @given(st.lists(st.tuples(st.floats(1.0, 1e6), st.floats(0.0, 1.0)),
                 min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
