@@ -20,18 +20,12 @@ from .config import (ConfigError, ScenarioConfig, apply_overrides, Block,
                      serialize_scenario)
 from .detector import write_detections_csv
 from .galvo import write_scan_log
-from .ppm import build_ppm, region_sampling_prob, write_ppm_csv
+from .particles import write_particles_csv
+from .ppm import region_sampling_prob, write_ppm_csv
 from .refinement import write_windows_csv
 from .scene import build_scene, write_label_grid
 
 OUT_ENV = "PANOSEARCH_OUT"
-
-
-def _write_particles(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("stage,theta_h,theta_v,weight,sigma\n")
-        for stage, th, tv, weight, sigma in rows:
-            fh.write(f"{stage},{th:.6f},{tv:.6f},{weight:.9e},{sigma:.6f}\n")
 
 
 def _load(args) -> ScenarioConfig:
@@ -136,14 +130,15 @@ def cmd_trial(args) -> int:
     _echo_config(cfg, out)
     if args.dump:
         write_label_grid(scene, os.path.join(out, "scene_grid.txt"))
-        ppm = build_ppm(scene, cfg.noise, cfg.experiment.target,
-                        max(result.budget, 1), [13, 0, seed],
-                        r_scale=cfg.engine.subregion_scale)
-        write_ppm_csv(ppm, os.path.join(out, "ppm.csv"), cfg.experiment.target)
+        ppm_path = os.path.join(out, "ppm.csv")
+        if trace.ppm is not None:
+            write_ppm_csv(trace.ppm, ppm_path, cfg.experiment.target)
+        elif os.path.exists(ppm_path):
+            os.remove(ppm_path)  # left by an earlier trial: not this one's map
         write_scan_log(os.path.join(out, "scan_log.csv"), trace.scan)
         write_detections_csv(os.path.join(out, "detections.csv"), trace.detections)
         write_windows_csv(os.path.join(out, "windows.csv"), trace.windows)
-        _write_particles(os.path.join(out, "particles.csv"), trace.particles)
+        write_particles_csv(os.path.join(out, "particles.csv"), trace.particles)
     wall_views_per_s = (result.views / (result.wall_ms / 1e3)
                         if result.views else 0.0)
     print(f"trial method={result.method} seed={seed} budget={result.budget} "

@@ -24,8 +24,8 @@ from .galvo import GalvoState, capture_view, plan_scan
 from .particles import (Particle, build_proposal, initial_sample,
                         normalize_weights, prune_redundant, sample_next,
                         update_weights)
-from .ppm import allocate_ppm, segment_panorama
-from .refinement import SearchWindow, nms_merge
+from .ppm import Ppm, allocate_ppm, segment_panorama
+from .refinement import SearchWindow, bounds_iou, box_bounds, nms_merge
 from .scene import SceneMap, build_scene, step_motion
 
 
@@ -81,12 +81,17 @@ class TrialResult:
 
 @dataclass
 class TrialTrace:
-    """Optional per-trial logs: scan order, particles, detections, windows."""
+    """Optional per-trial logs: scan order, particles, detections, windows.
+
+    `ppm` is the probability map the first pass allocated, None for methods
+    that allocate none.
+    """
 
     scan: list = field(default_factory=list)
     particles: list = field(default_factory=list)
     detections: list = field(default_factory=list)
     windows: list = field(default_factory=list)
+    ppm: Ppm | None = None
 
 
 def _split_budget(budget: int, iters: int, init_frac: float) -> list[int]:
@@ -144,45 +149,51 @@ def _grid_particles(scene: SceneMap, count: int, sigma0: float,
     return out
 
 
-def _object_angular_box(scene: SceneMap, obj) -> tuple[float, float, float, float]:
-    """(center_h, center_v, width_deg, height_deg) of a ground-truth object."""
-    c_h, c_v = scene.pano_to_galvo(*obj.center)
-    return c_h, c_v, obj.size[0] * scene.deg_per_px, obj.size[1] * scene.deg_per_px
+def _object_boxes(scene: SceneMap) -> np.ndarray:
+    """(M, 4) rows center_h, center_v, width_deg, height_deg of the objects."""
+    centers = np.array([obj.center for obj in scene.objects],
+                       dtype=float).reshape(-1, 2)
+    sizes = np.array([obj.size for obj in scene.objects],
+                     dtype=float).reshape(-1, 2)
+    return np.column_stack((*scene.pano_to_galvo(centers[:, 0], centers[:, 1]),
+                            sizes * scene.deg_per_px))
 
 
-def _match_object(scene: SceneMap, center_h: float, center_v: float):
-    """Object whose angular half-extent box contains the point, closest first."""
-    best = None
-    best_score = None
-    for obj in scene.objects:
-        o_h, o_v, w_deg, h_deg = _object_angular_box(scene, obj)
-        dx, dy = center_h - o_h, center_v - o_v
-        if abs(dx) <= w_deg / 2.0 and abs(dy) <= h_deg / 2.0:
-            score = (dx / w_deg) ** 2 + (dy / h_deg) ** 2
-            if best_score is None or score < best_score:
-                best, best_score = obj, score
-    return best
+def _match_objects(boxes: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Per (W, 2) point, the index of the object whose box contains it, else -1.
+
+    Among containing objects the smallest normalized offset wins, ties to
+    the first object.
+    """
+    if not len(boxes):
+        return np.full(len(centers), -1)
+    offset = centers[:, None] - boxes[:, :2]
+    inside = (np.abs(offset) <= boxes[:, 2:] / 2.0).all(axis=-1)
+    # float_power is libm pow, the same as float ** 2; x * x can differ by
+    # an ulp and flip a near-tie
+    square = np.float_power(offset / boxes[:, 2:], 2.0)
+    score = square[..., 0] + square[..., 1]
+    score[~inside] = np.inf
+    best = np.argmin(score, axis=1)
+    return np.where(inside[np.arange(best.size), best], best, -1)
 
 
-def _box_iou(ah, av, aw, ahh, bh, bv, bw, bhh) -> float:
-    iw = min(ah + aw / 2, bh + bw / 2) - max(ah - aw / 2, bh - bw / 2)
-    ih = min(av + ahh / 2, bv + bhh / 2) - max(av - ahh / 2, bv - bhh / 2)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (aw * ahh + bw * bhh - inter)
+def _ap_matches(boxes: np.ndarray, centers: np.ndarray, sizes: np.ndarray,
+                iou_thr: float = 0.5) -> np.ndarray:
+    """Per (W, 2) center and extent, the index of the object with the highest
+    IoU >= iou_thr, else -1.  Ties go to the last such object.
+    """
+    if not len(boxes):
+        return np.full(len(centers), -1)
+    v = bounds_iou(box_bounds(centers, sizes)[:, None],
+                   box_bounds(boxes[:, :2], boxes[:, 2:]))
+    v[~(v >= iou_thr)] = -1.0
+    last = len(boxes) - 1 - np.argmax(v[:, ::-1], axis=1)
+    return np.where(v[np.arange(last.size), last] >= iou_thr, last, -1)
 
 
-def _ap_match(scene: SceneMap, center_h, center_v, width_deg, height_deg,
-              iou_thr: float = 0.5):
-    best, best_iou = None, iou_thr
-    for obj in scene.objects:
-        o_h, o_v, w_deg, h_deg = _object_angular_box(scene, obj)
-        v = _box_iou(center_h, center_v, width_deg, height_deg,
-                     o_h, o_v, w_deg, h_deg)
-        if v >= best_iou:
-            best, best_iou = obj.id, v
-    return best
+def _object_id(scene: SceneMap, index) -> int | None:
+    return None if index < 0 else scene.objects[index].id
 
 
 def average_precision_11pt(records, n_gt: int) -> float:
@@ -262,24 +273,27 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
         else:
             dets_pano_alloc = dets_pano
 
+    boxes = _object_boxes(scene)
     if spec.bootstrap and dets_pano:
         dpp = scene.deg_per_px
-        for det in dets_pano:
-            c_h, c_v = scene.pano_to_galvo(*det.center)
-            obj = _match_object(scene, c_h, c_v)
+        centers = np.array([scene.pano_to_galvo(*det.center)
+                            for det in dets_pano])
+        sizes = np.array([scene.objects[det.object_id].size
+                          for det in dets_pano]) * dpp
+        for det, (c_h, c_v), j, ap_j in zip(
+                dets_pano, centers, _match_objects(boxes, centers),
+                _ap_matches(boxes, centers, sizes)):
             prior_var = (eng.subregion_scale * det.sigma_o * dpp) ** 2
-            if obj is not None:
-                pre_vars.setdefault(obj.id, prior_var)
-                if obj.id not in found:
-                    o_h, o_v, _, _ = _object_angular_box(scene, obj)
-                    found[obj.id] = FoundObject(
+            if j >= 0:
+                oid = scene.objects[j].id
+                pre_vars.setdefault(oid, prior_var)
+                if oid not in found:
+                    found[oid] = FoundObject(
                         stage=0,
-                        err_x_px=(c_h - o_h) / eng.alpha,
-                        err_y_px=(c_v - o_v) / eng.alpha,
+                        err_x_px=float(c_h - boxes[j, 0]) / eng.alpha,
+                        err_y_px=float(c_v - boxes[j, 1]) / eng.alpha,
                         post_var=prior_var, confidence=det.confidence)
-            src = scene.objects[det.object_id]
-            ap_records.append((det.confidence, _ap_match(
-                scene, c_h, c_v, src.size[0] * dpp, src.size[1] * dpp)))
+            ap_records.append((det.confidence, _object_id(scene, ap_j)))
 
     proposal = None
     particles: list[Particle] = []
@@ -289,12 +303,15 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
             continue
         if k > 0:
             scene = step_motion(scene, 1)
+            boxes = _object_boxes(scene)
         stage = k + 1
 
         if k == 0 or spec.resample != "proposal" or proposal is None:
             if spec.init in ("ppm", "region"):
                 ppm = allocate_ppm(scene, grid, dets_pano_alloc, target, n_k,
                                    r_scale=eng.subregion_scale)
+                if trace is not None and trace.ppm is None:
+                    trace.ppm = ppm
                 particles = initial_sample(ppm, scene, rng,
                                            sigma0=eng.sigma0_deg, limit=limit)
             elif spec.init == "grid":
@@ -357,26 +374,31 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
         # windows arrive confidence-ranked: the first match per object wins
         # this pass, and an existing estimate only yields to a window at
         # least as confident as the one that produced it
+        centers = np.array([(w.center_h, w.center_v)
+                            for w in windows]).reshape(-1, 2)
         claimed_now: set[int] = set()
-        for w in windows:
-            obj = _match_object(scene, w.center_h, w.center_v)
-            if obj is None or obj.id in claimed_now:
+        for w, j in zip(windows, _match_objects(boxes, centers)):
+            if j < 0:
                 continue
-            claimed_now.add(obj.id)
-            old = found.get(obj.id)
+            oid = scene.objects[j].id
+            if oid in claimed_now:
+                continue
+            claimed_now.add(oid)
+            old = found.get(oid)
             if old is not None and w.confidence < old.confidence:
                 continue
-            o_h, o_v, _, _ = _object_angular_box(scene, obj)
-            found[obj.id] = FoundObject(
+            found[oid] = FoundObject(
                 stage=old.stage if old is not None else stage,
-                err_x_px=(w.center_h - o_h) / eng.alpha,
-                err_y_px=(w.center_v - o_v) / eng.alpha,
+                err_x_px=float(w.center_h - boxes[j, 0]) / eng.alpha,
+                err_y_px=float(w.center_v - boxes[j, 1]) / eng.alpha,
                 post_var=_window_var(w, eng.radius_mode),
                 confidence=w.confidence)
         if k == last_round:
-            for w in windows:
-                ap_records.append((w.confidence, _ap_match(
-                    scene, w.center_h, w.center_v, w.width_deg, w.height_deg)))
+            sizes = np.array([(w.width_deg, w.height_deg)
+                              for w in windows]).reshape(-1, 2)
+            ap_hits = _ap_matches(boxes, centers, sizes)
+            for w, j in zip(windows, ap_hits):
+                ap_records.append((w.confidence, _object_id(scene, j)))
 
         if spec.resample == "proposal" and k < last_round:
             # coordinate refinement: a detecting particle re-centers on the

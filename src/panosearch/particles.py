@@ -199,9 +199,9 @@ def prune_redundant(particles: list[Particle], fov_deg: float,
     return [p for p, k in zip(particles, kept) if k]
 
 
-def write_particles_csv(path: str, particles: list[Particle]) -> None:
+def write_particles_csv(path: str, rows) -> None:
+    """Particle log CSV over (stage, theta_h, theta_v, weight, sigma) rows."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("stage,theta_h,theta_v,weight,sigma\n")
-        for p in particles:
-            fh.write(f"{p.stage},{p.theta_h:.6f},{p.theta_v:.6f},"
-                     f"{p.weight:.9e},{p.sigma:.6f}\n")
+        for stage, th, tv, weight, sigma in rows:
+            fh.write(f"{stage},{th:.6f},{tv:.6f},{weight:.9e},{sigma:.6f}\n")

@@ -61,9 +61,10 @@ def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
     n_regions = len(scene.regions)
     if noise.label_flip > 0.0 and n_regions > 1:
         grid = scene.labels.copy()
-        flip = rng.random(grid.shape) < noise.label_flip
-        offsets = rng.integers(1, n_regions, size=int(flip.sum()), dtype=np.int16)
-        grid[flip] = (grid[flip] + offsets) % n_regions
+        flat = grid.reshape(-1)
+        flip = np.flatnonzero(rng.random(grid.shape) < noise.label_flip)
+        offsets = rng.integers(1, n_regions, size=flip.size, dtype=np.int16)
+        flat[flip] = (flat[flip] + offsets) % n_regions
         grid.setflags(write=False)
     else:
         grid = scene.labels
@@ -191,9 +192,8 @@ def allocate_ppm(scene: SceneMap, grid: np.ndarray, dets, target: str, n: int,
         regions = scene.regions
         bboxes = scene.region_bboxes
     else:
-        areas = np.bincount(grid.ravel(), minlength=len(scene.regions))
+        areas, bboxes = _measure_regions(grid, len(scene.regions))
         regions = tuple(replace(r, area_px=float(areas[r.id])) for r in scene.regions)
-        bboxes = _measure_bboxes(grid, len(regions))
 
     probs = region_sampling_prob([r for r in regions if r.area_px > 0], target)
     for r in regions:
@@ -226,10 +226,15 @@ def allocate_ppm(scene: SceneMap, grid: np.ndarray, dets, target: str, n: int,
                detections=tuple(dets))
 
 
-def _measure_bboxes(grid: np.ndarray, n_regions: int):
-    bboxes = []
+def _measure_regions(grid: np.ndarray, n_regions: int):
+    """Pixel count and (x0, y0, x1, y1) exclusive bbox of each region id.
+
+    One mask per region; an absent region has area 0 and bbox (0, 0, 0, 0).
+    """
+    areas, bboxes = [], []
     for rid in range(n_regions):
         mask = grid == rid
+        areas.append(np.count_nonzero(mask))
         rows = np.flatnonzero(mask.any(axis=1))
         cols = np.flatnonzero(mask.any(axis=0))
         if rows.size == 0:
@@ -237,7 +242,7 @@ def _measure_bboxes(grid: np.ndarray, n_regions: int):
         else:
             bboxes.append((int(cols[0]), int(rows[0]),
                            int(cols[-1]) + 1, int(rows[-1]) + 1))
-    return tuple(bboxes)
+    return areas, tuple(bboxes)
 
 
 def write_ppm_csv(ppm: Ppm, path: str, target: str = "car") -> None:

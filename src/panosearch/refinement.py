@@ -13,10 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .detector import Detection
 from .galvo import clamp_angle
 
 VAR_FLOOR = 1e-6  # degrees^2
+_NMS_BLOCK = 32   # selected boxes whose IoU rows nms_merge computes at once
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,26 @@ def iou(a: Detection, b: Detection) -> float:
     inter = iw * ih
     union = a.width_deg * a.height_deg + b.width_deg * b.height_deg - inter
     return inter / union
+
+
+def box_bounds(centers: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(..., 5) rows x0, y0, x1, y1, area from (..., 2) centers and extents."""
+    half = sizes / 2.0
+    return np.concatenate((centers - half, centers + half,
+                           (sizes[..., 0] * sizes[..., 1])[..., None]), axis=-1)
+
+
+def bounds_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of box_bounds rows a and b, broadcast against each other.
+
+    Overlapping pairs take the same float operations in the same order as
+    iou(); a disjoint pair's intersection clamps to 0, so for boxes of
+    positive area every entry is bit-identical to iou().
+    """
+    overlap = np.maximum(np.minimum(a[..., 2:4], b[..., 2:4])
+                         - np.maximum(a[..., :2], b[..., :2]), 0.0)
+    inter = overlap[..., 0] * overlap[..., 1]
+    return inter / (a[..., 4] + b[..., 4] - inter)
 
 
 def overlap_prob(b_i: Detection, b_m: Detection, sigma_t: float = 0.025) -> float:
@@ -81,42 +104,59 @@ def nms_merge(dets, iou_keep: float = 0.5, sigma_t: float = 0.025,
     list instead of surviving on their own.  With voting enabled the window
     center moves to the members' precision-weighted vote; otherwise it stays
     at the best member.  radius_mode 'stddev' reports sqrt of the aggregate.
+    IoUs are computed as arrays, one block of ranks against every later
+    rank at a time, so memory stays O(n) for a fixed block size.
     """
     if not dets:
         return []
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-    taken = [False] * len(dets)
+    n = len(dets)
+    cols = np.array([(d.theta_h, d.theta_v, d.width_deg, d.height_deg,
+                      d.confidence) for d in dets])
+    order = np.argsort(-cols[:, 4], kind="stable")  # ties: lower index first
+    bounds = box_bounds(cols[order, :2], cols[order, 2:4])
+    alive = np.ones(n, dtype=bool)
     windows: list[SearchWindow] = []
-    for i in order:
-        if taken[i]:
+    # every rank before `start` is taken by the time its block is reached,
+    # so the block's boxes only need IoUs against ranks >= start
+    for start in range(0, n, _NMS_BLOCK):
+        stop = min(start + _NMS_BLOCK, n)
+        if not alive[start:stop].any():
             continue
-        taken[i] = True
-        best = dets[i]
-        members = [best]
-        for j in order:
-            if taken[j]:
+        over = bounds_iou(bounds[start:stop, None], bounds[start:]) > iou_keep
+        for p in range(start, stop):
+            if not alive[p]:
                 continue
-            if iou(best, dets[j]) > iou_keep:
-                taken[j] = True
-                members.append(dets[j])
-        if vote:
-            pairs = [(m, overlap_prob(m, best, sigma_t)) for m in members]
-            c_h, c_v, agg_h, agg_v = variance_vote(pairs)
-            if radius_mode == "stddev":
-                r_h, r_v = math.sqrt(agg_h), math.sqrt(agg_v)
-            else:
-                r_h, r_v = agg_h, agg_v
-        else:
-            c_h, c_v = best.theta_h, best.theta_v
-            r_h, r_v = max(best.var_h, VAR_FLOOR), max(best.var_v, VAR_FLOOR)
-            if radius_mode == "stddev":
-                r_h, r_v = math.sqrt(r_h), math.sqrt(r_v)
-        windows.append(SearchWindow(
-            center_h=clamp_angle(c_h, limit), center_v=clamp_angle(c_v, limit),
-            radius_h=r_h, radius_v=r_v, confidence=best.confidence,
-            width_deg=best.width_deg, height_deg=best.height_deg,
-            members=tuple(members)))
+            alive[p] = False
+            best = dets[order[p]]
+            members = [best]
+            merge = over[p - start] & alive[start:]
+            if merge.any():
+                alive[start:] &= ~merge
+                members += [dets[j] for j in order[start:][merge]]
+            windows.append(_window(best, members, sigma_t, vote, limit,
+                                   radius_mode))
     return windows
+
+
+def _window(best: Detection, members, sigma_t: float, vote: bool,
+            limit: float, radius_mode: str) -> SearchWindow:
+    if vote:
+        pairs = [(m, overlap_prob(m, best, sigma_t)) for m in members]
+        c_h, c_v, agg_h, agg_v = variance_vote(pairs)
+        if radius_mode == "stddev":
+            r_h, r_v = math.sqrt(agg_h), math.sqrt(agg_v)
+        else:
+            r_h, r_v = agg_h, agg_v
+    else:
+        c_h, c_v = best.theta_h, best.theta_v
+        r_h, r_v = max(best.var_h, VAR_FLOOR), max(best.var_v, VAR_FLOOR)
+        if radius_mode == "stddev":
+            r_h, r_v = math.sqrt(r_h), math.sqrt(r_v)
+    return SearchWindow(
+        center_h=clamp_angle(c_h, limit), center_v=clamp_angle(c_v, limit),
+        radius_h=r_h, radius_v=r_v, confidence=best.confidence,
+        width_deg=best.width_deg, height_deg=best.height_deg,
+        members=tuple(members))
 
 
 def write_windows_csv(path: str, rows) -> None:

@@ -6,6 +6,7 @@ from panosearch.cli import main
 from panosearch.config import (ConfigError, apply_overrides, build_scenario,
                                check_scenario, default_scenario, parse_text,
                                serialize_scenario)
+from panosearch.particles import write_particles_csv
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_CFG = os.path.join(REPO_ROOT, "scenarios", "default.cfg")
@@ -179,6 +180,48 @@ def test_trial_dump_writes_grid_map_and_logs(tmp_path):
     assert dets[0] == "stage,particle,theta_h,theta_v,p,var_h,var_v"
     windows = (out / "windows.csv").read_text().strip().splitlines()
     assert windows[0] == "stage,window,center_h,center_v,radius_h,radius_v,n_members"
+
+
+def _csv_rows(path):
+    header, *rows = path.read_text().strip().splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def test_trial_dump_ppm_is_the_first_pass_allocation(tmp_path):
+    out = tmp_path / "run"
+    assert main(["trial", "--seed", "5", "--budget", "400", "--dump",
+                 "--set", "engine.iterations=3", "--out", str(out)]) == 0
+    particles = _csv_rows(out / "particles.csv")
+    first_pass = sum(row["stage"] == "0" for row in particles)
+    assert first_pass == 340  # 85% of the budget up front, then two passes
+    regions = [r for r in _csv_rows(out / "ppm.csv") if r["kind"] == "region"]
+    assert sum(int(r["x_r"]) for r in regions) == first_pass
+    subs = [r for r in _csv_rows(out / "ppm.csv") if r["kind"] == "subregion"]
+    assert sum(int(r["x_rm"]) for r in regions) + sum(
+        int(r["x_ro"]) for r in subs) == first_pass
+
+
+@pytest.mark.parametrize("method", ["mpf", "uniform"])
+def test_trial_dump_without_a_map_writes_no_ppm(tmp_path, method):
+    out = tmp_path / "run"
+    assert main(["trial", "--seed", "1", "--budget", "40", "--dump",
+                 "--out", str(out)]) == 0
+    assert (out / "ppm.csv").exists()
+    # a later map-less trial in the same directory drops the stale map
+    assert main(["trial", "--seed", "1", "--budget", "40", "--dump",
+                 "--method", method, "--out", str(out)]) == 0
+    assert not (out / "ppm.csv").exists()
+    assert len(_csv_rows(out / "particles.csv")) == 40
+
+
+def test_particle_writer_format(tmp_path):
+    path = tmp_path / "particles.csv"
+    write_particles_csv(str(path), [(0, 1.25, -0.5, 0.0025, 1.0),
+                                    (2, -19.9999999, 3.0, 1.0 / 3.0, 0.05)])
+    assert path.read_text() == (
+        "stage,theta_h,theta_v,weight,sigma\n"
+        "0,1.250000,-0.500000,2.500000000e-03,1.000000\n"
+        "2,-20.000000,3.000000,3.333333333e-01,0.050000\n")
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

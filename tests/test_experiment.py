@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panosearch.config import (ConfigError, SceneConfig, SegNoiseConfig,
                                default_scenario)
-from panosearch.experiment import (_split_budget,
+from panosearch.experiment import (_ap_matches, _match_objects, _object_boxes,
+                                   _split_budget,
                                    average_precision_11pt,
                                    default_scene_variants, deviation_scene,
                                    deviation_study, proportion_sweep,
                                    recall_curve, run_trial)
-from panosearch.scene import build_scene
+from panosearch.scene import GtObject, SceneMap, build_scene
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +138,150 @@ def test_ap_duplicates_count_as_false_positives():
     assert average_precision_11pt(records, 1) == pytest.approx(1.0)
     records = [(0.9, None), (0.8, 0)]
     assert average_precision_11pt(records, 1) == pytest.approx(0.5)
+
+
+# --- batched ground-truth matching against the scalar loops --------------------------
+
+def _object_angular_box(scene, obj):
+    c_h, c_v = scene.pano_to_galvo(*obj.center)
+    return c_h, c_v, obj.size[0] * scene.deg_per_px, obj.size[1] * scene.deg_per_px
+
+
+def reference_match_object(scene, center_h, center_v):
+    """The original point matcher: containing box, closest first."""
+    best = None
+    best_score = None
+    for obj in scene.objects:
+        o_h, o_v, w_deg, h_deg = _object_angular_box(scene, obj)
+        dx, dy = center_h - o_h, center_v - o_v
+        if abs(dx) <= w_deg / 2.0 and abs(dy) <= h_deg / 2.0:
+            score = (dx / w_deg) ** 2 + (dy / h_deg) ** 2
+            if best_score is None or score < best_score:
+                best, best_score = obj, score
+    return best
+
+
+def _box_iou(ah, av, aw, ahh, bh, bv, bw, bhh):
+    iw = min(ah + aw / 2, bh + bw / 2) - max(ah - aw / 2, bh - bw / 2)
+    ih = min(av + ahh / 2, bv + bhh / 2) - max(av - ahh / 2, bv - bhh / 2)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return inter / (aw * ahh + bw * bhh - inter)
+
+
+def reference_ap_match(scene, center_h, center_v, width_deg, height_deg,
+                       iou_thr=0.5):
+    """The original AP matcher: sequential >=, so IoU ties go to the last object."""
+    best, best_iou = None, iou_thr
+    for obj in scene.objects:
+        o_h, o_v, w_deg, h_deg = _object_angular_box(scene, obj)
+        v = _box_iou(center_h, center_v, width_deg, height_deg,
+                     o_h, o_v, w_deg, h_deg)
+        if v >= best_iou:
+            best, best_iou = obj.id, v
+    return best
+
+
+def make_scene(objects, deg_per_px=1.0 / 32.0):
+    gts = tuple(GtObject(id=i, class_name="car", center=c, size=sz,
+                         velocity=(0.0, 0.0), occlusion=0.0, pano_detectable=False)
+                for i, (c, sz) in enumerate(objects))
+    return SceneMap(width=1440, height=1200, labels=np.zeros((1, 1), np.int16),
+                    regions=(), objects=gts, deg_per_px=deg_per_px,
+                    region_bboxes=())
+
+
+def batched_matches(scene, boxes):
+    """(point match, AP match) per (center_h, center_v, width, height) box."""
+    cols = np.array(boxes, dtype=float).reshape(-1, 4)
+    gt = _object_boxes(scene)
+    ids = _match_objects(gt, cols[:, :2])
+    ap = _ap_matches(gt, cols[:, :2], cols[:, 2:])
+    return ([None if j < 0 else scene.objects[j].id for j in ids],
+            [None if j < 0 else scene.objects[j].id for j in ap])
+
+
+def reference_matches(scene, boxes):
+    ids = []
+    for b in boxes:
+        obj = reference_match_object(scene, b[0], b[1])
+        ids.append(None if obj is None else obj.id)
+    return ids, [reference_ap_match(scene, *b) for b in boxes]
+
+
+# coarse pixel grids: duplicated objects (score and IoU ties), points on box
+# edges and IoUs of exactly 0.5 all occur often
+grid_objects = st.lists(st.tuples(
+    st.tuples(st.integers(0, 24).map(lambda k: 640.0 + 8 * k),
+              st.integers(0, 16).map(lambda k: 540.0 + 8 * k)),
+    st.sampled_from([(48.0, 28.0), (96.0, 28.0), (48.0, 56.0), (16.0, 16.0)])),
+    max_size=14)
+grid_boxes = st.lists(st.tuples(
+    st.integers(0, 48).map(lambda k: (636.0 + 4 * k - 720.0) / 32.0),
+    st.integers(0, 34).map(lambda k: (536.0 + 4 * k - 600.0) / 32.0),
+    st.sampled_from([0.75, 1.5, 3.0, 3.75]),
+    st.sampled_from([0.4375, 0.875, 1.75])), max_size=30)
+
+
+@given(objects=grid_objects, boxes=grid_boxes,
+       deg_per_px=st.sampled_from([1.0 / 32.0, 40.0 / 1440.0]))
+@settings(max_examples=300, deadline=None)
+def test_batched_matching_equals_scalar_loops(objects, boxes, deg_per_px):
+    scene = make_scene(objects, deg_per_px)
+    assert batched_matches(scene, boxes) == reference_matches(scene, boxes)
+
+
+def test_point_match_score_tie_goes_to_first_object():
+    scene = make_scene([((720.0, 600.0), (48.0, 28.0)),
+                        ((720.0, 600.0), (48.0, 28.0)),
+                        ((736.0, 600.0), (48.0, 28.0))])
+    boxes = [(0.25, 0.0, 1.5, 0.875), (0.0, 0.0, 1.5, 0.875)]
+    ids, _ = batched_matches(scene, boxes)
+    assert ids == [0, 0]
+    assert (ids, _) == reference_matches(scene, boxes)
+
+
+def test_point_match_score_is_float_pow():
+    # with glibc's pow these two scores tie under `** 2` (the first object
+    # wins) while under x * x the second one is an ulp smaller
+    a, c, d = 0.22329778763258373, 0.24582993323455482, 0.3321057934389464
+    scores = [d ** 2 + 0.0 ** 2, a ** 2 + c ** 2]
+    boxes = np.array([[-d, 0.0, 1.0, 1.0], [-a, -c, 1.0, 1.0]])
+    assert _match_objects(boxes, np.zeros((1, 2))).tolist() == \
+        [scores.index(min(scores))]
+
+
+def test_ap_match_iou_tie_goes_to_last_object():
+    scene = make_scene([((720.0, 600.0), (48.0, 28.0)),
+                        ((720.0, 600.0), (48.0, 28.0)),
+                        ((900.0, 600.0), (48.0, 28.0))])
+    boxes = [(0.0, 0.0, 1.5, 0.875)]
+    assert batched_matches(scene, boxes) == ([0], [1])
+    assert batched_matches(scene, boxes) == reference_matches(scene, boxes)
+
+
+def test_ap_match_iou_exactly_half_matches():
+    # the window is twice the object's width around the same center: IoU 0.5
+    scene = make_scene([((720.0, 600.0), (48.0, 28.0))])
+    boxes = [(0.0, 0.0, 3.0, 0.875), (0.0, 0.0, 3.0 + 2.0 ** -20, 0.875)]
+    assert batched_matches(scene, boxes) == ([0, 0], [0, None])
+    assert batched_matches(scene, boxes) == reference_matches(scene, boxes)
+
+
+def test_touching_boxes_do_not_ap_match():
+    scene = make_scene([((720.0, 600.0), (48.0, 28.0))])
+    boxes = [(1.5, 0.0, 1.5, 0.875), (0.75, 0.0, 1.5, 0.875)]
+    assert batched_matches(scene, boxes) == ([None, 0], [None, None])
+    assert batched_matches(scene, boxes) == reference_matches(scene, boxes)
+
+
+def test_matching_without_objects_or_windows():
+    empty = make_scene([])
+    assert batched_matches(empty, [(0.0, 0.0, 1.5, 0.875)]) == ([None], [None])
+    crowd = make_scene([((720.0, 600.0), (48.0, 28.0))])
+    assert batched_matches(crowd, []) == ([], [])
+    assert batched_matches(empty, []) == ([], [])
 
 
 # --- studies ----------------------------------------------------------------------

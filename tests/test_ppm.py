@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panosearch.config import (ObjectGroupSpec, SceneConfig,
+from panosearch.config import (ObjectGroupSpec, RegionSpec, SceneConfig,
                                SegNoiseConfig, default_scenario)
-from panosearch.ppm import (apportion, build_ppm, refine_allocation,
+from panosearch.ppm import (_measure_regions, allocate_ppm, apportion,
+                            build_ppm, refine_allocation,
                             region_sampling_prob, segment_panorama,
                             subregion_share)
 from panosearch.scene import Region, build_scene
@@ -195,6 +196,81 @@ def test_label_flip_noise_changes_grid_but_not_partition_size():
     changed = (grid != scene.labels).mean()
     assert 0.03 < changed < 0.07
     assert grid.shape == scene.labels.shape
+
+
+def reference_noisy_grid(scene, label_flip, seed):
+    """The original label flip: the boolean mask indexes the grid twice."""
+    rng = np.random.default_rng(seed)
+    n_regions = len(scene.regions)
+    grid = scene.labels.copy()
+    flip = rng.random(grid.shape) < label_flip
+    offsets = rng.integers(1, n_regions, size=int(flip.sum()), dtype=np.int16)
+    grid[flip] = (grid[flip] + offsets) % n_regions
+    return grid, rng
+
+
+@pytest.mark.parametrize("label_flip,seed", [(0.05, 1), (0.3, 7), (1.0, 2)])
+@pytest.mark.parametrize("extra_regions", [0, 2])
+def test_label_flip_matches_boolean_mask_reference(label_flip, seed,
+                                                   extra_regions):
+    cfg = default_scenario().scene
+    cfg.regions += [RegionSpec(label="lot", rect=(40 + 100 * k, 40, 80, 200))
+                    for k in range(extra_regions)]
+    scene = build_scene(cfg, seed=2)
+    noise = SegNoiseConfig(label_flip=label_flip, conf_std=0.1, center_std_px=2.0)
+    gen = np.random.default_rng(seed)
+    grid, dets = segment_panorama(scene, noise, gen)
+    want, ref = reference_noisy_grid(scene, label_flip, seed)
+    assert grid.dtype == want.dtype
+    assert np.array_equal(grid, want)
+    # same draws in the same order: one confidence and two center draws per
+    # detection follow the flips, leaving both streams at the same state
+    ref.normal(size=3 * len(dets))
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def reference_measure(grid, n_regions):
+    """np.bincount areas plus the original per-region bbox scan."""
+    areas = np.bincount(grid.ravel(), minlength=n_regions)
+    bboxes = []
+    for rid in range(n_regions):
+        mask = grid == rid
+        rows = np.flatnonzero(mask.any(axis=1))
+        cols = np.flatnonzero(mask.any(axis=0))
+        if rows.size == 0:
+            bboxes.append((0, 0, 0, 0))
+        else:
+            bboxes.append((int(cols[0]), int(rows[0]),
+                           int(cols[-1]) + 1, int(rows[-1]) + 1))
+    return [int(a) for a in areas], tuple(bboxes)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_regions=st.integers(3, 6),
+       shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       absent=st.integers(0, 5), sparse=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_region_measure_matches_bincount(seed, n_regions, shape, absent, sparse):
+    rng = np.random.default_rng(seed)
+    present = [r for r in range(n_regions) if r != absent % n_regions]
+    if sparse:  # mostly one region, a few scattered pixels of the others
+        grid = np.full(shape, present[0], dtype=np.int16)
+        hits = rng.random(shape) < 0.05
+        grid[hits] = rng.choice(present, size=int(hits.sum()))
+    else:
+        grid = rng.choice(present, size=shape).astype(np.int16)
+    areas, bboxes = _measure_regions(grid, n_regions)
+    assert (areas, bboxes) == reference_measure(grid, n_regions)
+    assert areas[absent % n_regions] == 0
+    assert bboxes[absent % n_regions] == (0, 0, 0, 0)
+
+
+def test_noisy_allocation_measures_the_noisy_grid():
+    scene = build_scene(default_scenario().scene, seed=3)
+    grid, dets = segment_panorama(scene, SegNoiseConfig(label_flip=0.1), seed=5)
+    ppm = allocate_ppm(scene, grid, dets, "car", 400)
+    areas, bboxes = reference_measure(grid, len(scene.regions))
+    assert [r.area_px for r in ppm.regions] == [float(a) for a in areas]
+    assert ppm.region_bboxes == bboxes
 
 
 # --- composition ------------------------------------------------------------

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panosearch.detector import Detection
-from panosearch.refinement import (iou, nms_merge, overlap_prob,
+from panosearch.galvo import clamp_angle
+from panosearch.refinement import (VAR_FLOOR, SearchWindow, bounds_iou,
+                                   box_bounds, iou, nms_merge, overlap_prob,
                                    variance_vote)
 
 
@@ -187,3 +189,133 @@ def test_no_vote_keeps_best_member_center():
     (window,) = nms_merge([a, b], vote=False)
     assert window.center_h == 0.0
     assert len(window.members) == 2
+
+
+# --- array suppression against the scalar loop -------------------------------------
+
+def reference_nms_merge(dets, iou_keep=0.5, sigma_t=0.025, vote=True,
+                        limit=20.0, radius_mode="harmonic"):
+    """The original suppression: a pairwise iou() scan over the rank order."""
+    if not dets:
+        return []
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
+    taken = [False] * len(dets)
+    windows = []
+    for i in order:
+        if taken[i]:
+            continue
+        taken[i] = True
+        best = dets[i]
+        members = [best]
+        for j in order:
+            if taken[j]:
+                continue
+            if iou(best, dets[j]) > iou_keep:
+                taken[j] = True
+                members.append(dets[j])
+        if vote:
+            pairs = [(m, overlap_prob(m, best, sigma_t)) for m in members]
+            c_h, c_v, agg_h, agg_v = variance_vote(pairs)
+            if radius_mode == "stddev":
+                r_h, r_v = math.sqrt(agg_h), math.sqrt(agg_v)
+            else:
+                r_h, r_v = agg_h, agg_v
+        else:
+            c_h, c_v = best.theta_h, best.theta_v
+            r_h, r_v = max(best.var_h, VAR_FLOOR), max(best.var_v, VAR_FLOOR)
+            if radius_mode == "stddev":
+                r_h, r_v = math.sqrt(r_h), math.sqrt(r_v)
+        windows.append(SearchWindow(
+            center_h=clamp_angle(c_h, limit), center_v=clamp_angle(c_v, limit),
+            radius_h=r_h, radius_v=r_v, confidence=best.confidence,
+            width_deg=best.width_deg, height_deg=best.height_deg,
+            members=tuple(members)))
+    return windows
+
+
+# coarse grids: equal confidences, touching edges and IoUs landing exactly on
+# the keep threshold all occur often
+coarse_dets = st.lists(
+    st.builds(box,
+              th=st.integers(-8, 8).map(lambda k: k * 0.25),
+              tv=st.integers(-4, 4).map(lambda k: k * 0.25),
+              w=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+              h=st.sampled_from([0.5, 1.0, 2.0]),
+              conf=st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+              var_h=st.floats(0.0, 1e-3), var_v=st.floats(0.0, 1e-3),
+              oid=st.sampled_from([None, 0, 1])),
+    max_size=40)
+
+
+@given(dets=coarse_dets,
+       iou_keep=st.sampled_from([0.0, 0.2, 1.0 / 3.0, 0.5, 0.6, 0.75]),
+       vote=st.booleans(), radius_mode=st.sampled_from(["harmonic", "stddev"]),
+       limit=st.sampled_from([1.0, 20.0]))
+@settings(max_examples=300, deadline=None)
+def test_nms_matches_reference(dets, iou_keep, vote, radius_mode, limit):
+    kw = dict(iou_keep=iou_keep, vote=vote, radius_mode=radius_mode, limit=limit)
+    assert nms_merge(dets, **kw) == reference_nms_merge(dets, **kw)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300))
+@settings(max_examples=40, deadline=None)
+def test_nms_matches_reference_on_random_clusters(seed, n):
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-15.0, 15.0, size=(max(1, n // 10), 2))
+    pick = rng.integers(0, len(centers), size=n)
+    pts = centers[pick] + rng.normal(0.0, 0.05, size=(n, 2))
+    dets = [box(float(h), float(v), w=float(w), h=0.1, conf=float(c),
+                var_h=float(vh), var_v=float(vh))
+            for (h, v), w, c, vh in zip(pts, rng.uniform(0.05, 0.3, n),
+                                        rng.uniform(0.1, 1.0, n),
+                                        rng.uniform(1e-6, 1e-3, n))]
+    assert nms_merge(dets) == reference_nms_merge(dets)
+
+
+def test_nms_confidence_tie_goes_to_lower_index():
+    a = box(0.0, 0.0, conf=0.8, var_h=1e-3)
+    b = box(0.1, 0.0, conf=0.8, var_h=2e-4)
+    c = box(5.0, 0.0, conf=0.8)
+    for dets in ([a, b, c], [b, a, c], [c, b, a]):
+        windows = nms_merge(dets)
+        assert windows == reference_nms_merge(dets)
+        first = next(d for d in dets if d is not c)
+        assert windows[[len(w.members) for w in windows].index(2)].members[0] is first
+
+
+def test_nms_iou_exactly_at_keep_does_not_merge():
+    a, b = box(0.0, 0.0, conf=0.9), box(0.5, 0.0, conf=0.8)
+    assert iou(a, b) == 1.0 / 3.0
+    assert len(nms_merge([a, b], iou_keep=1.0 / 3.0)) == 2
+    assert nms_merge([a, b], iou_keep=1.0 / 3.0) == \
+        reference_nms_merge([a, b], iou_keep=1.0 / 3.0)
+
+
+def test_nms_touching_boxes_do_not_merge_at_zero_keep():
+    dets = [box(0.0, 0.0, conf=0.9), box(1.0, 0.0, conf=0.8),
+            box(0.0, 1.0, conf=0.7)]
+    windows = nms_merge(dets, iou_keep=0.0)
+    assert [len(w.members) for w in windows] == [1, 1, 1]
+    assert windows == reference_nms_merge(dets, iou_keep=0.0)
+
+
+def test_nms_members_keep_rank_order():
+    dets = [box(0.02 * k, 0.0, conf=c) for k, c in
+            enumerate([0.5, 0.9, 0.5, 0.7, 0.9])]
+    (window,) = nms_merge(dets)
+    assert window.members == (dets[1], dets[4], dets[3], dets[0], dets[2])
+    assert [window] == reference_nms_merge(dets)
+
+
+@given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8),
+                          st.integers(1, 8), st.integers(1, 8)),
+                min_size=2, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_bounds_iou_bit_identical_to_iou(quads):
+    dets = [box(h * 0.25, v * 0.25, w * 0.25, hh * 0.25) for h, v, w, hh in quads]
+    cols = np.array([(d.theta_h, d.theta_v, d.width_deg, d.height_deg)
+                     for d in dets])
+    bounds = box_bounds(cols[:, :2], cols[:, 2:])
+    got = bounds_iou(bounds[:, None], bounds)
+    want = [[iou(a, b) for b in dets] for a in dets]
+    assert got.tolist() == want
