@@ -15,8 +15,7 @@ import sys
 import tempfile
 
 from . import experiment as exp
-from .config import (ConfigError, ScenarioConfig, apply_overrides, Block,
-                     build_scenario, check_scenario, parse_file,
+from .config import (ConfigError, ScenarioConfig, load_scenario,
                      serialize_scenario)
 from .detector import write_detections_csv
 from .galvo import write_scan_log
@@ -26,20 +25,6 @@ from .refinement import write_windows_csv
 from .scene import build_scene, write_label_grid
 
 OUT_ENV = "PANOSEARCH_OUT"
-
-
-def _load(args) -> ScenarioConfig:
-    if args.config is not None:
-        root = parse_file(args.config)
-    else:
-        root = Block(name="", line=0)
-    if args.set:
-        apply_overrides(root, args.set)
-    cfg, errors = build_scenario(root)
-    errors.extend(check_scenario(cfg))
-    if errors:
-        raise ConfigError("\n".join(errors))
-    return cfg
 
 
 def _out_dir(args, cfg: ScenarioConfig) -> str:
@@ -80,26 +65,14 @@ def _echo_config(cfg: ScenarioConfig, out: str) -> None:
 
 def cmd_validate(args) -> int:
     try:
-        root = parse_file(args.config) if args.config else Block(name="", line=0)
-        if args.set:
-            apply_overrides(root, args.set)
-    except ConfigError as exc:
-        print(f"error: {exc}")
-        return 1
-    cfg, errors = build_scenario(root)
-    errors.extend(check_scenario(cfg))
-    if not errors:
+        cfg = load_scenario(args.config, args.set)
+        scene = build_scene(cfg.scene, seed=0)
         try:
-            scene = build_scene(cfg.scene, seed=0)
-        except ConfigError as exc:
-            errors.append(str(exc))
-        else:
-            try:
-                region_sampling_prob(scene.regions, cfg.experiment.target)
-            except ValueError as exc:
-                errors.append(f"experiment: {exc}")
-    if errors:
-        for err in errors:
+            region_sampling_prob(scene.regions, cfg.experiment.target)
+        except ValueError as exc:
+            raise ConfigError(f"experiment: {exc}") from exc
+    except ConfigError as exc:
+        for err in str(exc).splitlines():
             print(f"error: {err}")
         return 1
     print("ok")
@@ -107,7 +80,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_trial(args) -> int:
-    cfg = _load(args)
+    cfg = load_scenario(args.config, args.set)
     out = _out_dir(args, cfg)
     seed = args.seed if args.seed is not None else 0
     scene = build_scene(cfg.scene, seed=[11, 0, seed])
@@ -149,7 +122,7 @@ def cmd_trial(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    cfg = _load(args)
+    cfg = load_scenario(args.config, args.set)
     out = _out_dir(args, cfg)
     scenes = exp.default_scene_variants(cfg.scene, cfg.experiment.scenes)
     rows = exp.recall_curve(scenes, cfg.experiment.methods,
@@ -168,7 +141,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = load_scenario(args.config, args.set)
     out = _out_dir(args, cfg)
     rows = exp.proportion_sweep(cfg.scene, cfg.experiment.proportions,
                                 cfg.experiment.methods,
@@ -188,7 +161,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    cfg = _load(args)
+    cfg = load_scenario(args.config, args.set)
     out = _out_dir(args, cfg)
     rows = exp.ablation(cfg, n_jobs=args.jobs)
     text = _rows_to_csv(rows, ["preset", "ppm", "n_trials", "mean_recall",
@@ -204,7 +177,7 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_deviation(args) -> int:
-    cfg = _load(args)
+    cfg = load_scenario(args.config, args.set)
     out = _out_dir(args, cfg)
     scene_cfg = exp.deviation_scene(cfg.scene)
     rows = exp.deviation_study(scene_cfg, cfg.experiment.deviation_seeds,
@@ -276,7 +249,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for err in str(exc).splitlines():
+            print(f"error: {err}", file=sys.stderr)
         return 1
 
 

@@ -541,7 +541,10 @@ def check_scenario(cfg: ScenarioConfig) -> list[str]:
 
 
 def load_scenario(path: str | None, overrides: list[str] | None = None) -> ScenarioConfig:
-    """Load, override, build, and validate; raises ConfigError on any problem."""
+    """Load, override, build, and validate; raises ConfigError on any problem.
+
+    The error message lists every problem found, one per line.
+    """
     if path is None:
         root = Block(name="", line=0)
     else:
@@ -551,7 +554,7 @@ def load_scenario(path: str | None, overrides: list[str] | None = None) -> Scena
     cfg, errors = build_scenario(root)
     errors.extend(check_scenario(cfg))
     if errors:
-        raise ConfigError("; ".join(errors))
+        raise ConfigError("\n".join(errors))
     return cfg
 
 

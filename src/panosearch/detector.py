@@ -30,7 +30,6 @@ class Detection:
     var_h: float          # localization variance, degrees^2
     var_v: float
     class_name: str = "car"
-    source_particle: int = -1
     object_id: int | None = None  # simulator truth tag; None for false positives
 
 

@@ -332,7 +332,7 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
         moves += n_k
         if trace is not None:
             trace.particles.extend(
-                (p.stage, p.theta_h, p.theta_v, p.weight, p.sigma)
+                (stage, p.theta_h, p.theta_v, p.weight, p.sigma)
                 for p in particles)
 
         likes = [eng.likelihood_floor] * n_k
@@ -351,16 +351,15 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
                     elapsed_before + (seq + 1) * (eng.step_response_ms + eng.dwell_ms),
                     len(view.visible)))
             if dets:
+                round_dets += dets
                 best = None
                 for d in dets:
-                    tagged = replace(d, source_particle=idx)
-                    round_dets.append(tagged)
                     if trace is not None:
-                        trace.detections.append((stage, idx, tagged))
+                        trace.detections.append((stage, idx, d))
                     if d.object_id is not None:
                         pre_vars.setdefault(d.object_id, (d.var_h + d.var_v) / 2.0)
-                    if best is None or tagged.confidence > best.confidence:
-                        best = tagged
+                    if best is None or d.confidence > best.confidence:
+                        best = d
                 best_for[idx] = best
                 if spec.adaptive_sigma:
                     sigma = math.sqrt((best.var_h + best.var_v) / 2.0)

@@ -8,6 +8,8 @@ fixed step-response time and each captured view costs a dwell time.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +26,6 @@ class GalvoState:
     theta_v: float = 0.0
     elapsed_ms: float = 0.0
     step_response_ms: float = STEP_RESPONSE_MS
-
-    def move_to(self, theta_h: float, theta_v: float) -> None:
-        self.theta_h = theta_h
-        self.theta_v = theta_v
-        self.elapsed_ms += self.step_response_ms
-
-    def dwell(self, ms: float) -> None:
-        self.elapsed_ms += ms
 
 
 @dataclass(frozen=True)
@@ -80,10 +74,15 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
     """Simulate the search camera at a mirror pose.
 
     Includes every object whose angular footprint intersects the view
-    window.  Positions are the object centers in view pixels, clipped into
-    the view when only part of the object is visible.  By default the
-    magnification matches the optics (panorama scale / alpha), which makes
-    gaze refinement via image_to_galvo exact.
+    window, in scene order.  Positions are the object centers in view
+    pixels, clipped into the view when only part of the object is visible.
+    By default the magnification matches the optics (panorama scale /
+    alpha), which makes gaze refinement via image_to_galvo exact.
+
+    Only objects whose center x lies within the view's half-width plus the
+    widest object half-width (and a 1 px margin) of the gaze are tested,
+    found by bisecting the scene's band index; a non-finite gaze tests
+    every object.
     """
     if magnification is None:
         magnification = scene.deg_per_px / alpha
@@ -92,8 +91,19 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
     dpp = scene.deg_per_px
     gx = scene.width / 2.0 + theta_h / dpp
     gy = scene.height / 2.0 + theta_v / dpp
+    reach = half_w_deg / dpp + scene.max_half_w + 1.0
+    lo_x, hi_x = gx - reach, gx + reach
+    objects = scene.objects
+    if math.isfinite(lo_x) and math.isfinite(hi_x):
+        band = scene.band_x
+        # detect draws the RNG in view.visible order: restore scene order
+        candidates = sorted(scene.band_order[bisect_left(band, lo_x):
+                                             bisect_right(band, hi_x)])
+    else:
+        candidates = range(len(objects))
     visible = []
-    for obj in scene.objects:
+    for i in candidates:
+        obj = objects[i]
         dh = (obj.center[0] - gx) * dpp
         dv = (obj.center[1] - gy) * dpp
         half_obj_h = obj.size[0] * dpp / 2.0

@@ -17,6 +17,8 @@ from .galvo import clamp_angle
 from .ppm import Ppm
 from .scene import SceneMap
 
+_PRUNE_BLOCK = 32  # ranked particles whose distance rows are computed at once
+
 
 @dataclass
 class Particle:
@@ -178,25 +180,35 @@ def prune_redundant(particles: list[Particle], fov_deg: float,
                     overlap_frac: float = 0.5) -> list[Particle]:
     """Drop particles whose gaze lies within overlap_frac * fov of a kept one.
 
-    Greedy by descending weight, so the heaviest representative of each
-    cluster survives.  Output preserves the input order and is never empty.
+    Greedy by descending weight (ties: lower index first), so the heaviest
+    representative of each cluster survives.  Output preserves the input
+    order and is never empty.  Distances are computed as arrays, one block
+    of ranks against every later rank at a time.
     """
     n = len(particles)
     if n <= 1:
         return list(particles)
     thr = overlap_frac * fov_deg
-    pos = np.array([[p.theta_h, p.theta_v] for p in particles])
     weights = np.array([p.weight for p in particles])
-    order = np.lexsort((np.arange(n), -weights))
+    order = np.argsort(-weights, kind="stable")
+    ranked = np.array([[p.theta_h, p.theta_v] for p in particles])[order]
     alive = np.ones(n, dtype=bool)
     kept = np.zeros(n, dtype=bool)
-    for i in order:
-        if not alive[i]:
+    # ranks before `start` are decided by the time its block is reached,
+    # so the block's particles only suppress ranks >= start
+    for start in range(0, n, _PRUNE_BLOCK):
+        stop = min(start + _PRUNE_BLOCK, n)
+        if not alive[start:stop].any():
             continue
-        kept[i] = True
-        d = pos - pos[i]
-        alive &= (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) >= thr * thr
-    return [p for p, k in zip(particles, kept) if k]
+        d = ranked[start:] - ranked[start:stop, None]
+        far = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) >= thr * thr
+        for r in range(start, stop):
+            if alive[r]:
+                kept[r] = True
+                alive[start:] &= far[r - start]
+    keep = np.zeros(n, dtype=bool)
+    keep[order[kept]] = True
+    return [p for p, k in zip(particles, keep) if k]
 
 
 def write_particles_csv(path: str, rows) -> None:

@@ -60,19 +60,25 @@ def bounds_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of box_bounds rows a and b, broadcast against each other.
 
     Overlapping pairs take the same float operations in the same order as
-    iou(); a disjoint pair's intersection clamps to 0, so for boxes of
-    positive area every entry is bit-identical to iou().
+    iou(); a disjoint pair, or one whose intersection underflows, is 0 as
+    in iou(), so every entry is bit-identical to iou() (also for a
+    zero-area box against itself).
     """
     overlap = np.maximum(np.minimum(a[..., 2:4], b[..., 2:4])
                          - np.maximum(a[..., :2], b[..., :2]), 0.0)
     inter = overlap[..., 0] * overlap[..., 1]
-    return inter / (a[..., 4] + b[..., 4] - inter)
+    return np.divide(inter, a[..., 4] + b[..., 4] - inter,
+                     out=np.zeros_like(inter), where=inter > 0.0)
+
+
+def _overlap_weight(iou_value: float, sigma_t: float) -> float:
+    miss = 1.0 - iou_value
+    return math.exp(-miss * miss / sigma_t)
 
 
 def overlap_prob(b_i: Detection, b_m: Detection, sigma_t: float = 0.025) -> float:
     """exp(-(1 - IoU)^2 / sigma_t); callers only pass overlapping pairs."""
-    miss = 1.0 - iou(b_i, b_m)
-    return math.exp(-miss * miss / sigma_t)
+    return _overlap_weight(iou(b_i, b_m), sigma_t)
 
 
 def variance_vote(members) -> tuple[float, float, float, float]:
@@ -105,7 +111,8 @@ def nms_merge(dets, iou_keep: float = 0.5, sigma_t: float = 0.025,
     center moves to the members' precision-weighted vote; otherwise it stays
     at the best member.  radius_mode 'stddev' reports sqrt of the aggregate.
     IoUs are computed as arrays, one block of ranks against every later
-    rank at a time, so memory stays O(n) for a fixed block size.
+    rank at a time, so memory stays O(n) for a fixed block size; voting
+    reuses each member's IoU with the best box from the same block.
     """
     if not dets:
         return []
@@ -122,26 +129,32 @@ def nms_merge(dets, iou_keep: float = 0.5, sigma_t: float = 0.025,
         stop = min(start + _NMS_BLOCK, n)
         if not alive[start:stop].any():
             continue
-        over = bounds_iou(bounds[start:stop, None], bounds[start:]) > iou_keep
+        ious = bounds_iou(bounds[start:stop, None], bounds[start:])
+        over = ious > iou_keep
         for p in range(start, stop):
             if not alive[p]:
                 continue
             alive[p] = False
+            row = p - start
             best = dets[order[p]]
             members = [best]
-            merge = over[p - start] & alive[start:]
+            member_ious = [float(ious[row, row])]
+            merge = over[row] & alive[start:]
             if merge.any():
                 alive[start:] &= ~merge
                 members += [dets[j] for j in order[start:][merge]]
-            windows.append(_window(best, members, sigma_t, vote, limit,
-                                   radius_mode))
+                member_ious += ious[row, merge].tolist()
+            windows.append(_window(best, members, member_ious, sigma_t, vote,
+                                   limit, radius_mode))
     return windows
 
 
-def _window(best: Detection, members, sigma_t: float, vote: bool,
-            limit: float, radius_mode: str) -> SearchWindow:
+def _window(best: Detection, members, member_ious, sigma_t: float,
+            vote: bool, limit: float, radius_mode: str) -> SearchWindow:
+    """Window around `best`; member_ious[i] is members[i]'s IoU with best."""
     if vote:
-        pairs = [(m, overlap_prob(m, best, sigma_t)) for m in members]
+        pairs = [(m, _overlap_weight(v, sigma_t))
+                 for m, v in zip(members, member_ious)]
         c_h, c_v, agg_h, agg_v = variance_vote(pairs)
         if radius_mode == "stddev":
             r_h, r_v = math.sqrt(agg_h), math.sqrt(agg_v)

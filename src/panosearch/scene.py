@@ -11,7 +11,7 @@ vertical axis uses the same degrees-per-pixel factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,6 +51,21 @@ class SceneMap:
     objects: tuple[GtObject, ...]
     deg_per_px: float
     region_bboxes: tuple[tuple[int, int, int, int], ...]  # (x0, y0, x1, y1) exclusive
+    # derived horizontal index for capture_view, rebuilt with every snapshot:
+    # object indices ordered by center x, those centers, the widest half-width
+    band_order: list[int] = field(init=False, compare=False, repr=False)
+    band_x: list[float] = field(init=False, compare=False, repr=False)
+    max_half_w: float = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        order = sorted(range(len(self.objects)),
+                       key=lambda i: self.objects[i].center[0])
+        object.__setattr__(self, "band_order", order)
+        object.__setattr__(self, "band_x",
+                           [self.objects[i].center[0] for i in order])
+        object.__setattr__(self, "max_half_w",
+                           max((obj.size[0] / 2.0 for obj in self.objects),
+                               default=0.0))
 
     def pano_to_galvo(self, x: float, y: float) -> tuple[float, float]:
         return ((x - self.width / 2.0) * self.deg_per_px,

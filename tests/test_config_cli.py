@@ -192,13 +192,30 @@ def test_trial_dump_ppm_is_the_first_pass_allocation(tmp_path):
     assert main(["trial", "--seed", "5", "--budget", "400", "--dump",
                  "--set", "engine.iterations=3", "--out", str(out)]) == 0
     particles = _csv_rows(out / "particles.csv")
-    first_pass = sum(row["stage"] == "0" for row in particles)
+    first_pass = sum(row["stage"] == "1" for row in particles)
     assert first_pass == 340  # 85% of the budget up front, then two passes
     regions = [r for r in _csv_rows(out / "ppm.csv") if r["kind"] == "region"]
     assert sum(int(r["x_r"]) for r in regions) == first_pass
     subs = [r for r in _csv_rows(out / "ppm.csv") if r["kind"] == "subregion"]
     assert sum(int(r["x_rm"]) for r in regions) + sum(
         int(r["x_ro"]) for r in subs) == first_pass
+
+
+def test_trial_dump_files_share_pass_numbers(tmp_path):
+    out = tmp_path / "run"
+    assert main(["trial", "--seed", "5", "--budget", "400", "--dump",
+                 "--set", "engine.iterations=3", "--out", str(out)]) == 0
+    stages = {name: {row["stage"] for row in _csv_rows(out / name)}
+              for name in ("particles.csv", "detections.csv", "windows.csv")}
+    assert stages == {name: {"1", "2", "3"} for name in stages}
+
+
+def test_study_config_errors_print_one_per_line(capsys):
+    assert main(["curve", "--config", DEFAULT_CFG, "--set", "engine.sigma_t=0",
+                 "--set", "engine.alpha=0"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("error: engine: ") for line in lines)
 
 
 @pytest.mark.parametrize("method", ["mpf", "uniform"])

@@ -1,12 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panosearch.config import ObjectGroupSpec, SceneConfig
-from panosearch.galvo import (GalvoState, capture_view, image_to_galvo,
-                              plan_scan)
-from panosearch.scene import build_scene
+from panosearch.config import ObjectGroupSpec, RegionSpec, SceneConfig
+from panosearch.galvo import (GalvoState, View, VisibleObject, capture_view,
+                              image_to_galvo, plan_scan)
+from panosearch.scene import GtObject, build_scene, step_motion
 
 
 def scene_with(center=(720.0, 600.0), size=(48.0, 28.0)):
@@ -93,6 +96,156 @@ def test_apparent_size_uses_optics_consistent_magnification():
     mag = scene.deg_per_px / 0.002
     assert view.visible[0].width_px == pytest.approx(48.0 * mag)
     assert view.visible[0].height_px == pytest.approx(28.0 * mag)
+
+
+# --- band-indexed capture against the full object scan -------------------------
+
+def reference_capture_view(scene, theta_h, theta_v, width=264, height=224,
+                           alpha=0.002, magnification=None):
+    """The original capture: every scene object tested in scene order."""
+    if magnification is None:
+        magnification = scene.deg_per_px / alpha
+    half_w_deg = width * alpha / 2.0
+    half_h_deg = height * alpha / 2.0
+    dpp = scene.deg_per_px
+    gx = scene.width / 2.0 + theta_h / dpp
+    gy = scene.height / 2.0 + theta_v / dpp
+    visible = []
+    for obj in scene.objects:
+        dh = (obj.center[0] - gx) * dpp
+        dv = (obj.center[1] - gy) * dpp
+        half_obj_h = obj.size[0] * dpp / 2.0
+        half_obj_v = obj.size[1] * dpp / 2.0
+        if abs(dh) > half_w_deg + half_obj_h or abs(dv) > half_h_deg + half_obj_v:
+            continue
+        x_px = width / 2.0 + dh / alpha
+        y_px = height / 2.0 + dv / alpha
+        x_px = min(max(x_px, 0.0), width - 1.0)
+        y_px = min(max(y_px, 0.0), height - 1.0)
+        visible.append(VisibleObject(
+            object_id=obj.id, x_px=x_px, y_px=y_px,
+            width_px=obj.size[0] * magnification,
+            height_px=obj.size[1] * magnification,
+            occlusion=obj.occlusion))
+    return View(theta_h=theta_h, theta_v=theta_v, width=width, height=height,
+                visible=tuple(visible))
+
+
+# 1024 px over 32 degrees and alpha 2^-9 keep every band and visibility edge
+# exactly representable; the default 1440 px / 40 degrees scale does not
+DYADIC = dict(width=1024, height=512, span_deg=32.0)
+DYADIC_ALPHA = 2.0 ** -9
+
+
+def scene_of(objects, **dims):
+    cfg = SceneConfig(regions=[], class_priors={"car": {"field": 1.0}},
+                      **(dims or DYADIC))
+    return replace(build_scene(cfg, seed=0), objects=tuple(
+        GtObject(id=i, class_name="car", center=c, size=s, velocity=(0.0, 0.0),
+                 occlusion=0.25, pano_detectable=False)
+        for i, (c, s) in enumerate(objects)))
+
+
+def assert_same_capture(scene, theta_h, theta_v, **kw):
+    got = capture_view(scene, theta_h, theta_v, **kw)
+    want = reference_capture_view(scene, theta_h, theta_v, **kw)
+    assert repr(got) == repr(want)  # float repr round-trips; nan != nan
+
+
+quarter_px = st.integers(-160, 160).map(lambda k: k * 0.25)
+edge_objects = st.lists(
+    st.tuples(st.tuples(quarter_px, quarter_px),
+              st.tuples(st.sampled_from([0.5, 4.0, 16.5, 48.0, 120.0]),
+                        st.sampled_from([0.5, 4.0, 28.0, 60.0]))),
+    max_size=14)
+
+
+@given(objects=edge_objects, gaze=st.tuples(quarter_px, quarter_px),
+       alpha=st.sampled_from([DYADIC_ALPHA, 0.002]),
+       view=st.sampled_from([(264, 224), (64, 48), (1, 1)]))
+@settings(max_examples=300, deadline=None)
+def test_capture_matches_full_scan_near_the_gaze(objects, gaze, alpha, view):
+    # objects and gaze share a quarter-pixel grid around the panorama center,
+    # so centers land exactly on band and visibility edges and several
+    # overlapping objects are seen in an order unlike their x order
+    cx, cy = DYADIC["width"] / 2.0, DYADIC["height"] / 2.0
+    scene = scene_of([((cx + x, cy + y), s) for (x, y), s in objects])
+    th, tv = scene.pano_to_galvo(cx + gaze[0], cy + gaze[1])
+    assert_same_capture(scene, th, tv, width=view[0], height=view[1],
+                        alpha=alpha)
+
+
+def edge_scene():
+    # scene order differs from x order; the widest object (120 px) sits
+    # exactly on the visibility edge, a narrow one exactly on the band edge
+    dpp = DYADIC["span_deg"] / DYADIC["width"]
+    reach = 264 * DYADIC_ALPHA / 2.0 / dpp       # 8.25 px
+    gx, gy = 500.0, 200.0
+    objects = [
+        ((gx + 3.0, gy), (16.0, 8.0)),
+        ((gx + reach + 60.0, gy), (120.0, 60.0)),      # visible edge, widest
+        ((gx - reach - 60.0 - 1.0, gy), (4.0, 4.0)),   # band edge, not visible
+        ((gx - reach - 2.0, gy + 1.0), (4.0, 4.0)),    # visible edge
+        ((gx - 1.0, gy - 2.0), (48.0, 28.0)),
+        ((gx - reach - 2.0 - 2.0 ** -20, gy), (4.0, 4.0)),  # just outside
+    ]
+    return scene_of(objects), gx, gy
+
+
+@pytest.mark.parametrize("dx", [0.0, 2.0 ** -20, -(2.0 ** -20), 0.25, -0.25])
+def test_capture_matches_full_scan_at_band_edges(dx):
+    scene, gx, gy = edge_scene()
+    th, tv = scene.pano_to_galvo(gx + dx, gy)
+    view = capture_view(scene, th, tv, alpha=DYADIC_ALPHA)
+    if dx == 0.0:
+        assert [v.object_id for v in view.visible] == [0, 1, 3, 4]
+    assert view == reference_capture_view(scene, th, tv, alpha=DYADIC_ALPHA)
+
+
+EXTREME_POSES = [
+    (20.0, 0.0), (-20.0, 0.0), (0.0, 20.0), (-20.0, -20.0), (20.0, 20.0),
+    (math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan),
+    (math.inf, 0.0), (-math.inf, 0.0), (0.0, math.inf), (1e300, 0.0)]
+
+
+def test_capture_matches_full_scan_at_extreme_poses():
+    # the default scene scale, with objects on the panorama borders, so the
+    # galvo limit reaches them; a NaN pose sees every object, as it always did,
+    # and a pose NaN on one axis still tests the other
+    w, h = 1440, 1200
+    spots = [(0.0, 0.0), (w - 1.0, h - 1.0), (w / 2.0, h / 2.0), (0.0, h - 1.0),
+             (w - 1.0, 0.0), (w / 2.0 + 3.0, h / 2.0 - 1.0), (2.0, 600.0)]
+    dims = dict(width=w, height=h, span_deg=40.0)
+    scene = scene_of([(c, (48.0, 28.0)) for c in reversed(spots)], **dims)
+    empty = scene_of([], **dims)
+    assert empty.max_half_w == 0.0 and empty.band_x == []
+    for pose in EXTREME_POSES:
+        assert_same_capture(scene, *pose)
+        assert_same_capture(empty, *pose)
+        assert capture_view(empty, *pose).visible == ()
+    assert len(capture_view(scene, math.nan, math.nan).visible) == len(spots)
+
+
+@given(seed=st.integers(0, 2**16), steps=st.integers(1, 6),
+       mag=st.sampled_from([None, 0.0, 5.0]))
+@settings(max_examples=40, deadline=None)
+def test_capture_matches_full_scan_after_motion(seed, steps, mag):
+    # many fast objects crowded into one small region, so they overtake each
+    # other and several share a view; step_motion must rebuild the band index
+    cfg = SceneConfig(
+        regions=[RegionSpec("road", (600, 500, 240, 200))],
+        class_priors={"car": {"road": 1.0, "field": 0.0}},
+        groups=[ObjectGroupSpec(count=30, size=(48.0, 28.0), speed=9.0),
+                ObjectGroupSpec(count=3, size=(120.0, 60.0), speed=4.0)])
+    scene = build_scene(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        scene = step_motion(scene, 1)
+        assert scene.band_x == sorted(o.center[0] for o in scene.objects)
+        for _ in range(25):
+            x, y = rng.uniform((580, 480), (860, 720))
+            th, tv = scene.pano_to_galvo(x, y)
+            assert_same_capture(scene, th, tv, magnification=mag)
 
 
 # --- plan_scan --------------------------------------------------------------

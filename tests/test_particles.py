@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panosearch.config import (ObjectGroupSpec, RegionSpec, SceneConfig,
                                SegNoiseConfig, default_scenario)
@@ -206,3 +208,75 @@ def test_prune_is_idempotent():
     once = prune_redundant(parts, fov_deg=0.448)
     twice = prune_redundant(once, fov_deg=0.448)
     assert once == twice
+
+
+# --- blocked pruning against the greedy loop ------------------------------------
+
+def reference_prune_indices(particles, fov_deg, overlap_frac=0.5):
+    """The original greedy loop; returns the kept input indices."""
+    n = len(particles)
+    if n <= 1:
+        return list(range(n))
+    thr = overlap_frac * fov_deg
+    pos = np.array([[p.theta_h, p.theta_v] for p in particles])
+    weights = np.array([p.weight for p in particles])
+    order = np.lexsort((np.arange(n), -weights))
+    alive = np.ones(n, dtype=bool)
+    kept = np.zeros(n, dtype=bool)
+    for i in order:
+        if not alive[i]:
+            continue
+        kept[i] = True
+        d = pos - pos[i]
+        alive &= (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) >= thr * thr
+    return [int(i) for i in np.flatnonzero(kept)]
+
+
+def assert_same_prune(parts, fov_deg, overlap_frac=0.5):
+    kept = prune_redundant(parts, fov_deg, overlap_frac=overlap_frac)
+    by_id = {id(p): i for i, p in enumerate(parts)}
+    assert [by_id[id(p)] for p in kept] == \
+        reference_prune_indices(parts, fov_deg, overlap_frac)
+
+
+# a coarse grid with few weights: duplicate positions, weight ties, and
+# distances exactly on the threshold all occur often
+coarse_particles = st.lists(
+    st.builds(particle,
+              th=st.integers(-6, 6).map(lambda k: k * 0.125),
+              tv=st.integers(-3, 3).map(lambda k: k * 0.125),
+              w=st.sampled_from([0.0, 0.1, 0.25, 0.5])),
+    max_size=80)
+
+
+@given(parts=coarse_particles,
+       fov_deg=st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.448, 10.0]),
+       overlap_frac=st.sampled_from([0.5, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_prune_matches_greedy_reference(parts, fov_deg, overlap_frac):
+    assert_same_prune(parts, fov_deg, overlap_frac)
+
+
+def test_prune_matches_greedy_reference_at_sizes():
+    for n in (1, 2, 33, 300):
+        rng = np.random.default_rng(n)
+        centers = rng.uniform(-10.0, 10.0, size=(max(1, n // 12), 2))
+        pts = centers[rng.integers(0, len(centers), n)] + rng.normal(0, 0.1, (n, 2))
+        for dup in (False, True):
+            pos = np.round(pts, 1) if dup else pts  # duplicated positions
+            for weights in (rng.uniform(0.0, 1.0, n), rng.integers(0, 3, n) / 4.0):
+                parts = [particle(float(x), float(y), float(w))
+                         for (x, y), w in zip(pos, weights)]
+                for fov in (0.0, 0.2, 0.448, 3.0):
+                    assert_same_prune(parts, fov)
+
+
+def test_prune_weight_tie_keeps_the_first():
+    pair = [particle(0.0, 0.0, 0.5), particle(0.0, 0.0, 0.5)]
+    assert prune_redundant(pair, fov_deg=1.0)[0] is pair[0]
+    parts = [particle(0.0, 0.0, 0.5), particle(0.1, 0.0, 0.5),
+             particle(0.05, 0.0, 0.2)]
+    kept = prune_redundant(parts, fov_deg=1.0)
+    assert len(kept) == 1 and kept[0] is parts[0]
+    assert_same_prune(parts, 1.0)
+    assert_same_prune(parts[::-1], 1.0)

@@ -319,3 +319,53 @@ def test_bounds_iou_bit_identical_to_iou(quads):
     got = bounds_iou(bounds[:, None], bounds)
     want = [[iou(a, b) for b in dets] for a in dets]
     assert got.tolist() == want
+
+
+# --- voting from the suppression IoUs against overlap_prob ------------------------
+
+@given(dets=st.lists(
+           st.builds(box,
+                     th=st.integers(-4, 4).map(lambda k: k * 0.125),
+                     tv=st.integers(-2, 2).map(lambda k: k * 0.125),
+                     w=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                     h=st.sampled_from([0.0, 0.25, 1.0]),
+                     conf=st.sampled_from([0.5, 0.9]),
+                     var_h=st.floats(0.0, 1e-3), var_v=st.floats(0.0, 1e-3)),
+           max_size=70),
+       iou_keep=st.sampled_from([0.0, 0.2, 0.5]),
+       radius_mode=st.sampled_from(["harmonic", "stddev"]),
+       sigma_t=st.sampled_from([0.025, 0.3]))
+@settings(max_examples=300, deadline=None)
+def test_voting_matches_overlap_prob_reference(dets, iou_keep, radius_mode,
+                                               sigma_t):
+    # dense coarse clusters span several blocks; zero-area boxes have IoU 0
+    # with themselves, which their vote weight must keep
+    kw = dict(iou_keep=iou_keep, radius_mode=radius_mode, sigma_t=sigma_t)
+    assert nms_merge(dets, **kw) == reference_nms_merge(dets, **kw)
+
+
+@pytest.mark.parametrize("radius_mode", ["harmonic", "stddev"])
+@pytest.mark.parametrize("n", [1, 2, 31, 33, 300])
+def test_voting_matches_overlap_prob_reference_on_clusters(radius_mode, n):
+    rng = np.random.default_rng(n)
+    centers = rng.uniform(-15.0, 15.0, size=(max(1, n // 40), 2))
+    pts = centers[rng.integers(0, len(centers), n)] + rng.normal(0.0, 0.005, (n, 2))
+    dets = [box(float(h), float(v), w=float(w), h=float(w) / 2.0, conf=float(c),
+                var_h=float(vh), var_v=float(vh) * 2.0)
+            for (h, v), w, c, vh in zip(pts, rng.uniform(0.1, 0.3, n),
+                                        rng.uniform(0.1, 1.0, n),
+                                        rng.uniform(1e-6, 1e-3, n))]
+    windows = nms_merge(dets, radius_mode=radius_mode)
+    assert windows == reference_nms_merge(dets, radius_mode=radius_mode)
+    if n == 300:
+        assert max(len(w.members) for w in windows) > 32
+
+
+def test_bounds_iou_of_zero_area_boxes_matches_iou():
+    dets = [box(0.0, 0.0, 0.0, 1.0), box(0.0, 0.0, 0.0, 0.0),
+            box(0.0, 0.0, 1.0, 1.0), box(0.5, 0.0, 1.0, 0.0)]
+    cols = np.array([(d.theta_h, d.theta_v, d.width_deg, d.height_deg)
+                     for d in dets])
+    bounds = box_bounds(cols[:, :2], cols[:, 2:])
+    got = bounds_iou(bounds[:, None], bounds)
+    assert got.tolist() == [[iou(a, b) for b in dets] for a in dets]
