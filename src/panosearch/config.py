@@ -19,6 +19,7 @@ Values are whitespace-separated tokens parsed by the typed builders below.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 
@@ -523,6 +524,10 @@ def check_scenario(cfg: ScenarioConfig) -> list[str]:
         errors.append("engine: galvo_limit_deg must be > 0")
     if e.step_response_ms < 0 or e.dwell_ms < 0:
         errors.append("engine: timings must be >= 0")
+    if e.magnification is not None and not (math.isfinite(e.magnification)
+                                            and e.magnification > 0):
+        errors.append("engine: magnification must be finite and > 0 "
+                      "(search-camera boxes scale by it)")
     if e.radius_mode not in ("harmonic", "stddev"):
         errors.append("engine: radius_mode must be 'harmonic' or 'stddev'")
     x = cfg.experiment

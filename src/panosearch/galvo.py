@@ -124,6 +124,11 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
                 visible=tuple(visible))
 
 
+# below this magnitude no coordinate difference squared, nor a sum of two,
+# can overflow, so the sweep's axis bound and distances are exact
+_SWEEP_LIMIT = 1e150
+
+
 def plan_scan(state: GalvoState, positions, dwell_ms: float = 2.0):
     """Nearest-neighbour tour over gaze positions from the current pose.
 
@@ -132,21 +137,107 @@ def plan_scan(state: GalvoState, positions, dwell_ms: float = 2.0):
     one step-response per move plus one dwell per view.  Ties break toward
     the lower index so the tour is deterministic.
 
-    Cost: O(n) array work per step, O(n^2) per pass.  Each step computes
-    the squared distance from the cursor to every position, sets the
-    visited ones to inf and takes argmin, which returns the first minimum.
+    Each step picks the unvisited position with the least squared distance
+    `dx*dx + dy*dy` from the cursor.  The positions are sorted stably along
+    the axis of larger extent and kept in a doubly linked list of unvisited
+    ranks; a step walks outward from the cursor's rank on both sides and
+    stops a side once the squared gap along that axis alone exceeds the
+    best distance found, so points at an equal distance are still examined.
+    Cost: an O(n log n) sort, then per step a walk over the unvisited points
+    within the current best distance along the axis; O(n^2) Python work in
+    the worst case (every point inside every step's band, as on a plus
+    shape).  Inputs with a non-finite coordinate or cursor, or a magnitude
+    of at least 1e150, take the O(n)-per-step array scan instead, whose
+    argmin also orders NaN and infinite distances.
     """
     n = len(positions)
     if n == 0:
         raise ValueError("cannot plan a scan over zero positions")
-    pts = np.asarray(positions, dtype=float).reshape(n, 2)
-    xs = pts[:, 0].copy()
-    ys = pts[:, 1].copy()
+    xs = [float(h) for h, _ in positions]
+    ys = [float(v) for _, v in positions]
+    cx, cy = float(state.theta_h), float(state.theta_v)
+    if _bounded(xs) and _bounded(ys) and _bounded((cx, cy)):
+        if max(ys) - min(ys) > max(xs) - min(xs):
+            order = _sweep_tour(ys, xs, cy, cx)
+        else:
+            order = _sweep_tour(xs, ys, cx, cy)
+    else:
+        order = _scan_tour(np.array(xs), np.array(ys), cx, cy)
+    total_ms = n * state.step_response_ms + n * dwell_ms
+    return order, total_ms
+
+
+def _bounded(values) -> bool:
+    return all(-_SWEEP_LIMIT < v < _SWEEP_LIMIT for v in values)
+
+
+def _sweep_tour(us: list[float], vs: list[float], cu: float,
+                cv: float) -> list[int]:
+    """Nearest-neighbour order by a sweep over the positions sorted along u.
+
+    Every distance is `du*du + dv*dv` on the same doubles as the array scan
+    (float addition commutes, so the axis choice cannot change a sum), and
+    `du*du` never exceeds it, so a side whose `du*du` is strictly greater
+    than the best holds no closer or equally close point further out.
+    """
+    n = len(us)
+    rank = sorted(range(n), key=us.__getitem__)  # stable: ties in index order
+    su = [us[i] for i in rank]
+    sv = [vs[i] for i in rank]
+    prv = list(range(-1, n - 1))
+    nxt = list(range(1, n + 1))
+    left = bisect_left(su, cu) - 1
+    right = left + 1
+    order = [0] * n
+    for step in range(n):
+        best = math.inf
+        best_i = n
+        best_r = -1
+        j = left
+        while j >= 0:
+            du = su[j] - cu
+            d = du * du
+            if d > best:
+                break
+            dv = sv[j] - cv
+            d += dv * dv
+            if d < best or (d == best and rank[j] < best_i):
+                best, best_i, best_r = d, rank[j], j
+            j = prv[j]
+        j = right
+        while j < n:
+            du = su[j] - cu
+            d = du * du
+            if d > best:
+                break
+            dv = sv[j] - cv
+            d += dv * dv
+            if d < best or (d == best and rank[j] < best_i):
+                best, best_i, best_r = d, rank[j], j
+            j = nxt[j]
+        order[step] = best_i
+        left, right = prv[best_r], nxt[best_r]
+        if left >= 0:
+            nxt[left] = right
+        if right < n:
+            prv[right] = left
+        cu, cv = su[best_r], sv[best_r]
+    return order
+
+
+def _scan_tour(xs: np.ndarray, ys: np.ndarray, cx: float,
+               cy: float) -> list[int]:
+    """Nearest-neighbour order by a full array scan per step.
+
+    Each step computes the squared distance from the cursor to every
+    position, sets the visited ones to inf and takes argmin, which returns
+    the first minimum (or the first NaN).
+    """
+    n = len(xs)
     dx = np.empty(n)
     dy = np.empty(n)
     visited = np.zeros(n, dtype=bool)
     order = [0] * n
-    cx, cy = float(state.theta_h), float(state.theta_v)
     for i in range(n):
         np.subtract(xs, cx, out=dx)
         np.multiply(dx, dx, out=dx)
@@ -161,8 +252,7 @@ def plan_scan(state: GalvoState, positions, dwell_ms: float = 2.0):
         visited[pick] = True
         cx = xs[pick]
         cy = ys[pick]
-    total_ms = n * state.step_response_ms + n * dwell_ms
-    return order, total_ms
+    return order
 
 
 def write_scan_log(path: str, rows) -> None:

@@ -208,9 +208,11 @@ def step_motion(scene: SceneMap, dt: float) -> SceneMap:
     for obj in scene.objects:
         x, dir_x = _reflect(obj.center[0] + obj.velocity[0] * dt, 0.0, hi_x)
         y, dir_y = _reflect(obj.center[1] + obj.velocity[1] * dt, 0.0, hi_y)
-        moved.append(replace(obj, center=(x, y),
-                             velocity=(obj.velocity[0] * dir_x,
-                                       obj.velocity[1] * dir_y)))
+        moved.append(GtObject(
+            id=obj.id, class_name=obj.class_name, center=(x, y),
+            size=obj.size,
+            velocity=(obj.velocity[0] * dir_x, obj.velocity[1] * dir_y),
+            occlusion=obj.occlusion, pano_detectable=obj.pano_detectable))
     return replace(scene, objects=tuple(moved))
 
 

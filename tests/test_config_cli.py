@@ -112,6 +112,17 @@ def test_validate_rejects_zero_sigma_t(capsys):
     assert "sigma_t" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+def test_validate_rejects_magnification_that_is_not_finite_positive(value,
+                                                                    capsys):
+    # a zero magnification gives every search-camera box zero area, so the
+    # search camera never detects anything
+    code = main(["validate", "--config", DEFAULT_CFG,
+                 "--set", f"engine.magnification={value}"])
+    assert code == 1
+    assert "magnification" in capsys.readouterr().out
+
+
 def test_validate_rejects_overlapping_regions(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("scene {\n region {\n label = a\n rect = 0 0 800 1200\n }\n"

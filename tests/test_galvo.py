@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panosearch.config import ObjectGroupSpec, RegionSpec, SceneConfig
-from panosearch.galvo import (GalvoState, View, VisibleObject, capture_view,
-                              image_to_galvo, plan_scan)
+from panosearch.config import (ObjectGroupSpec, RegionSpec, SceneConfig,
+                               default_scenario)
+from panosearch.experiment import _grid_particles
+from panosearch.galvo import (GALVO_LIMIT_DEG, GalvoState, View, VisibleObject,
+                              capture_view, image_to_galvo, plan_scan)
 from panosearch.scene import GtObject, build_scene, step_motion
 
 
@@ -309,14 +311,35 @@ def tour_positions(layout: str, n: int, seed: int) -> list[tuple[float, float]]:
     elif layout == "duplicated":
         base = rng.uniform(-20.0, 20.0, size=(max(1, n // 4), 2))
         pts = base[rng.integers(0, len(base), size=n)]
-    else:  # clustered
+    elif layout == "clustered":
         centers = rng.uniform(-18.0, 18.0, size=(3, 2))
         pts = (centers[rng.integers(0, 3, size=n)]
                + rng.normal(0.0, 0.01, size=(n, 2)))
+    elif layout == "columns":
+        # few shared x values, many points per column: long runs of equal keys
+        pts = np.column_stack((rng.integers(-2, 3, size=n).astype(float),
+                               np.round(rng.uniform(-6.0, 6.0, size=n), 1)))
+    elif layout in ("vline", "hline"):
+        # one coordinate constant: the sweep must run along the other axis
+        line = np.column_stack((np.full(n, 1.5),
+                                np.round(rng.uniform(-9.0, 9.0, size=n))))
+        pts = line if layout == "vline" else line[:, ::-1]
+    elif layout == "plus":
+        # two crossing lines: one line's points all share the sweep key
+        k = rng.integers(-8, 9, size=n).astype(float)
+        on_v = rng.random(n) < 0.5
+        pts = np.column_stack((np.where(on_v, 0.0, k), np.where(on_v, k, 0.0)))
+    else:  # square: equal x and y extents
+        pts = np.round(rng.uniform(-3.0, 3.0, size=(n, 2)))
+        pts[0], pts[-1] = (-3.0, 3.0), (3.0, -3.0)
     return [(float(h), float(v)) for h, v in pts]
 
 
-@given(layout=st.sampled_from(["uniform", "rounded", "duplicated", "clustered"]),
+LAYOUTS = ["uniform", "rounded", "duplicated", "clustered", "columns", "vline",
+           "hline", "plus", "square"]
+
+
+@given(layout=st.sampled_from(LAYOUTS),
        n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
        start=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
        round_start=st.booleans(), step_ms=st.floats(0.0, 5.0),
@@ -335,6 +358,50 @@ def test_tour_matches_reference(layout, n, seed, start, round_start, step_ms,
 def test_large_tour_matches_reference(layout):
     state = GalvoState(0.5, -0.25)
     positions = tour_positions(layout, 1600, seed=11)
+    assert plan_scan(state, positions) == reference_plan_scan(state, positions)
+
+
+GRID_SCENE = build_scene(default_scenario().scene, seed=0)
+
+
+def grid_positions(count):
+    return [(p.theta_h, p.theta_v)
+            for p in _grid_particles(GRID_SCENE, count, 1.0, GALVO_LIMIT_DEG)]
+
+
+BELOW_1E150 = math.nextafter(1e150, 0.0)
+
+
+def extremes(m):
+    return [(m, 0.0), (-m, 0.0), (0.0, m), (0.0, -m), (m, m), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("start,positions", [
+    # the curve study's grid: equal x along columns, a ragged row of origins
+    pytest.param((0.0, 0.0), grid_positions(1), id="grid-1"),
+    pytest.param((0.0, 0.0), grid_positions(7), id="grid-7"),
+    pytest.param((0.0, 0.0), grid_positions(401), id="grid-401"),
+    pytest.param((3.0, -2.0), grid_positions(800), id="grid-800"),
+    pytest.param((0.0, 0.5), [(float(x), float(y)) for y in range(-2, 3)
+                              for x in (1, -1, 0)], id="cursor-on-column"),
+    pytest.param((1.0, 1.0), [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (1.0, 2.0),
+                              (1.0, 0.0)], id="cursor-on-point"),
+    # signed zeros compare equal and square to +0.0
+    pytest.param((-0.0, 0.0), [(0.0, -0.0), (-0.0, 0.0), (1.0, -0.0),
+                               (-0.0, -0.0), (-1.0, 0.0), (0.0, 0.0)],
+                 id="signed-zeros"),
+    # just below 1e150 the sweep runs; from 1e150 on the array scan does
+    pytest.param((0.0, 0.0), extremes(BELOW_1E150), id="below-1e150"),
+    pytest.param((-BELOW_1E150, 0.0), extremes(BELOW_1E150),
+                 id="below-1e150-far-cursor"),
+    pytest.param((0.0, 0.0), extremes(1e150), id="at-1e150"),
+    pytest.param((0.0, 0.0), [(3.0, 4.0)], id="n1"),
+    # a tie across the cursor: the lower index lies on the side walked second
+    pytest.param((0.0, 0.0), [(1.0, 0.0), (-1.0, 0.0)], id="n2-horizontal"),
+    pytest.param((0.0, 0.0), [(0.0, 1.0), (0.0, -1.0)], id="n2-vertical"),
+])
+def test_structured_tour_matches_reference(start, positions):
+    state = GalvoState(*start)
     assert plan_scan(state, positions) == reference_plan_scan(state, positions)
 
 

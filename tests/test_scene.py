@@ -5,7 +5,7 @@ from panosearch.config import (ConfigError, ObjectGroupSpec, RegionSpec,
                                SceneConfig)
 from panosearch.experiment import default_scene_variants
 from panosearch.config import default_scenario
-from panosearch.scene import build_scene, region_at, step_motion
+from panosearch.scene import _reflect, build_scene, region_at, step_motion
 
 
 def single_region_config(groups=None):
@@ -106,6 +106,34 @@ def test_step_motion_conserves_objects_and_bounds():
     for obj in scene.objects:
         assert 0 <= obj.center[0] < scene.width
         assert 0 <= obj.center[1] < scene.height
+
+
+def reference_step_motion(scene, dt):
+    """The original step: every object rebuilt with dataclasses.replace."""
+    from dataclasses import replace
+    hi_x, hi_y = scene.width - 1.0, scene.height - 1.0
+    moved = []
+    for obj in scene.objects:
+        x, dir_x = _reflect(obj.center[0] + obj.velocity[0] * dt, 0.0, hi_x)
+        y, dir_y = _reflect(obj.center[1] + obj.velocity[1] * dt, 0.0, hi_y)
+        moved.append(replace(obj, center=(x, y),
+                             velocity=(obj.velocity[0] * dir_x,
+                                       obj.velocity[1] * dir_y)))
+    return replace(scene, objects=tuple(moved))
+
+
+def test_step_motion_matches_reference():
+    # fast, mixed groups bounce off every border; every field must carry over
+    cfg = single_region_config(groups=[
+        ObjectGroupSpec(count=8, size=(20, 12), speed=97.0, occlusion=0.3),
+        ObjectGroupSpec(count=3, size=(120, 60), speed=41.0,
+                        class_name="truck")])
+    scene = want = build_scene(cfg, seed=9)
+    for dt in (1, 3, 0.5, 7):
+        scene, want = step_motion(scene, dt), reference_step_motion(want, dt)
+        assert scene.objects == want.objects
+        assert scene.band_order == want.band_order
+        assert scene.band_x == want.band_x
 
 
 def test_region_at_lookup_and_bounds():
