@@ -20,7 +20,7 @@ from .config import (ConfigError, ScenarioConfig, load_scenario,
 from .detector import write_detections_csv
 from .galvo import write_scan_log
 from .particles import write_particles_csv
-from .ppm import region_sampling_prob, write_ppm_csv
+from .ppm import write_ppm_csv
 from .refinement import write_windows_csv
 from .scene import build_scene, write_label_grid
 
@@ -66,11 +66,7 @@ def _echo_config(cfg: ScenarioConfig, out: str) -> None:
 def cmd_validate(args) -> int:
     try:
         cfg = load_scenario(args.config, args.set)
-        scene = build_scene(cfg.scene, seed=0)
-        try:
-            region_sampling_prob(scene.regions, cfg.experiment.target)
-        except ValueError as exc:
-            raise ConfigError(f"experiment: {exc}") from exc
+        build_scene(cfg.scene, seed=0)  # object placement needs the label grid
     except ConfigError as exc:
         for err in str(exc).splitlines():
             print(f"error: {err}")
@@ -82,7 +78,7 @@ def cmd_validate(args) -> int:
 def cmd_trial(args) -> int:
     cfg = load_scenario(args.config, args.set)
     out = _out_dir(args, cfg)
-    seed = args.seed if args.seed is not None else 0
+    seed = args.seed
     scene = build_scene(cfg.scene, seed=[11, 0, seed])
     trace = exp.TrialTrace() if args.dump else None
     budget = cfg.engine.n_particles if args.budget is None else args.budget
@@ -205,12 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="scenario config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", help=f"output directory (or ${OUT_ENV})")
         p.add_argument("--set", action="append", default=[],
                        metavar="PATH=VALUE",
                        help="override a config value, e.g. engine.sigma_t=0.05")
+
+    def study(name, text, func):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes; results do not depend on it")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("validate", help="check a config and exit")
     common(p)
@@ -218,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trial", help="run a single search trial")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", default="ppm_ps",
                    choices=sorted(exp.METHODS))
     p.add_argument("--budget", type=int, default=None)
@@ -225,21 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write scene grid and probability-map dumps")
     p.set_defaults(func=cmd_trial)
 
-    p = sub.add_parser("curve", help="recall vs budget for each method")
-    common(p)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("sweep", help="recall vs high-prior region proportion")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("ablation", help="probability map on/off per detector preset")
-    common(p)
-    p.set_defaults(func=cmd_ablation)
-
-    p = sub.add_parser("deviation", help="gaze deviation with voting on/off")
-    common(p)
-    p.set_defaults(func=cmd_deviation)
+    study("curve", "recall vs budget for each method", cmd_curve)
+    study("sweep", "recall vs high-prior region proportion", cmd_sweep)
+    study("ablation", "probability map on/off per detector preset", cmd_ablation)
+    study("deviation", "gaze deviation with voting on/off", cmd_deviation)
     return parser
 
 

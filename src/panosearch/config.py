@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class ConfigError(ValueError):
@@ -32,36 +32,70 @@ class ConfigError(ValueError):
 # 1440x1200 panorama over a 40 degree span, 264x224 search view, mirror range
 # +/-20 degrees with 0.25 ms step response, transform coefficient 0.002,
 # sub-region scale 50, overlap temperature 0.025.
+#
+# Each block's dataclass is its key table: a field made by _key() is a config
+# key whose kind is the field's annotation and whose domain the loader checks.
+# Every float must also be finite.  An upper bound appears only where a
+# larger value crashes, hangs or means nothing; angles stop at a full turn.
 # ---------------------------------------------------------------------------
+
+def _key(default, domain: str | tuple[str, ...] = "", name: str = ""):
+    """A config-key field: its value, or every item of a list, must lie in
+    `domain`, an interval such as "(0, 1]" or a tuple of allowed strings;
+    `name` is the key in the config file when it differs from the field."""
+    meta = {"domain": domain, "name": name}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    init: str                 # ppm | region | uniform | grid
+    bootstrap: bool           # count panorama-scale detections as initial finds
+    voting: bool              # variance voting inside NMS
+    adaptive_sigma: bool      # per-particle sigma from detector uncertainty
+    resample: str             # proposal | uniform | none
+
+
+METHODS: dict[str, MethodSpec] = {
+    "ppm_ps": MethodSpec("ppm", True, True, True, "proposal"),
+    "ppm_only": MethodSpec("ppm", True, False, False, "none"),
+    "rpm": MethodSpec("region", False, False, False, "proposal"),
+    "mpf": MethodSpec("uniform", False, False, False, "uniform"),
+    "uniform": MethodSpec("grid", False, False, False, "none"),
+}
+
 
 @dataclass
 class RegionSpec:
-    label: str
-    rect: tuple[int, int, int, int]  # x, y, w, h in panoramic px
+    label: str = _key("")
+    rect: tuple[int, int, int, int] = _key((0, 0, 0, 0))  # x, y, w, h in panoramic px
 
 
 @dataclass
 class ObjectGroupSpec:
-    class_name: str = "car"
-    count: int = 0
-    size: tuple[float, float] = (48.0, 28.0)  # (w, h) panoramic px
-    speed: float = 0.0                        # px per motion step
-    occlusion: float = 0.0
-    region_label: str | None = None           # pin placement to this region
+    class_name: str = _key("car", name="class")
+    count: int = _key(0, "[0, inf)")
+    size: tuple[float, float] = _key((48.0, 28.0), "(0, inf)")  # (w, h) panoramic px
+    speed: float = _key(0.0, "[0, inf)")                        # px per motion step
+    occlusion: float = _key(0.0, "[0, 1]")
+    region_label: str | None = _key(None, name="region")       # pin placement to this region
 
 
 @dataclass
 class SceneConfig:
-    width: int = 1440
-    height: int = 1200
-    span_deg: float = 40.0          # full panorama width maps onto this span
-    background_label: str = "field"
+    width: int = _key(1440, "[1, inf)")
+    height: int = _key(1200, "[1, inf)")
+    span_deg: float = _key(40.0, "(0, 360]")  # full panorama width maps onto this span
+    background_label: str = _key("field", name="background")
     regions: list[RegionSpec] = field(default_factory=list)
     groups: list[ObjectGroupSpec] = field(default_factory=list)
     # class priors: target class -> region label -> probability of the class
     # given the region
     class_priors: dict[str, dict[str, float]] = field(default_factory=dict)
-    pano_detect_threshold: float = 60.0  # px; larger objects are visible at panorama scale
+    # px; larger objects are visible at panorama scale
+    pano_detect_threshold: float = _key(60.0, "(0, inf)")
 
     @property
     def deg_per_px(self) -> float:
@@ -75,53 +109,57 @@ class SceneConfig:
 class SegNoiseConfig:
     """Noise model of the simulated panoramic segmenter/detector."""
 
-    label_flip: float = 0.0      # per-pixel probability of flipping the region id
-    center_std_px: float = 0.0   # Gaussian noise on detected centers
-    conf_std: float = 0.0        # Gaussian noise on confidences
-    conf_floor: float = 0.05
-    sigma_min: float = 0.02      # bounds for the derived uncertainty scalar
-    sigma_max: float = 1.0
-    size_ref_px: float = 120.0   # object size at which confidence saturates
+    label_flip: float = _key(0.0, "[0, 1]")     # per-pixel probability of flipping the region id
+    center_std_px: float = _key(0.0, "[0, inf)")  # Gaussian noise on detected centers
+    conf_std: float = _key(0.0, "[0, inf)")     # Gaussian noise on confidences
+    conf_floor: float = _key(0.05, "[0, 1]")
+    # bounds for the derived uncertainty scalar 1 - confidence, itself in [0, 1]
+    sigma_min: float = _key(0.02, "(0, 1]")
+    sigma_max: float = _key(1.0, "(0, 1]")
+    size_ref_px: float = _key(120.0, "(0, inf)")  # object size at which confidence saturates
 
 
 @dataclass
 class DetectorConfig:
     """Parametric model of the search-camera detector."""
 
-    base_recall: float = 0.9
-    conf_noise: float = 0.02
-    loc_noise_px: float = 0.0      # additive center noise, view px
-    loc_noise_scale: float = 1.0   # center noise proportional to reported std
-    fp_rate: float = 0.01          # expected false positives per view
-    fp_conf_cap: float = 0.3
-    sigma_base_deg: float = 0.05   # localization std for an easy target
-    k_occ: float = 4.0             # variance growth per unit occlusion
-    k_ctr: float = 1.0             # variance growth toward the view border
-    size_ref_px: float = 40.0      # apparent size at which detection saturates
-    center_falloff: float = 0.2    # detection probability drop toward the border
+    base_recall: float = _key(0.9, "[0, 1]")
+    conf_noise: float = _key(0.02, "[0, inf)")
+    loc_noise_px: float = _key(0.0, "[0, inf)")     # additive center noise, view px
+    loc_noise_scale: float = _key(1.0, "[0, inf)")  # center noise proportional to reported std
+    # expected false positives per view; each one is Python work in detect
+    # and NMS, so work grows with the rate, and past 10 a view is mostly noise
+    fp_rate: float = _key(0.01, "[0, 10]")
+    fp_conf_cap: float = _key(0.3, "[0, 1]")
+    sigma_base_deg: float = _key(0.05, "(0, 360]")  # localization std for an easy target
+    k_occ: float = _key(4.0, "[0, inf)")            # variance growth per unit occlusion
+    k_ctr: float = _key(1.0, "[0, inf)")            # variance growth toward the view border
+    size_ref_px: float = _key(40.0, "(0, inf)")     # apparent size at which detection saturates
+    center_falloff: float = _key(0.2, "[0, inf)")   # detection probability drop toward the border
 
 
 @dataclass
 class EngineConfig:
-    n_particles: int = 400
-    iterations: int = 1
-    init_frac: float = 0.85        # share of the budget spent on the first pass
-    likelihood_floor: float = 1e-3
-    sigma0_deg: float = 1.0
-    sigma_min_deg: float = 0.05
-    sigma_max_deg: float = 3.0
-    iou_keep: float = 0.5
-    sigma_t: float = 0.025         # overlap-probability temperature
-    subregion_scale: float = 50.0  # px of sub-region radius per unit uncertainty
-    alpha: float = 0.002           # degrees per view pixel
-    view_w: int = 264
-    view_h: int = 224
-    galvo_limit_deg: float = 20.0
-    step_response_ms: float = 0.25
-    dwell_ms: float = 2.0
-    overlap_frac: float = 0.5      # particle pruning distance in view-FOV units
-    radius_mode: str = "harmonic"  # harmonic | stddev
-    magnification: float | None = None  # None: derived from panorama scale / alpha
+    n_particles: int = _key(400, "[0, inf)")
+    iterations: int = _key(1, "[1, inf)")
+    init_frac: float = _key(0.85, "(0, 1]")         # share of the budget spent on the first pass
+    likelihood_floor: float = _key(1e-3, "(0, 1]")  # likelihoods are confidences, at most 1
+    sigma0_deg: float = _key(1.0, "(0, 360]")
+    sigma_min_deg: float = _key(0.05, "(0, 360]")
+    sigma_max_deg: float = _key(3.0, "(0, 360]")
+    iou_keep: float = _key(0.5, "[0, 1)")
+    sigma_t: float = _key(0.025, "(0, inf)")        # overlap-probability temperature
+    subregion_scale: float = _key(50.0, "(0, inf)")  # px of sub-region radius per unit uncertainty
+    alpha: float = _key(0.002, "(0, 360]")          # degrees per view pixel
+    view_w: int = _key(264, "[1, inf)")
+    view_h: int = _key(224, "[1, inf)")
+    galvo_limit_deg: float = _key(20.0, "(0, 180]")
+    step_response_ms: float = _key(0.25, "[0, inf)")
+    dwell_ms: float = _key(2.0, "[0, inf)")
+    overlap_frac: float = _key(0.5, "[0, inf)")     # particle pruning distance in view-FOV units
+    radius_mode: str = _key("harmonic", ("harmonic", "stddev"))
+    # None: derived from panorama scale / alpha
+    magnification: float | None = _key(None, "(0, inf)")
 
     @property
     def fov_deg(self) -> float:
@@ -130,25 +168,29 @@ class EngineConfig:
 
 @dataclass
 class DetectorPreset:
-    name: str
-    base_recall: float
-    sigma_base_deg: float
+    name: str = _key("")
+    base_recall: float = _key(DetectorConfig.base_recall, "[0, 1]")
+    sigma_base_deg: float = _key(DetectorConfig.sigma_base_deg, "(0, 360]")
 
 
 @dataclass
 class ExperimentConfig:
-    methods: list[str] = field(default_factory=lambda: ["ppm_ps", "rpm", "mpf"])
-    budgets: list[int] = field(default_factory=lambda: [100, 200, 300, 400, 500, 600, 700, 800])
-    seeds: int = 20
-    scenes: int = 5
-    proportions: list[float] = field(default_factory=lambda: [0.27, 0.35, 0.41, 0.49, 0.63])
-    target: str = "car"
-    sweep_budget: int = 300
-    sweep_seeds: int = 100
-    ablation_budget: int = 400
-    ablation_seeds: int = 20
-    deviation_budget: int = 600
-    deviation_seeds: int = 20
+    methods: list[str] = _key(["ppm_ps", "rpm", "mpf"], tuple(METHODS))
+    budgets: list[int] = _key([100, 200, 300, 400, 500, 600, 700, 800], "[0, inf)")
+    seeds: int = _key(20, "[1, inf)")
+    scenes: int = _key(5, "[1, inf)")
+    proportions: list[float] = _key([0.27, 0.35, 0.41, 0.49, 0.63], "(0, 1]")
+    target: str = _key("car")
+    sweep_budget: int = _key(300, "[0, inf)")
+    sweep_seeds: int = _key(100, "[1, inf)")
+    ablation_budget: int = _key(400, "[0, inf)")
+    ablation_seeds: int = _key(20, "[1, inf)")
+    deviation_budget: int = _key(600, "[0, inf)")
+    deviation_seeds: int = _key(20, "[1, inf)")
+
+
+# config blocks with one instance, named as ScenarioConfig's attributes
+_SECTIONS = ("noise", "detector", "engine", "experiment")
 
 
 @dataclass
@@ -159,7 +201,21 @@ class ScenarioConfig:
     engine: EngineConfig = field(default_factory=EngineConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     presets: list[DetectorPreset] = field(default_factory=list)
-    out_dir: str | None = None
+    out_dir: str | None = _key(None, name="out")
+
+
+@dataclass(frozen=True)
+class Key:
+    name: str                        # key in the config file
+    attr: str                        # dataclass field
+    kind: str                        # the field's annotation, e.g. "list[int]"
+    domain: str | tuple[str, ...]
+
+
+def key_table(cls) -> list[Key]:
+    """The config keys of a block dataclass, in declaration order."""
+    return [Key(f.metadata["name"] or f.name, f.name, f.type, f.metadata["domain"])
+            for f in fields(cls) if "domain" in f.metadata]
 
 
 def default_scenario() -> ScenarioConfig:
@@ -283,121 +339,81 @@ def apply_overrides(root: Block, overrides: list[str]) -> None:
 # the first problem so `validate` can list everything at once.
 # ---------------------------------------------------------------------------
 
+# field annotation (a string: this module imports `annotations` from
+# __future__) -> (item type, item count): None for a scalar, 0 for a list
+_KINDS = {
+    "int": (int, None), "float": (float, None), "str": (str, None),
+    "float | None": (float, None), "str | None": (str, None),
+    "list[int]": (int, 0), "list[float]": (float, 0), "list[str]": (str, 0),
+    "tuple[float, float]": (float, 2), "tuple[int, int, int, int]": (int, 4),
+}
+
+
 def _coerce(value: str, kind: str, where: str, errors: list[str]):
+    """Parse a config value as the field annotation `kind`, or record why not."""
+    item, count = _KINDS[kind]
     try:
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        if kind == "floats":
-            return [float(t) for t in value.split()]
-        if kind == "ints":
-            return [int(t) for t in value.split()]
-        if kind == "str":
-            return value
-        if kind == "strs":
-            return value.split()
+        if count is None:
+            return item(value)
+        items = [item(t) for t in value.split()]
+        if count == 0:
+            return items
+        if len(items) == count:
+            return tuple(items)
     except ValueError:
         pass
     errors.append(f"{where}: cannot parse {value!r} as {kind}")
     return None
 
 
-_SCENE_KEYS = {
-    "width": "int", "height": "int", "span_deg": "float",
-    "background": "str", "pano_detect_threshold": "float",
-}
-_NOISE_KEYS = {
-    "label_flip": "float", "center_std_px": "float", "conf_std": "float",
-    "conf_floor": "float", "sigma_min": "float", "sigma_max": "float",
-    "size_ref_px": "float",
-}
-_DETECTOR_KEYS = {
-    "base_recall": "float", "conf_noise": "float", "loc_noise_px": "float",
-    "loc_noise_scale": "float", "fp_rate": "float", "fp_conf_cap": "float",
-    "sigma_base_deg": "float", "k_occ": "float", "k_ctr": "float",
-    "size_ref_px": "float", "center_falloff": "float",
-}
-_ENGINE_KEYS = {
-    "n_particles": "int", "iterations": "int", "init_frac": "float",
-    "likelihood_floor": "float", "sigma0_deg": "float", "sigma_min_deg": "float",
-    "sigma_max_deg": "float", "iou_keep": "float", "sigma_t": "float",
-    "subregion_scale": "float", "alpha": "float", "view_w": "int",
-    "view_h": "int", "galvo_limit_deg": "float", "step_response_ms": "float",
-    "dwell_ms": "float", "overlap_frac": "float", "radius_mode": "str",
-    "magnification": "float",
-}
-_EXPERIMENT_KEYS = {
-    "methods": "strs", "budgets": "ints", "seeds": "int", "scenes": "int",
-    "proportions": "floats", "target": "str", "sweep_budget": "int",
-    "sweep_seeds": "int", "ablation_budget": "int", "ablation_seeds": "int",
-    "deviation_budget": "int", "deviation_seeds": "int",
-}
-
-
-def _fill_simple(block: Block | None, obj, keys: dict[str, str],
-                 rename: dict[str, str], section: str, errors: list[str]) -> None:
+def _fill_simple(block: Block | None, obj, section: str, errors: list[str],
+                 children: tuple[str, ...] = ()) -> None:
+    """Set obj's keys from a block; reports unknown keys and child blocks."""
     if block is None:
         return
+    table = {k.name: k for k in key_table(type(obj))}
     for key, value, line in block.entries:
-        if key not in keys:
+        k = table.get(key)
+        if k is None:
             errors.append(f"{section} (line {line}): unknown key {key!r}")
             continue
-        parsed = _coerce(value, keys[key], f"{section}.{key} (line {line})", errors)
+        parsed = _coerce(value, k.kind, f"{section}.{key} (line {line})", errors)
         if parsed is not None:
-            setattr(obj, rename.get(key, key), parsed)
+            setattr(obj, k.attr, parsed)
+    for child in block.children:
+        if child.name not in children:
+            errors.append(f"{section} (line {child.line}): unknown block {child.name!r}")
 
 
-def _build_scene(block: Block | None, errors: list[str]) -> SceneConfig:
-    scene = SceneConfig()
+def _fill_repeated(blocks: list[Block], cls, section: str,
+                   required: tuple[str, ...], errors: list[str]) -> list:
+    """One `cls` per repeated block, each starting from the class defaults."""
+    out = []
+    for block in blocks:
+        if any(block.get(k) is None for k in required):
+            errors.append(f"{section} (line {block.line}): needs "
+                          + " and ".join(repr(k) for k in required))
+            continue
+        obj = cls()
+        _fill_simple(block, obj, section, errors)
+        out.append(obj)
+    return out
+
+
+def _build_scene(block: Block | None, scene: SceneConfig,
+                 errors: list[str]) -> None:
+    """Apply a scene block; its region, objects or priors replace the defaults."""
     if block is None:
-        return scene
-    _fill_simple(block, scene, _SCENE_KEYS, {"background": "background_label"},
-                 "scene", errors)
-    scene.regions = []
-    for rb in block.children_named("region"):
-        label = rb.get("label")
-        rect_raw = rb.get("rect")
-        if label is None or rect_raw is None:
-            errors.append(f"scene.region (line {rb.line}): needs 'label' and 'rect'")
-            continue
-        rect = _coerce(rect_raw, "ints", f"scene.region.rect (line {rb.line})", errors)
-        if rect is None:
-            continue
-        if len(rect) != 4:
-            errors.append(f"scene.region.rect (line {rb.line}): expected 4 ints, got {len(rect)}")
-            continue
-        scene.regions.append(RegionSpec(label=label, rect=tuple(rect)))
-    scene.groups = []
-    for gb in block.children_named("objects"):
-        group = ObjectGroupSpec()
-        for key, value, line in gb.entries:
-            where = f"scene.objects.{key} (line {line})"
-            if key == "class":
-                group.class_name = value
-            elif key == "count":
-                v = _coerce(value, "int", where, errors)
-                if v is not None:
-                    group.count = v
-            elif key == "size":
-                v = _coerce(value, "floats", where, errors)
-                if v is not None and len(v) == 2:
-                    group.size = (v[0], v[1])
-                elif v is not None:
-                    errors.append(f"{where}: expected 2 floats")
-            elif key == "speed":
-                v = _coerce(value, "float", where, errors)
-                if v is not None:
-                    group.speed = v
-            elif key == "occlusion":
-                v = _coerce(value, "float", where, errors)
-                if v is not None:
-                    group.occlusion = v
-            elif key == "region":
-                group.region_label = value
-            else:
-                errors.append(f"{where}: unknown key")
-        scene.groups.append(group)
+        return
+    _fill_simple(block, scene, "scene", errors, ("region", "objects", "priors"))
+    regions = block.children_named("region")
+    if regions:
+        scene.regions = _fill_repeated(regions, RegionSpec, "scene.region",
+                                       ("label", "rect"), errors)
+    groups = block.children_named("objects")
+    if groups:
+        scene.groups = _fill_repeated(groups, ObjectGroupSpec, "scene.objects",
+                                      (), errors)
     pb = block.child("priors")
     if pb is not None:
         scene.class_priors = {}
@@ -406,45 +422,23 @@ def _build_scene(block: Block | None, errors: list[str]) -> SceneConfig:
                 errors.append(f"scene.priors (line {line}): key must be 'class|label'")
                 continue
             cls, label = key.split("|", 1)
-            v = _coerce(value, "float", f"scene.priors.{key} (line {line})", errors)
-            if v is not None:
-                scene.class_priors.setdefault(cls.strip(), {})[label.strip()] = v
-    return scene
+            p = _coerce(value, "float", f"scene.priors.{key} (line {line})", errors)
+            if p is not None:
+                scene.class_priors.setdefault(cls.strip(), {})[label.strip()] = p
 
 
 def build_scenario(root: Block) -> tuple[ScenarioConfig, list[str]]:
     """Build a ScenarioConfig from a parsed tree, starting from the defaults."""
     errors: list[str] = []
     cfg = default_scenario()
-    if root.child("scene") is not None:
-        cfg.scene = _build_scene(root.child("scene"), errors)
-    _fill_simple(root.child("noise"), cfg.noise, _NOISE_KEYS, {}, "noise", errors)
-    _fill_simple(root.child("detector"), cfg.detector, _DETECTOR_KEYS, {}, "detector", errors)
-    _fill_simple(root.child("engine"), cfg.engine, _ENGINE_KEYS, {}, "engine", errors)
-    _fill_simple(root.child("experiment"), cfg.experiment, _EXPERIMENT_KEYS, {}, "experiment", errors)
+    _fill_simple(root, cfg, "top level", errors, ("scene", *_SECTIONS, "preset"))
+    _build_scene(root.child("scene"), cfg.scene, errors)
+    for name in _SECTIONS:
+        _fill_simple(root.child(name), getattr(cfg, name), name, errors)
     presets = root.children_named("preset")
     if presets:
-        cfg.presets = []
-        for pb in presets:
-            name = pb.get("name")
-            if name is None:
-                errors.append(f"preset (line {pb.line}): needs 'name'")
-                continue
-            br = _coerce(pb.get("base_recall") or "0.9", "float",
-                         f"preset.base_recall (line {pb.line})", errors)
-            sb = _coerce(pb.get("sigma_base_deg") or "0.05", "float",
-                         f"preset.sigma_base_deg (line {pb.line})", errors)
-            if br is not None and sb is not None:
-                cfg.presets.append(DetectorPreset(name, br, sb))
-    out = root.get("out")
-    if out is not None:
-        cfg.out_dir = out
-    for key, _, line in root.entries:
-        if key != "out":
-            errors.append(f"top level (line {line}): unknown key {key!r}")
-    for child in root.children:
-        if child.name not in ("scene", "noise", "detector", "engine", "experiment", "preset"):
-            errors.append(f"top level (line {child.line}): unknown block {child.name!r}")
+        cfg.presets = _fill_repeated(presets, DetectorPreset, "preset",
+                                     ("name",), errors)
     return cfg, errors
 
 
@@ -452,17 +446,51 @@ def build_scenario(root: Block) -> tuple[ScenarioConfig, list[str]]:
 # Semantic validation
 # ---------------------------------------------------------------------------
 
+def _domain_error(value, domain: str | tuple[str, ...]) -> str | None:
+    """Why `value` lies outside `domain`, or None when it lies inside."""
+    if isinstance(domain, tuple):
+        if value in domain:
+            return None
+        return f"must be one of {', '.join(domain)}, got {value!r}"
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"must be finite, got {value!r}"
+    if not domain:
+        return None
+    lo, hi = (t.strip() for t in domain[1:-1].split(","))
+    above = value > float(lo) if domain[0] == "(" else value >= float(lo)
+    below = value < float(hi) if domain[-1] == ")" else value <= float(hi)
+    if above and below:
+        return None
+    if hi == "inf":
+        return f"must be {'>' if domain[0] == '(' else '>='} {lo}, got {value!r}"
+    return f"must be in {domain}, got {value!r}"
+
+
+def _check_keys(obj, where: str, errors: list[str]) -> None:
+    """Check every key of a config block against its domain."""
+    for k in key_table(type(obj)):
+        value = getattr(obj, k.attr)
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            problem = None if item is None else _domain_error(item, k.domain)
+            if problem:
+                errors.append(f"{where}: {k.name} {problem}")
+                break
+
+
 def check_scenario(cfg: ScenarioConfig) -> list[str]:
-    """Range and consistency checks over a built configuration."""
+    """Domain checks of every key, then the rules that span several keys."""
     errors: list[str] = []
     s = cfg.scene
-    if s.width <= 0 or s.height <= 0:
-        errors.append("scene: width and height must be positive")
-    if s.span_deg <= 0:
-        errors.append("scene: span_deg must be positive")
-    if s.pano_detect_threshold <= 0:
-        errors.append("scene: pano_detect_threshold must be positive")
-    seen_px = set()
+    blocks = [("scene", s), *((name, getattr(cfg, name)) for name in _SECTIONS)]
+    blocks += [(f"scene.region[{i}]", r) for i, r in enumerate(s.regions)]
+    blocks += [(f"scene.objects[{i}]", g) for i, g in enumerate(s.groups)]
+    blocks += [(f"preset[{i}]", p) for i, p in enumerate(cfg.presets)]
+    for where, obj in blocks:
+        _check_keys(obj, where, errors)
+    target = cfg.experiment.target
+    placed: list[tuple[int, int, int, int]] = []
+    covered = 0
+    admissible = False
     for i, r in enumerate(s.regions):
         x, y, w, h = r.rect
         if w <= 0 or h <= 0:
@@ -471,77 +499,25 @@ def check_scenario(cfg: ScenarioConfig) -> list[str]:
         if x < 0 or y < 0 or x + w > s.width or y + h > s.height:
             errors.append(f"scene.region[{i}] ({r.label}): rect outside the panorama")
             continue
-        cells = {(cx, cy) for cx in (x, x + w - 1) for cy in (y, y + h - 1)}
-        # cheap corner probe first, full overlap check happens in build_scene
-        if cells & seen_px:
+        if any(x < px + pw and px < x + w and y < py + ph and py < y + h
+               for px, py, pw, ph in placed):
             errors.append(f"scene.region[{i}] ({r.label}): overlaps an earlier region")
-        seen_px |= cells
+        placed.append(r.rect)
+        covered += w * h
+        admissible |= s.prior(target, r.label) > 0.0
+    if s.width * s.height > covered:  # the background region is not empty
+        admissible |= s.prior(target, s.background_label) > 0.0
     for cls, table in s.class_priors.items():
         for label, p in table.items():
             if not 0.0 <= p <= 1.0:
                 errors.append(f"scene.priors {cls}|{label}: {p} outside [0, 1]")
-    for i, g in enumerate(s.groups):
-        if g.count < 0:
-            errors.append(f"scene.objects[{i}]: count must be >= 0")
-        if g.size[0] <= 0 or g.size[1] <= 0:
-            errors.append(f"scene.objects[{i}]: size must be positive")
-        if not 0.0 <= g.occlusion <= 1.0:
-            errors.append(f"scene.objects[{i}]: occlusion outside [0, 1]")
-    n = cfg.noise
-    if not 0.0 <= n.label_flip <= 1.0:
-        errors.append("noise: label_flip outside [0, 1]")
-    if n.sigma_min <= 0 or n.sigma_max < n.sigma_min:
-        errors.append("noise: need 0 < sigma_min <= sigma_max")
-    d = cfg.detector
-    if not 0.0 <= d.base_recall <= 1.0:
-        errors.append("detector: base_recall outside [0, 1]")
-    if d.sigma_base_deg <= 0:
-        errors.append("detector: sigma_base_deg must be > 0")
-    if d.fp_rate < 0:
-        errors.append("detector: fp_rate must be >= 0")
-    e = cfg.engine
-    if e.sigma_t <= 0:
-        errors.append("engine: sigma_t must be > 0 (it divides the overlap score)")
-    if e.alpha <= 0:
-        errors.append("engine: alpha must be > 0")
-    if e.n_particles < 0:
-        errors.append("engine: n_particles must be >= 0")
-    if e.iterations < 1:
-        errors.append("engine: iterations must be >= 1")
-    if not 0.0 < e.init_frac <= 1.0:
-        errors.append("engine: init_frac must be in (0, 1]")
-    if e.likelihood_floor <= 0:
-        errors.append("engine: likelihood_floor must be > 0")
-    if e.sigma_min_deg <= 0 or e.sigma_max_deg < e.sigma_min_deg:
-        errors.append("engine: need 0 < sigma_min_deg <= sigma_max_deg")
-    if not 0.0 <= e.iou_keep < 1.0:
-        errors.append("engine: iou_keep must be in [0, 1)")
-    if e.subregion_scale <= 0:
-        errors.append("engine: subregion_scale must be > 0")
-    if e.view_w <= 0 or e.view_h <= 0:
-        errors.append("engine: view size must be positive")
-    if e.galvo_limit_deg <= 0:
-        errors.append("engine: galvo_limit_deg must be > 0")
-    if e.step_response_ms < 0 or e.dwell_ms < 0:
-        errors.append("engine: timings must be >= 0")
-    if e.magnification is not None and not (math.isfinite(e.magnification)
-                                            and e.magnification > 0):
-        errors.append("engine: magnification must be finite and > 0 "
-                      "(search-camera boxes scale by it)")
-    if e.radius_mode not in ("harmonic", "stddev"):
-        errors.append("engine: radius_mode must be 'harmonic' or 'stddev'")
-    x = cfg.experiment
-    known = {"ppm_ps", "ppm_only", "rpm", "mpf", "uniform"}
-    for m in x.methods:
-        if m not in known:
-            errors.append(f"experiment: unknown method {m!r}")
-    if any(b < 0 for b in x.budgets):
-        errors.append("experiment: budgets must be >= 0")
-    if x.seeds < 1 or x.scenes < 1:
-        errors.append("experiment: seeds and scenes must be >= 1")
-    for p in x.proportions:
-        if not 0.0 < p <= 1.0:
-            errors.append(f"experiment: proportion {p} outside (0, 1]")
+    if not admissible:
+        errors.append(f"experiment: no admissible region for target {target!r}: "
+                      "every area x prior product is zero")
+    if cfg.noise.sigma_min > cfg.noise.sigma_max:
+        errors.append("noise: need sigma_min <= sigma_max")
+    if cfg.engine.sigma_min_deg > cfg.engine.sigma_max_deg:
+        errors.append("engine: need sigma_min_deg <= sigma_max_deg")
     return errors
 
 
@@ -581,56 +557,35 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
     def emit(indent: int, text: str) -> None:
         lines.append("    " * indent + text)
 
+    def emit_keys(indent: int, obj) -> None:
+        for k in key_table(type(obj)):
+            value = getattr(obj, k.attr)
+            if value is not None:
+                emit(indent, f"{k.name} = {_fmt(value)}")
+
+    def emit_block(indent: int, name: str, obj) -> None:
+        emit(indent, name + " {")
+        emit_keys(indent + 1, obj)
+        emit(indent, "}")
+
     s = cfg.scene
     emit(0, "scene {")
-    emit(1, f"width = {s.width}")
-    emit(1, f"height = {s.height}")
-    emit(1, f"span_deg = {_fmt(s.span_deg)}")
-    emit(1, f"background = {s.background_label}")
-    emit(1, f"pano_detect_threshold = {_fmt(s.pano_detect_threshold)}")
+    emit_keys(1, s)
     for r in s.regions:
-        emit(1, "region {")
-        emit(2, f"label = {r.label}")
-        emit(2, f"rect = {_fmt(r.rect)}")
-        emit(1, "}")
+        emit_block(1, "region", r)
     for g in s.groups:
-        emit(1, "objects {")
-        emit(2, f"class = {g.class_name}")
-        emit(2, f"count = {g.count}")
-        emit(2, f"size = {_fmt(g.size)}")
-        emit(2, f"speed = {_fmt(g.speed)}")
-        emit(2, f"occlusion = {_fmt(g.occlusion)}")
-        if g.region_label is not None:
-            emit(2, f"region = {g.region_label}")
-        emit(1, "}")
+        emit_block(1, "objects", g)
     emit(1, "priors {")
     for cls in sorted(s.class_priors):
         for label in sorted(s.class_priors[cls]):
             emit(2, f"{cls}|{label} = {_fmt(s.class_priors[cls][label])}")
     emit(1, "}")
     emit(0, "}")
-    for section, obj, keys in (
-        ("noise", cfg.noise, _NOISE_KEYS),
-        ("detector", cfg.detector, _DETECTOR_KEYS),
-        ("engine", cfg.engine, _ENGINE_KEYS),
-        ("experiment", cfg.experiment, _EXPERIMENT_KEYS),
-    ):
-        emit(0, section + " {")
-        rename = {"background": "background_label"}
-        for key in keys:
-            value = getattr(obj, rename.get(key, key))
-            if value is None:
-                continue
-            emit(1, f"{key} = {_fmt(value)}")
-        emit(0, "}")
+    for name in _SECTIONS:
+        emit_block(0, name, getattr(cfg, name))
     for p in cfg.presets:
-        emit(0, "preset {")
-        emit(1, f"name = {p.name}")
-        emit(1, f"base_recall = {_fmt(p.base_recall)}")
-        emit(1, f"sigma_base_deg = {_fmt(p.sigma_base_deg)}")
-        emit(0, "}")
-    if cfg.out_dir is not None:
-        emit(0, f"out = {cfg.out_dir}")
+        emit_block(0, "preset", p)
+    emit_keys(0, cfg)
     return "\n".join(lines) + "\n"
 
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import (ConfigError, DetectorPreset, ScenarioConfig, SceneConfig,
-                     ObjectGroupSpec, RegionSpec, scenario_copy)
+from .config import (METHODS, ConfigError, DetectorPreset, MethodSpec,
+                     ObjectGroupSpec, RegionSpec, ScenarioConfig, SceneConfig,
+                     scenario_copy)
 from .detector import Detection, SyntheticDetector
 from .galvo import GalvoState, capture_view, plan_scan
 from .particles import (Particle, build_proposal, initial_sample,
@@ -28,23 +29,6 @@ from .ppm import Ppm, allocate_ppm, segment_panorama
 from .refinement import SearchWindow, bounds_iou, box_bounds, nms_merge
 from .scene import SceneMap, build_scene, step_motion
 
-
-@dataclass(frozen=True)
-class MethodSpec:
-    init: str                 # ppm | region | uniform | grid
-    bootstrap: bool           # count panorama-scale detections as initial finds
-    voting: bool              # variance voting inside NMS
-    adaptive_sigma: bool      # per-particle sigma from detector uncertainty
-    resample: str             # proposal | uniform | none
-
-
-METHODS: dict[str, MethodSpec] = {
-    "ppm_ps": MethodSpec("ppm", True, True, True, "proposal"),
-    "ppm_only": MethodSpec("ppm", True, False, False, "none"),
-    "rpm": MethodSpec("region", False, False, False, "proposal"),
-    "mpf": MethodSpec("uniform", False, False, False, "uniform"),
-    "uniform": MethodSpec("grid", False, False, False, "none"),
-}
 
 # the ablation's "prior disabled" arm: same searching machinery, no map
 NO_PPM_SPEC = MethodSpec("uniform", False, True, True, "proposal")

@@ -4,8 +4,8 @@ import pytest
 
 from panosearch.cli import main
 from panosearch.config import (ConfigError, apply_overrides, build_scenario,
-                               check_scenario, default_scenario, parse_text,
-                               serialize_scenario)
+                               check_scenario, default_scenario, load_scenario,
+                               parse_text, serialize_scenario)
 from panosearch.particles import write_particles_csv
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -312,3 +312,90 @@ def test_jobs_flag_gives_same_results(tmp_path):
     main(["curve", "--config", cfg, "--jobs", "2", "--out", str(out_b)])
     assert (out_a / "recall_curve.csv").read_bytes() == \
         (out_b / "recall_curve.csv").read_bytes()
+
+
+# --- values the loader rejects, at every entry point --------------------------
+
+REJECTED_OVERRIDES = [
+    ["noise.size_ref_px=0"], ["detector.size_ref_px=0"],
+    ["engine.subregion_scale=inf"], ["detector.fp_rate=inf"],
+    ["detector.fp_rate=1e9"], ["engine.alpha=inf"], ["engine.sigma_t=nan"],
+    ["engine.overlap_frac=-2"], ["engine.sigma0_deg=nan"],
+    ["engine.sigma0_deg=-1"], ["engine.galvo_limit_deg=inf"],
+    ["engine.likelihood_floor=inf"], ["engine.dwell_ms=inf"],
+    ["engine.sigma_max_deg=inf"], ["detector.loc_noise_px=-3"],
+    ["detector.conf_noise=-1"], ["detector.fp_conf_cap=5"],
+    ["scene.span_deg=inf"],
+    ["scene.priors.car|road=0", "scene.priors.car|field=0"],
+]
+
+
+def _set_args(overrides):
+    return [arg for item in overrides for arg in ("--set", item)]
+
+
+@pytest.mark.parametrize("overrides", REJECTED_OVERRIDES,
+                         ids=[" ".join(o) for o in REJECTED_OVERRIDES])
+def test_out_of_domain_values_fail_validate_and_trial(overrides, tmp_path,
+                                                      capsys):
+    assert main(["validate", "--config", DEFAULT_CFG]
+                + _set_args(overrides)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out and all(line.startswith("error: ") for line in out)
+    assert main(["trial", "--config", DEFAULT_CFG, "--budget", "20",
+                 "--out", str(tmp_path)] + _set_args(overrides)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("error: ") for line in err)
+
+
+@pytest.mark.parametrize("block,error", [
+    ("preset {\n name = p\n base_recall = 5\n}\n",
+     "error: preset[0]: base_recall must be in [0, 1], got 5.0"),
+    ("scene {\n objects {\n speed = inf\n }\n}\n",
+     "error: scene.objects[0]: speed must be finite, got inf")])
+def test_out_of_domain_repeated_block_values_fail(block, error, tmp_path,
+                                                  capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(block)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [error]
+
+
+def test_unknown_keys_reported_in_repeated_blocks(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("scene {\n region {\n label = a\n rect = 0 0 10 10\n"
+                    " colour = red\n }\n}\npreset {\n name = p\n speed = 3\n}\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "unknown key 'colour'" in out
+    assert "unknown key 'speed'" in out
+
+
+@pytest.mark.parametrize("command", ["trial", "curve", "sweep", "ablation",
+                                     "deviation"])
+def test_no_admissible_region_is_a_config_error(command, tmp_path, capsys):
+    code = main([command, "--out", str(tmp_path),
+                 "--set", "scene.priors.car|road=0"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: experiment: no admissible region for target 'car': "
+        "every area x prior product is zero"]
+
+
+def test_scene_override_keeps_the_default_scene(tmp_path, capsys):
+    default = load_scenario(None)
+    assert load_scenario(None, ["scene.width=1440"]) == default
+    assert load_scenario(_tiny_cfg(tmp_path), ["scene.height=1200"]).scene \
+        == default.scene
+    assert main(["validate", "--set", "scene.width=1440"]) == 0
+    assert main(["validate", "--config", _tiny_cfg(tmp_path),
+                 "--set", "scene.span_deg=40"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["ok", "ok"]
+
+
+@pytest.mark.parametrize("argv", [["curve", "--seed", "5"],
+                                  ["trial", "--jobs", "4"]])
+def test_flags_a_subcommand_does_not_use_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
