@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 from . import experiment as exp
 from .config import (ConfigError, ScenarioConfig, load_scenario,
@@ -46,20 +47,18 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _rows_to_csv(rows: list[dict], columns: list[str],
-                 formats: dict[str, str]) -> str:
+def _rows_to_csv(rows: list[dict], columns: dict[str, str]) -> str:
+    """CSV text of the given columns, in order, each printed with its %-format."""
     lines = [",".join(columns)]
     for row in rows:
-        cells = []
-        for col in columns:
-            value = row[col]
-            fmt = formats.get(col)
-            cells.append(fmt % value if fmt else str(value))
-        lines.append(",".join(cells))
+        lines.append(",".join(fmt % row[col] for col, fmt in columns.items()))
     return "\n".join(lines) + "\n"
 
 
-def _echo_config(cfg: ScenarioConfig, out: str) -> None:
+def _write_results(cfg: ScenarioConfig, out: str, name: str, rows: list[dict],
+                   columns: dict[str, str]) -> None:
+    """The rows as CSV file `name`, and the effective config echoed beside it."""
+    _write_atomic(os.path.join(out, name), _rows_to_csv(rows, columns))
     _write_atomic(os.path.join(out, "effective.cfg"), serialize_scenario(cfg))
 
 
@@ -75,6 +74,11 @@ def cmd_validate(args) -> int:
     return 0
 
 
+TRIAL_COLUMNS = {"method": "%s", "seed": "%s", "budget": "%s", "recall": "%.6f",
+                 "ap": "%.6f", "found": "%s", "objects": "%s", "views": "%s",
+                 "elapsed_sim_ms": "%.4f", "vacuous": "%s"}
+
+
 def cmd_trial(args) -> int:
     cfg = load_scenario(args.config, args.set)
     out = _out_dir(args, cfg)
@@ -85,18 +89,13 @@ def cmd_trial(args) -> int:
     result = exp.run_trial_spec(scene, args.method, exp.METHODS[args.method],
                                 budget, cfg.engine.iterations, [13, 0, seed], cfg,
                                 seed_label=seed, trace=trace)
-    rows = [{
+    row = {
         "method": result.method, "seed": seed, "budget": result.budget,
         "recall": result.recall, "ap": result.ap, "found": len(result.found),
         "objects": result.n_objects, "views": result.views,
         "elapsed_sim_ms": result.elapsed_sim_ms, "vacuous": int(result.vacuous),
-    }]
-    text = _rows_to_csv(rows, ["method", "seed", "budget", "recall", "ap",
-                               "found", "objects", "views", "elapsed_sim_ms",
-                               "vacuous"],
-                        {"recall": "%.6f", "ap": "%.6f", "elapsed_sim_ms": "%.4f"})
-    _write_atomic(os.path.join(out, "trial.csv"), text)
-    _echo_config(cfg, out)
+    }
+    _write_results(cfg, out, "trial.csv", [row], TRIAL_COLUMNS)
     if args.dump:
         write_label_grid(scene, os.path.join(out, "scene_grid.txt"))
         ppm_path = os.path.join(out, "ppm.csv")
@@ -117,79 +116,67 @@ def cmd_trial(args) -> int:
     return 0
 
 
-def cmd_curve(args) -> int:
+class Study(NamedTuple):
+    help: str
+    run: Callable[[ScenarioConfig, int], list[dict]]  # (config, jobs) -> rows
+    csv: str
+    columns: dict[str, str]  # CSV column -> %-format, in column order
+    line: str                # console line per row, a str.format template
+
+
+STUDIES = {
+    "curve": Study(
+        "recall vs budget for each method",
+        lambda cfg, jobs: exp.recall_curve(
+            exp.default_scene_variants(cfg.scene, cfg.experiment.scenes),
+            cfg.experiment.methods, cfg.experiment.budgets,
+            cfg.experiment.seeds, cfg, n_jobs=jobs),
+        "recall_curve.csv",
+        {"method": "%s", "budget": "%s", "n_trials": "%s",
+         "mean_recall": "%.6f", "std_recall": "%.6f", "mean_ap": "%.6f"},
+        "curve method={method} budget={budget} recall={mean_recall:.3f}"),
+    "sweep": Study(
+        "recall vs high-prior region proportion",
+        lambda cfg, jobs: exp.proportion_sweep(
+            cfg.scene, cfg.experiment.proportions, cfg.experiment.methods,
+            cfg.experiment.sweep_seeds, cfg.experiment.sweep_budget, cfg,
+            n_jobs=jobs),
+        "proportion_sweep.csv",
+        {"proportion": "%.2f", "method": "%s", "n_trials": "%s",
+         "mean_recall": "%.6f", "std_recall": "%.6f"},
+        "sweep proportion={proportion:.2f} method={method} "
+        "recall={mean_recall:.3f}"),
+    "ablation": Study(
+        "probability map on/off per detector preset",
+        lambda cfg, jobs: exp.ablation(cfg, n_jobs=jobs),
+        "ablation.csv",
+        {"preset": "%s", "ppm": "%s", "n_trials": "%s", "mean_recall": "%.6f",
+         "mean_ap": "%.6f", "views_per_sim_s": "%.2f"},
+        "ablation preset={preset} ppm={ppm} recall={mean_recall:.3f} "
+        "ap={mean_ap:.3f}"),
+    "deviation": Study(
+        "gaze deviation with voting on/off",
+        lambda cfg, jobs: exp.deviation_study(
+            exp.deviation_scene(cfg.scene), cfg.experiment.deviation_seeds,
+            cfg.experiment.deviation_budget, cfg, n_jobs=jobs),
+        "deviation.csv",
+        {"target": "%s", "moving": "%s", "voting": "%s", "n_seeds": "%s",
+         "found_rate": "%.4f", "mean_abs_dx_px": "%.3f",
+         "mean_abs_dy_px": "%.3f", "mean_pre_var": "%.6e",
+         "mean_post_var": "%.6e"},
+        "deviation target={target} voting={voting} "
+        "dx={mean_abs_dx_px:.1f} dy={mean_abs_dy_px:.1f}"),
+}
+
+
+def cmd_study(args) -> int:
+    study = STUDIES[args.command]
     cfg = load_scenario(args.config, args.set)
     out = _out_dir(args, cfg)
-    scenes = exp.default_scene_variants(cfg.scene, cfg.experiment.scenes)
-    rows = exp.recall_curve(scenes, cfg.experiment.methods,
-                            cfg.experiment.budgets, cfg.experiment.seeds,
-                            cfg, n_jobs=args.jobs)
-    text = _rows_to_csv(rows, ["method", "budget", "n_trials", "mean_recall",
-                               "std_recall", "mean_ap"],
-                        {"mean_recall": "%.6f", "std_recall": "%.6f",
-                         "mean_ap": "%.6f"})
-    _write_atomic(os.path.join(out, "recall_curve.csv"), text)
-    _echo_config(cfg, out)
+    rows = study.run(cfg, args.jobs)
+    _write_results(cfg, out, study.csv, rows, study.columns)
     for row in rows:
-        print(f"curve method={row['method']} budget={row['budget']} "
-              f"recall={row['mean_recall']:.3f}")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = load_scenario(args.config, args.set)
-    out = _out_dir(args, cfg)
-    rows = exp.proportion_sweep(cfg.scene, cfg.experiment.proportions,
-                                cfg.experiment.methods,
-                                cfg.experiment.sweep_seeds,
-                                cfg.experiment.sweep_budget, cfg,
-                                n_jobs=args.jobs)
-    text = _rows_to_csv(rows, ["proportion", "method", "n_trials",
-                               "mean_recall", "std_recall"],
-                        {"proportion": "%.2f", "mean_recall": "%.6f",
-                         "std_recall": "%.6f"})
-    _write_atomic(os.path.join(out, "proportion_sweep.csv"), text)
-    _echo_config(cfg, out)
-    for row in rows:
-        print(f"sweep proportion={row['proportion']:.2f} method={row['method']} "
-              f"recall={row['mean_recall']:.3f}")
-    return 0
-
-
-def cmd_ablation(args) -> int:
-    cfg = load_scenario(args.config, args.set)
-    out = _out_dir(args, cfg)
-    rows = exp.ablation(cfg, n_jobs=args.jobs)
-    text = _rows_to_csv(rows, ["preset", "ppm", "n_trials", "mean_recall",
-                               "mean_ap", "views_per_sim_s"],
-                        {"mean_recall": "%.6f", "mean_ap": "%.6f",
-                         "views_per_sim_s": "%.2f"})
-    _write_atomic(os.path.join(out, "ablation.csv"), text)
-    _echo_config(cfg, out)
-    for row in rows:
-        print(f"ablation preset={row['preset']} ppm={row['ppm']} "
-              f"recall={row['mean_recall']:.3f} ap={row['mean_ap']:.3f}")
-    return 0
-
-
-def cmd_deviation(args) -> int:
-    cfg = load_scenario(args.config, args.set)
-    out = _out_dir(args, cfg)
-    scene_cfg = exp.deviation_scene(cfg.scene)
-    rows = exp.deviation_study(scene_cfg, cfg.experiment.deviation_seeds,
-                               cfg.experiment.deviation_budget, cfg,
-                               n_jobs=args.jobs)
-    text = _rows_to_csv(rows, ["target", "moving", "voting", "n_seeds",
-                               "found_rate", "mean_abs_dx_px", "mean_abs_dy_px",
-                               "mean_pre_var", "mean_post_var"],
-                        {"found_rate": "%.4f", "mean_abs_dx_px": "%.3f",
-                         "mean_abs_dy_px": "%.3f", "mean_pre_var": "%.6e",
-                         "mean_post_var": "%.6e"})
-    _write_atomic(os.path.join(out, "deviation.csv"), text)
-    _echo_config(cfg, out)
-    for row in rows:
-        print(f"deviation target={row['target']} voting={row['voting']} "
-              f"dx={row['mean_abs_dx_px']:.1f} dy={row['mean_abs_dy_px']:.1f}")
+        print(study.line.format(**row))
     return 0
 
 
@@ -206,13 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PATH=VALUE",
                        help="override a config value, e.g. engine.sigma_t=0.05")
 
-    def study(name, text, func):
-        p = sub.add_parser(name, help=text)
-        common(p)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes; results do not depend on it")
-        p.set_defaults(func=func)
-
     p = sub.add_parser("validate", help="check a config and exit")
     common(p)
     p.set_defaults(func=cmd_validate)
@@ -227,10 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write scene grid and probability-map dumps")
     p.set_defaults(func=cmd_trial)
 
-    study("curve", "recall vs budget for each method", cmd_curve)
-    study("sweep", "recall vs high-prior region proportion", cmd_sweep)
-    study("ablation", "probability map on/off per detector preset", cmd_ablation)
-    study("deviation", "gaze deviation with voting on/off", cmd_deviation)
+    for name, study in STUDIES.items():
+        p = sub.add_parser(name, help=study.help)
+        common(p)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes; results do not depend on it")
+        p.set_defaults(func=cmd_study)
     return parser
 
 

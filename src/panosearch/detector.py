@@ -29,7 +29,6 @@ class Detection:
     confidence: float
     var_h: float          # localization variance, degrees^2
     var_v: float
-    class_name: str = "car"
     object_id: int | None = None  # simulator truth tag; None for false positives
 
 

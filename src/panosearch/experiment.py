@@ -79,43 +79,38 @@ class TrialTrace:
 
 
 def _split_budget(budget: int, iters: int, init_frac: float) -> list[int]:
-    """Total budget over passes: init_frac up front, the rest spread evenly."""
+    """Total budget over passes: init_frac up front, the rest spread evenly
+    over at most `iters - 1` later passes, each of at least one view."""
     if budget <= 0:
         return []
-    if iters <= 1:
-        return [budget]
     n0 = int(round(budget * init_frac))
     n0 = min(max(n0, 1), budget)
     rest = budget - n0
-    rounds = [n0]
-    for i in range(iters - 1):
-        share = rest // (iters - 1)
-        if i < rest % (iters - 1):
-            share += 1
-        rounds.append(share)
-    return rounds
+    later = min(iters - 1, rest)
+    if later <= 0:
+        return [budget]
+    return [n0] + [rest // later + (i < rest % later) for i in range(later)]
 
 
-def _pano_extent_deg(scene: SceneMap) -> tuple[float, float]:
-    return (scene.width * scene.deg_per_px / 2.0,
-            scene.height * scene.deg_per_px / 2.0)
+def _pano_extent_deg(scene: SceneMap, limit: float) -> tuple[float, float]:
+    """Half-extents of the panorama in degrees, clamped to the mirror range."""
+    return (min(scene.width * scene.deg_per_px / 2.0, limit),
+            min(scene.height * scene.deg_per_px / 2.0, limit))
 
 
 def _uniform_particles(scene: SceneMap, count: int, rng, sigma0: float,
                        limit: float) -> list[Particle]:
-    half_h, half_v = _pano_extent_deg(scene)
-    half_h, half_v = min(half_h, limit), min(half_v, limit)
+    half_h, half_v = _pano_extent_deg(scene, limit)
     w0 = 1.0 / count
     th = rng.uniform(-half_h, half_h, size=count)
     tv = rng.uniform(-half_v, half_v, size=count)
-    return [Particle(float(th[i]), float(tv[i]), w0, stage=0, sigma=sigma0)
+    return [Particle(float(th[i]), float(tv[i]), w0, sigma=sigma0)
             for i in range(count)]
 
 
 def _grid_particles(scene: SceneMap, count: int, sigma0: float,
                     limit: float) -> list[Particle]:
-    half_h, half_v = _pano_extent_deg(scene)
-    half_h, half_v = min(half_h, limit), min(half_v, limit)
+    half_h, half_v = _pano_extent_deg(scene, limit)
     aspect = half_h / half_v
     nx = max(1, int(math.ceil(math.sqrt(count * aspect))))
     ny = max(1, int(math.ceil(count / nx)))
@@ -127,9 +122,9 @@ def _grid_particles(scene: SceneMap, count: int, sigma0: float,
         for x in xs:
             if len(out) == count:
                 return out
-            out.append(Particle(float(x), float(y), w0, stage=0, sigma=sigma0))
+            out.append(Particle(float(x), float(y), w0, sigma=sigma0))
     while len(out) < count:  # ragged last row
-        out.append(Particle(0.0, 0.0, w0, stage=0, sigma=sigma0))
+        out.append(Particle(0.0, 0.0, w0, sigma=sigma0))
     return out
 
 
@@ -244,7 +239,7 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
     found: dict[int, FoundObject] = {}
     pre_vars: dict[int, float] = {}
     ap_records: list[tuple[float, int | None]] = []
-    views = moves = 0
+    views = 0
 
     rounds = _split_budget(budget, 1 if spec.resample == "none" else iters,
                            eng.init_frac)
@@ -283,8 +278,6 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
     particles: list[Particle] = []
     last_round = len(rounds) - 1
     for k, n_k in enumerate(rounds):
-        if n_k <= 0:
-            continue
         if k > 0:
             scene = step_motion(scene, 1)
             boxes = _object_boxes(scene)
@@ -313,7 +306,6 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
         last = particles[order[-1]]
         state.theta_h, state.theta_v = last.theta_h, last.theta_v
         views += n_k
-        moves += n_k
         if trace is not None:
             trace.particles.extend(
                 (stage, p.theta_h, p.theta_v, p.weight, p.sigma)
@@ -408,7 +400,7 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
             normalize_weights(particles)
             proposal = build_proposal(particles)
 
-    elapsed = moves * eng.step_response_ms + views * eng.dwell_ms
+    elapsed = views * eng.step_response_ms + views * eng.dwell_ms  # a move per view
     vacuous = n_objects == 0
     recall = 1.0 if vacuous else len(found) / n_objects
     ap = average_precision_11pt(ap_records, n_objects)
@@ -418,7 +410,7 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
     return TrialResult(method=name, seed=seed_label, budget=budget,
                        recall=recall, ap=ap, found=found, n_objects=n_objects,
                        pre_vars=pre_vars, elapsed_sim_ms=elapsed,
-                       wall_ms=wall_ms, views=views, moves=moves,
+                       wall_ms=wall_ms, views=views, moves=views,
                        vacuous=vacuous)
 
 
@@ -502,39 +494,27 @@ class TrialJob:
     scene_seed: tuple[int, ...]
     method: str
     budget: int
-    iters: int
     trial_seed: tuple[int, ...]
-    cfg: ScenarioConfig
+    cfg: ScenarioConfig  # also gives the pass count and the detector
+    row: int            # index of the study row the trial counts towards
+    seed: int           # the trial's seed label
     spec: MethodSpec | None = None
-    detector_cfg: object = None
-    tag: tuple = ()
 
 
-def _run_job(job: TrialJob) -> tuple[tuple, TrialResult]:
+def _run_job(job: TrialJob) -> TrialResult:
     scene = _world_cache(job.scene_cfg, job.scene_seed)
     spec = job.spec if job.spec is not None else METHODS[job.method]
-    result = run_trial_spec(scene, job.method, spec, job.budget, job.iters,
-                            list(job.trial_seed), job.cfg,
-                            detector_cfg=job.detector_cfg,
-                            seed_label=int(job.tag[-1]) if job.tag else None)
-    return job.tag, result
+    return run_trial_spec(scene, job.method, spec, job.budget,
+                          job.cfg.engine.iterations, list(job.trial_seed),
+                          job.cfg, seed_label=job.seed)
 
 
 _WORLDS: dict = {}
 
 
-def _scene_key(cfg: SceneConfig) -> tuple:
-    return (cfg.width, cfg.height, cfg.span_deg, cfg.background_label,
-            cfg.pano_detect_threshold,
-            tuple((r.label, r.rect) for r in cfg.regions),
-            tuple((g.class_name, g.count, g.size, g.speed, g.occlusion,
-                   g.region_label) for g in cfg.groups),
-            tuple(sorted((c, tuple(sorted(t.items())))
-                         for c, t in cfg.class_priors.items())))
-
-
 def _world_cache(scene_cfg: SceneConfig, seed: tuple[int, ...]) -> SceneMap:
-    key = (_scene_key(scene_cfg), seed)
+    # the repr names every field, so two different worlds never share a key
+    key = (repr(scene_cfg), seed)
     world = _WORLDS.get(key)
     if world is None:
         world = build_scene(scene_cfg, list(seed))
@@ -544,80 +524,59 @@ def _world_cache(scene_cfg: SceneConfig, seed: tuple[int, ...]) -> SceneMap:
     return world
 
 
-def run_jobs(jobs: list[TrialJob], n_jobs: int = 1):
-    """Execute trial jobs and fold results ordered by tag (deterministic)."""
+def run_jobs(jobs: list[TrialJob], n_jobs: int = 1) -> list[list[TrialResult]]:
+    """Execute trial jobs; results grouped by row, each group in job order.
+
+    Rows are numbered from 0 and `pool.map` keeps job order, so the groups
+    do not depend on the worker count.
+    """
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_run_job, jobs, chunksize=8))
     else:
         results = [_run_job(j) for j in jobs]
-    return sorted(results, key=lambda item: item[0])
+    groups: list[list[TrialResult]] = [
+        [] for _ in range(max((job.row for job in jobs), default=-1) + 1)]
+    for job, result in zip(jobs, results):
+        groups[job.row].append(result)
+    return groups
+
+
+def _recall_stats(group: list[TrialResult]) -> dict:
+    recalls = [r.recall for r in group]
+    return {"n_trials": len(group), "mean_recall": float(np.mean(recalls)),
+            "std_recall": float(np.std(recalls))}
 
 
 def recall_curve(scene_cfgs: list[SceneConfig], methods: list[str],
                  budgets: list[int], seeds: int, cfg: ScenarioConfig,
                  n_jobs: int = 1) -> list[dict]:
     """Mean recall per (method, budget) over seeds x scenes."""
-    jobs = []
-    for mi, method in enumerate(methods):
-        for bi, budget in enumerate(budgets):
-            for si, scene_cfg in enumerate(scene_cfgs):
-                for seed in range(seeds):
-                    jobs.append(TrialJob(
-                        scene_cfg=scene_cfg, scene_seed=(11, si, seed),
-                        method=method, budget=budget,
-                        iters=cfg.engine.iterations,
-                        trial_seed=(13, si, seed, mi, budget), cfg=cfg,
-                        tag=(mi, bi, si, seed)))
-    results = run_jobs(jobs, n_jobs)
-    table: dict[tuple[int, int], list[TrialResult]] = {}
-    for tag, res in results:
-        table.setdefault((tag[0], tag[1]), []).append(res)
-    rows = []
-    for mi, method in enumerate(methods):
-        for bi, budget in enumerate(budgets):
-            group = table[(mi, bi)]
-            recalls = [r.recall for r in group]
-            rows.append({
-                "method": method, "budget": budget, "n_trials": len(group),
-                "mean_recall": float(np.mean(recalls)),
-                "std_recall": float(np.std(recalls)),
-                "mean_ap": float(np.mean([r.ap for r in group])),
-            })
-    return rows
+    cells = [(mi, bi) for mi in range(len(methods)) for bi in range(len(budgets))]
+    jobs = [TrialJob(scene_cfg=scene_cfg, scene_seed=(11, si, seed),
+                     method=methods[mi], budget=budgets[bi], cfg=cfg, row=row,
+                     trial_seed=(13, si, seed, mi, budgets[bi]), seed=seed)
+            for row, (mi, bi) in enumerate(cells)
+            for si, scene_cfg in enumerate(scene_cfgs) for seed in range(seeds)]
+    return [{"method": methods[mi], "budget": budgets[bi], **_recall_stats(group),
+             "mean_ap": float(np.mean([r.ap for r in group]))}
+            for (mi, bi), group in zip(cells, run_jobs(jobs, n_jobs))]
 
 
 def proportion_sweep(base_scene: SceneConfig, proportions: list[float],
                      methods: list[str], seeds: int, budget: int,
                      cfg: ScenarioConfig, n_jobs: int = 1) -> list[dict]:
     """Mean recall per (proportion, method) with common random seeds."""
-    jobs = []
-    for pi, proportion in enumerate(proportions):
-        scene_cfg = proportion_scene(base_scene, proportion)
-        for mi, method in enumerate(methods):
-            for seed in range(seeds):
-                jobs.append(TrialJob(
-                    scene_cfg=scene_cfg, scene_seed=(17, seed),
-                    method=method, budget=budget,
-                    iters=cfg.engine.iterations,
-                    trial_seed=(19, seed, mi), cfg=cfg,
-                    tag=(pi, mi, seed)))
-    results = run_jobs(jobs, n_jobs)
-    table: dict[tuple[int, int], list[TrialResult]] = {}
-    for tag, res in results:
-        table.setdefault((tag[0], tag[1]), []).append(res)
-    rows = []
-    for pi, proportion in enumerate(proportions):
-        for mi, method in enumerate(methods):
-            group = table[(pi, mi)]
-            recalls = [r.recall for r in group]
-            rows.append({
-                "proportion": proportion, "method": methods[mi],
-                "n_trials": len(group),
-                "mean_recall": float(np.mean(recalls)),
-                "std_recall": float(np.std(recalls)),
-            })
-    return rows
+    scenes = [proportion_scene(base_scene, p) for p in proportions]
+    cells = [(pi, mi) for pi in range(len(proportions))
+             for mi in range(len(methods))]
+    jobs = [TrialJob(scene_cfg=scenes[pi], scene_seed=(17, seed),
+                     method=methods[mi], budget=budget,
+                     trial_seed=(19, seed, mi), cfg=cfg, row=row, seed=seed)
+            for row, (pi, mi) in enumerate(cells) for seed in range(seeds)]
+    return [{"proportion": proportions[pi], "method": methods[mi],
+             **_recall_stats(group)}
+            for (pi, mi), group in zip(cells, run_jobs(jobs, n_jobs))]
 
 
 def ablation(cfg: ScenarioConfig, seeds: int | None = None,
@@ -627,35 +586,26 @@ def ablation(cfg: ScenarioConfig, seeds: int | None = None,
     budget = cfg.experiment.ablation_budget if budget is None else budget
     presets = cfg.presets or [DetectorPreset("default", cfg.detector.base_recall,
                                              cfg.detector.sigma_base_deg)]
-    jobs = []
-    for di, preset in enumerate(presets):
-        det_cfg = replace(cfg.detector, base_recall=preset.base_recall,
-                          sigma_base_deg=preset.sigma_base_deg)
-        for ai, (arm, spec) in enumerate((("with", METHODS["ppm_ps"]),
-                                          ("without", NO_PPM_SPEC))):
-            for seed in range(seeds):
-                jobs.append(TrialJob(
-                    scene_cfg=cfg.scene, scene_seed=(23, seed),
-                    method=f"ppm_ps[{arm}]", budget=budget,
-                    iters=cfg.engine.iterations,
-                    trial_seed=(29, di, ai, seed), cfg=cfg, spec=spec,
-                    detector_cfg=det_cfg, tag=(di, ai, seed)))
-    results = run_jobs(jobs, n_jobs)
-    table: dict[tuple[int, int], list[TrialResult]] = {}
-    for tag, res in results:
-        table.setdefault((tag[0], tag[1]), []).append(res)
+    cfgs = [replace(cfg, detector=replace(cfg.detector, base_recall=p.base_recall,
+                                          sigma_base_deg=p.sigma_base_deg))
+            for p in presets]
+    arms = (("with", METHODS["ppm_ps"]), ("without", NO_PPM_SPEC))
+    cells = [(di, ai) for di in range(len(presets)) for ai in range(len(arms))]
+    jobs = [TrialJob(scene_cfg=cfg.scene, scene_seed=(23, seed),
+                     method=f"ppm_ps[{arms[ai][0]}]", budget=budget,
+                     trial_seed=(29, di, ai, seed), cfg=cfgs[di], row=row,
+                     seed=seed, spec=arms[ai][1])
+            for row, (di, ai) in enumerate(cells) for seed in range(seeds)]
     rows = []
-    for di, preset in enumerate(presets):
-        for ai, arm in enumerate(("with", "without")):
-            group = table[(di, ai)]
-            sim_speed = sum(r.views for r in group) / max(
-                sum(r.elapsed_sim_ms for r in group) / 1e3, 1e-9)
-            rows.append({
-                "preset": preset.name, "ppm": arm, "n_trials": len(group),
-                "mean_recall": float(np.mean([r.recall for r in group])),
-                "mean_ap": float(np.mean([r.ap for r in group])),
-                "views_per_sim_s": sim_speed,
-            })
+    for (di, ai), group in zip(cells, run_jobs(jobs, n_jobs)):
+        sim_speed = sum(r.views for r in group) / max(
+            sum(r.elapsed_sim_ms for r in group) / 1e3, 1e-9)
+        rows.append({
+            "preset": presets[di].name, "ppm": arms[ai][0], "n_trials": len(group),
+            "mean_recall": float(np.mean([r.recall for r in group])),
+            "mean_ap": float(np.mean([r.ap for r in group])),
+            "views_per_sim_s": sim_speed,
+        })
     return rows
 
 
@@ -669,24 +619,20 @@ def deviation_study(scene_cfg: SceneConfig, seeds: int, budget: int,
     """
     cfg = scenario_copy(cfg)
     cfg.engine.init_frac = min(cfg.engine.init_frac, 0.5)  # leave room to iterate
-    jobs = []
-    for vi, (arm, spec) in enumerate((("on", METHODS["ppm_ps"]),
-                                      ("off", NO_VOTE_SPEC))):
-        for seed in range(seeds):
-            jobs.append(TrialJob(
-                scene_cfg=scene_cfg, scene_seed=(31, seed),
-                method=f"ppm_ps[vote={arm}]", budget=budget,
-                iters=iters, trial_seed=(37, vi, seed),
-                cfg=cfg, spec=spec, tag=(vi, seed)))
-    results = run_jobs(jobs, n_jobs)
-    worlds = {seed: _world_cache(scene_cfg, (31, seed)) for seed in range(seeds)}
+    cfg.engine.iterations = iters
+    arms = (("on", METHODS["ppm_ps"]), ("off", NO_VOTE_SPEC))
+    jobs = [TrialJob(scene_cfg=scene_cfg, scene_seed=(31, seed),
+                     method=f"ppm_ps[vote={arm}]", budget=budget,
+                     trial_seed=(37, vi, seed), cfg=cfg, row=vi, seed=seed,
+                     spec=spec)
+            for vi, (arm, spec) in enumerate(arms) for seed in range(seeds)]
+    worlds = [_world_cache(scene_cfg, (31, seed)) for seed in range(seeds)]
     rows = []
-    for vi, arm in enumerate(("on", "off")):
-        group = [res for tag, res in results if tag[0] == vi]
+    for (arm, _), group in zip(arms, run_jobs(jobs, n_jobs)):
         n_targets = max(r.n_objects for r in group)
         for target in range(n_targets):
             moving = any(any(v != 0.0 for v in w.objects[target].velocity)
-                         for w in worlds.values())
+                         for w in worlds)
             dxs, dys, pres, posts = [], [], [], []
             for res in group:
                 rec = res.found.get(target)

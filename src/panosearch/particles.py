@@ -15,7 +15,7 @@ import numpy as np
 
 from .galvo import clamp_angle
 from .ppm import Ppm
-from .scene import SceneMap
+from .scene import SceneMap, bbox_draw, rejection_sample
 
 _PRUNE_BLOCK = 32  # ranked particles whose distance rows are computed at once
 
@@ -25,7 +25,6 @@ class Particle:
     theta_h: float
     theta_v: float
     weight: float
-    stage: int = 0
     sigma: float = 1.0  # per-particle sampling std, degrees
 
 
@@ -40,7 +39,6 @@ class MixtureComponent:
 @dataclass(frozen=True)
 class ProposalMixture:
     components: tuple[MixtureComponent, ...]
-    stage: int = 0
 
 
 def initial_sample(ppm: Ppm, scene: SceneMap, seed,
@@ -52,70 +50,50 @@ def initial_sample(ppm: Ppm, scene: SceneMap, seed,
     border.  All weights start at 1/N.
     """
     rng = np.random.default_rng(seed)
-    n = ppm.total_particles
-    w0 = 1.0 / n
-    particles: list[Particle] = []
+    w0 = 1.0 / ppm.total_particles
+    grid = ppm.label_grid
+    h, w = grid.shape
+    points: list[tuple[float, float]] = []
     for rid in sorted(ppm.remainder_counts):
         count = ppm.remainder_counts[rid]
-        if count <= 0:
+        x0, y0, x1, y1 = ppm.region_bboxes[rid]
+        if count <= 0 or x1 <= x0 or y1 <= y0:
             continue
-        for x, y in _uniform_in_region(rng, ppm.label_grid,
-                                       ppm.region_bboxes[rid], rid, count):
-            th, tv = scene.pano_to_galvo(x, y)
-            particles.append(Particle(clamp_angle(th, limit), clamp_angle(tv, limit),
-                                      w0, stage=0, sigma=sigma0))
+        hits = rejection_sample(rng, grid, rid, bbox_draw(ppm.region_bboxes[rid]),
+                                count, max_rounds=200)
+        if len(hits) < count:
+            raise RuntimeError(f"region {rid}: rejection sampling starved "
+                               f"({len(hits)}/{count} placed)")
+        points += hits
     for sub in ppm.sub_regions:
         if sub.count <= 0:
             continue
-        for x, y in _uniform_in_disc(rng, ppm.label_grid, sub.center,
-                                     sub.radius_px, sub.region_id, sub.count):
-            th, tv = scene.pano_to_galvo(x, y)
-            particles.append(Particle(clamp_angle(th, limit), clamp_angle(tv, limit),
-                                      w0, stage=0, sigma=sigma0))
+        cx, cy = sub.center
+        hits = rejection_sample(rng, grid, sub.region_id,
+                                _disc_draw(sub.center, sub.radius_px, w, h),
+                                sub.count, max_rounds=200)
+        # disc barely intersects its region: fall back to the detection center
+        center = (float(min(max(cx, 0.0), w - 1.0)),
+                  float(min(max(cy, 0.0), h - 1.0)))
+        points += hits + [center] * (sub.count - len(hits))
+    particles = []
+    for x, y in points:
+        th, tv = scene.pano_to_galvo(x, y)
+        particles.append(Particle(clamp_angle(th, limit), clamp_angle(tv, limit),
+                                  w0, sigma=sigma0))
     return particles
 
 
-def _uniform_in_region(rng, grid, bbox, region_id, count, max_rounds=200):
-    x0, y0, x1, y1 = bbox
-    if x1 <= x0 or y1 <= y0:
-        return
-    got = 0
-    for _ in range(max_rounds):
-        need = count - got
-        if need <= 0:
-            return
-        batch = max(need * 2, 16)
-        xs = rng.uniform(x0, x1, size=batch)
-        ys = rng.uniform(y0, y1, size=batch)
-        ok = grid[ys.astype(np.intp), xs.astype(np.intp)] == region_id
-        for i in np.flatnonzero(ok)[:need]:
-            yield (float(xs[i]), float(ys[i]))
-            got += 1
-    if got < count:
-        raise RuntimeError(f"region {region_id}: rejection sampling starved "
-                           f"({got}/{count} placed)")
-
-
-def _uniform_in_disc(rng, grid, center, radius, region_id, count, max_rounds=200):
-    h, w = grid.shape
+def _disc_draw(center: tuple[float, float], radius: float, w: int, h: int):
+    """A `draw` for rejection_sample: points uniform in a disc, clipped to the grid."""
     cx, cy = center
-    got = 0
-    for _ in range(max_rounds):
-        need = count - got
-        if need <= 0:
-            return
-        batch = max(need * 2, 16)
-        r = radius * np.sqrt(rng.random(batch))
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=batch)
-        xs = np.clip(cx + r * np.cos(phi), 0.0, w - 1.0)
-        ys = np.clip(cy + r * np.sin(phi), 0.0, h - 1.0)
-        ok = grid[ys.astype(np.intp), xs.astype(np.intp)] == region_id
-        for i in np.flatnonzero(ok)[:need]:
-            yield (float(xs[i]), float(ys[i]))
-            got += 1
-    # disc barely intersects its region: fall back to the detection center
-    for _ in range(count - got):
-        yield (float(min(max(cx, 0.0), w - 1.0)), float(min(max(cy, 0.0), h - 1.0)))
+
+    def draw(rng, n):
+        r = radius * np.sqrt(rng.random(n))
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        return (np.clip(cx + r * np.cos(phi), 0.0, w - 1.0),
+                np.clip(cy + r * np.sin(phi), 0.0, h - 1.0))
+    return draw
 
 
 def build_proposal(particles: list[Particle]) -> ProposalMixture:
@@ -129,8 +107,7 @@ def build_proposal(particles: list[Particle]) -> ProposalMixture:
         raise ValueError("degenerate particle set: no positive weights")
     comps = tuple(MixtureComponent(p.theta_h, p.theta_v, p.sigma, p.weight / total)
                   for p in particles)
-    stage = max(p.stage for p in particles)
-    return ProposalMixture(components=comps, stage=stage)
+    return ProposalMixture(components=comps)
 
 
 def sample_next(mixture: ProposalMixture, count: int, seed,
@@ -154,7 +131,7 @@ def sample_next(mixture: ProposalMixture, count: int, seed,
         c = comps[int(picks[i])]
         th = clamp_angle(c.mean_h + noise[i, 0] * c.std, limit)
         tv = clamp_angle(c.mean_v + noise[i, 1] * c.std, limit)
-        out.append(Particle(th, tv, c.weight, stage=mixture.stage + 1, sigma=c.std))
+        out.append(Particle(th, tv, c.weight, sigma=c.std))
     return out
 
 

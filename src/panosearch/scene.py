@@ -148,7 +148,12 @@ def build_scene(config: SceneConfig, seed) -> SceneMap:
                     weights = np.array([r.area_px for r in regions])
                     total = weights.sum()
                 region = regions[int(rng.choice(len(regions), p=weights / total))]
-            center = _sample_in_region(rng, labels, bboxes[region.id], region.id)
+            hits = rejection_sample(rng, labels, region.id,
+                                    bbox_draw(bboxes[region.id]), 1, max_rounds=64)
+            if not hits:
+                raise ConfigError(f"could not place a point in region {region.id} "
+                                  f"(is its area vanishing?)")
+            center = hits[0]
             angle = rng.uniform(0.0, 2.0 * math.pi)
             velocity = (group.speed * math.cos(angle), group.speed * math.sin(angle))
             w, h = group.size
@@ -166,21 +171,29 @@ def build_scene(config: SceneConfig, seed) -> SceneMap:
                     region_bboxes=tuple(bboxes))
 
 
-def _sample_in_region(rng: np.random.Generator, labels: np.ndarray,
-                      bbox: tuple[int, int, int, int], region_id: int,
-                      max_rounds: int = 64) -> tuple[float, float]:
-    """Uniform point inside a region via bbox rejection sampling."""
+def bbox_draw(bbox: tuple[int, int, int, int]):
+    """A `draw` for rejection_sample: points uniform in an (x0, y0, x1, y1) box."""
     x0, y0, x1, y1 = bbox
+    return lambda rng, n: (rng.uniform(x0, x1, size=n), rng.uniform(y0, y1, size=n))
+
+
+def rejection_sample(rng: np.random.Generator, labels: np.ndarray,
+                     region_id: int, draw, count: int,
+                     max_rounds: int) -> list[tuple[float, float]]:
+    """Up to `count` points from draw(rng, n) -> (xs, ys) inside a region.
+
+    Each round draws max(2 * still needed, 16) candidates and keeps the
+    first hits; after max_rounds rounds the caller handles any shortfall.
+    """
+    points: list[tuple[float, float]] = []
     for _ in range(max_rounds):
-        xs = rng.uniform(x0, x1, size=16)
-        ys = rng.uniform(y0, y1, size=16)
+        need = count - len(points)
+        if need <= 0:
+            break
+        xs, ys = draw(rng, max(2 * need, 16))
         hit = labels[ys.astype(np.intp), xs.astype(np.intp)] == region_id
-        idx = np.flatnonzero(hit)
-        if idx.size:
-            i = int(idx[0])
-            return (float(xs[i]), float(ys[i]))
-    raise ConfigError(f"could not place a point in region {region_id} "
-                      f"(is its area vanishing?)")
+        points += [(float(xs[i]), float(ys[i])) for i in np.flatnonzero(hit)[:need]]
+    return points
 
 
 def _reflect(pos: float, lo: float, hi: float) -> tuple[float, float]:

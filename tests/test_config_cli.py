@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from panosearch.cli import main
+from panosearch.cli import STUDIES, main
 from panosearch.config import (ConfigError, apply_overrides, build_scenario,
                                check_scenario, default_scenario, load_scenario,
                                parse_text, serialize_scenario)
@@ -305,13 +305,50 @@ def test_sweep_ablation_deviation_outputs(tmp_path):
     assert len(deviation) == 1 + 9 * 2  # targets x {on, off}
 
 
-def test_jobs_flag_gives_same_results(tmp_path):
+@pytest.mark.parametrize("command", list(STUDIES))
+def test_jobs_flag_gives_same_results(tmp_path, command):
     cfg = _tiny_cfg(tmp_path)
     out_a, out_b = tmp_path / "j1", tmp_path / "j2"
-    main(["curve", "--config", cfg, "--out", str(out_a)])
-    main(["curve", "--config", cfg, "--jobs", "2", "--out", str(out_b)])
-    assert (out_a / "recall_curve.csv").read_bytes() == \
-        (out_b / "recall_curve.csv").read_bytes()
+    assert main([command, "--config", cfg, "--out", str(out_a)]) == 0
+    assert main([command, "--config", cfg, "--jobs", "2", "--out", str(out_b)]) == 0
+    csv = STUDIES[command].csv
+    assert (out_a / csv).read_bytes() == (out_b / csv).read_bytes()
+
+
+def test_repeated_config_entries_give_one_row_each(tmp_path):
+    path = tmp_path / "repeat.cfg"
+    path.write_text(
+        "experiment {\n"
+        "    methods = ppm_ps mpf\n"
+        "    budgets = 40 40\n"
+        "    seeds = 2\n"
+        "    scenes = 1\n"
+        "    proportions = 0.3 0.3\n"
+        "    sweep_budget = 40\n"
+        "    sweep_seeds = 2\n"
+        "    ablation_budget = 40\n"
+        "    ablation_seeds = 2\n"
+        "}\n"
+        "preset {\n    name = p\n    base_recall = 0.9\n}\n"
+        "preset {\n    name = p\n    base_recall = 0.2\n}\n")
+    out = tmp_path / "out"
+    for command in ("curve", "sweep", "ablation"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    curve = _csv_rows(out / "recall_curve.csv")
+    assert [(r["method"], r["budget"], r["n_trials"]) for r in curve] == [
+        ("ppm_ps", "40", "2"), ("ppm_ps", "40", "2"),
+        ("mpf", "40", "2"), ("mpf", "40", "2")]
+    assert curve[0] == curve[1] and curve[2] == curve[3]
+    sweep = _csv_rows(out / "proportion_sweep.csv")
+    assert [(r["proportion"], r["method"], r["n_trials"]) for r in sweep] == [
+        ("0.30", "ppm_ps", "2"), ("0.30", "mpf", "2"),
+        ("0.30", "ppm_ps", "2"), ("0.30", "mpf", "2")]
+    assert sweep[:2] == sweep[2:]
+    ablation = _csv_rows(out / "ablation.csv")
+    assert [(r["preset"], r["ppm"], r["n_trials"]) for r in ablation] == [
+        ("p", "with", "2"), ("p", "without", "2"),
+        ("p", "with", "2"), ("p", "without", "2")]
+    assert ablation[:2] != ablation[2:]  # each preset runs its own detector
 
 
 # --- values the loader rejects, at every entry point --------------------------

@@ -80,7 +80,25 @@ def test_budget_split_semantics():
     rounds = _split_budget(100, 3, 0.85)
     assert sum(rounds) == 100
     assert rounds[0] == 85
-    assert _split_budget(1, 4, 0.85) == [1, 0, 0, 0]
+    assert _split_budget(1, 4, 0.85) == [1]
+
+
+def test_split_budget_runs_only_passes_the_budget_can_fill():
+    assert _split_budget(20, 40, 0.85) == _split_budget(20, 4, 0.85) \
+        == [17, 1, 1, 1]
+    rounds = _split_budget(400, 10**6, 0.85)
+    assert sum(rounds) == 400
+    assert 0 not in rounds and len(rounds) <= 400
+
+
+def test_passes_beyond_the_budget_change_no_result(scenario):
+    # both calls run passes [17, 1, 1, 1]; the last of them must reach AP
+    for seed in range(40):
+        scene = build_scene(scenario.scene, [11, 0, seed])
+        for method in scenario.experiment.methods:
+            many = run_trial(scene, method, 20, 40, seed, scenario)
+            few = run_trial(scene, method, 20, 4, seed, scenario)
+            assert (many.recall, many.ap) == (few.recall, few.ap), (method, seed)
 
 
 def test_multi_round_budget_consumed_exactly(scenario):

@@ -15,8 +15,8 @@ from panosearch.ppm import build_ppm
 from panosearch.scene import build_scene, region_at
 
 
-def particle(th=0.0, tv=0.0, w=1.0, sigma=1.0, stage=0):
-    return Particle(th, tv, w, stage=stage, sigma=sigma)
+def particle(th=0.0, tv=0.0, w=1.0, sigma=1.0):
+    return Particle(th, tv, w, sigma=sigma)
 
 
 # --- initial_sample ---------------------------------------------------------
@@ -93,14 +93,13 @@ def test_component_frequencies_match_mix_weights():
 
 
 def test_sample_next_delta_limit():
-    q = ProposalMixture((MixtureComponent(4.0, -3.0, 0.0, 1.0),), stage=2)
+    q = ProposalMixture((MixtureComponent(4.0, -3.0, 0.0, 1.0),))
     draws = sample_next(q, 50, seed=0)
     assert all(p.theta_h == 4.0 and p.theta_v == -3.0 for p in draws)
-    assert all(p.stage == 3 for p in draws)
 
 
 def test_sample_next_clamps_to_range():
-    q = ProposalMixture((MixtureComponent(20.0, 0.0, 1.0, 1.0),), stage=0)
+    q = ProposalMixture((MixtureComponent(20.0, 0.0, 1.0, 1.0),))
     draws = sample_next(q, 200, seed=1)
     assert all(p.theta_h <= 20.0 for p in draws)
     assert any(p.theta_h == 20.0 for p in draws)

@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panosearch.config import (ConfigError, ObjectGroupSpec, RegionSpec,
                                SceneConfig)
 from panosearch.experiment import default_scene_variants
 from panosearch.config import default_scenario
-from panosearch.scene import _reflect, build_scene, region_at, step_motion
+from panosearch.particles import _disc_draw
+from panosearch.scene import (_reflect, bbox_draw, build_scene, region_at,
+                              rejection_sample, step_motion)
 
 
 def single_region_config(groups=None):
@@ -170,3 +176,116 @@ def test_scene_variants_cover_requested_count():
     assert len(rects) == 5
     for v in variants:
         build_scene(v, seed=0)  # all variants remain valid partitions
+
+
+# --- one rejection sampler against the three it replaced -------------------------
+
+def ref_sample_in_region(rng, labels, bbox, region_id, max_rounds=64):
+    x0, y0, x1, y1 = bbox
+    for _ in range(max_rounds):
+        xs = rng.uniform(x0, x1, size=16)
+        ys = rng.uniform(y0, y1, size=16)
+        hit = labels[ys.astype(np.intp), xs.astype(np.intp)] == region_id
+        idx = np.flatnonzero(hit)
+        if idx.size:
+            i = int(idx[0])
+            return (float(xs[i]), float(ys[i]))
+    raise ConfigError(f"could not place a point in region {region_id}")
+
+
+def ref_uniform_in_region(rng, grid, bbox, region_id, count, max_rounds=200):
+    x0, y0, x1, y1 = bbox
+    got = 0
+    for _ in range(max_rounds):
+        need = count - got
+        if need <= 0:
+            return
+        batch = max(need * 2, 16)
+        xs = rng.uniform(x0, x1, size=batch)
+        ys = rng.uniform(y0, y1, size=batch)
+        ok = grid[ys.astype(np.intp), xs.astype(np.intp)] == region_id
+        for i in np.flatnonzero(ok)[:need]:
+            yield (float(xs[i]), float(ys[i]))
+            got += 1
+    if got < count:
+        raise RuntimeError("starved")
+
+
+def ref_uniform_in_disc(rng, grid, center, radius, region_id, count,
+                        max_rounds=200):
+    h, w = grid.shape
+    cx, cy = center
+    got = 0
+    for _ in range(max_rounds):
+        need = count - got
+        if need <= 0:
+            return
+        batch = max(need * 2, 16)
+        r = radius * np.sqrt(rng.random(batch))
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=batch)
+        xs = np.clip(cx + r * np.cos(phi), 0.0, w - 1.0)
+        ys = np.clip(cy + r * np.sin(phi), 0.0, h - 1.0)
+        ok = grid[ys.astype(np.intp), xs.astype(np.intp)] == region_id
+        for i in np.flatnonzero(ok)[:need]:
+            yield (float(xs[i]), float(ys[i]))
+            got += 1
+    for _ in range(count - got):
+        yield (float(min(max(cx, 0.0), w - 1.0)), float(min(max(cy, 0.0), h - 1.0)))
+
+
+@st.composite
+def sampler_cases(draw):
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    # region 0 is often rare or absent, so rounds run out
+    cells = draw(st.lists(st.sampled_from([0, 1, 1, 2]), min_size=h * w,
+                          max_size=h * w))
+    labels = np.array(cells, dtype=np.int16).reshape(h, w)
+    x0, y0 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+    bbox = (x0, y0, draw(st.integers(x0 + 1, w)), draw(st.integers(y0 + 1, h)))
+    return (labels, bbox, draw(st.integers(0, 2)), draw(st.integers(1, 40)),
+            draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1)))
+
+
+def _drain(gen, out):
+    try:
+        out.extend(gen)
+    except RuntimeError:
+        return False
+    return True
+
+
+@given(case=sampler_cases(), center=st.tuples(st.floats(-3, 12), st.floats(-3, 12)),
+       radius=st.floats(0.0, 6.0))
+@settings(max_examples=300, deadline=None)
+def test_rejection_sample_matches_the_three_old_samplers(case, center, radius):
+    labels, bbox, rid, count, rounds, seed = case
+    h, w = labels.shape
+
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = [ref_sample_in_region(old, labels, bbox, rid, rounds)]
+    except ConfigError:
+        expected = []
+    assert rejection_sample(new, labels, rid, bbox_draw(bbox), 1, rounds) \
+        == expected
+    assert old.bit_generator.state == new.bit_generator.state
+
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = []
+    filled = _drain(ref_uniform_in_region(old, labels, bbox, rid, count, rounds),
+                    expected)
+    got = rejection_sample(new, labels, rid, bbox_draw(bbox), count, rounds)
+    assert got == expected
+    assert filled == (len(got) == count)
+    assert old.bit_generator.state == new.bit_generator.state
+
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = list(ref_uniform_in_disc(old, labels, center, radius, rid, count,
+                                        rounds))
+    got = rejection_sample(new, labels, rid, _disc_draw(center, radius, w, h),
+                           count, rounds)
+    assert got == expected[:len(got)]
+    fallback = (float(min(max(center[0], 0.0), w - 1.0)),
+                float(min(max(center[1], 0.0), h - 1.0)))
+    assert expected[len(got):] == [fallback] * (count - len(got))
+    assert old.bit_generator.state == new.bit_generator.state
