@@ -8,7 +8,7 @@ from .detector import Detection, SyntheticDetector, detect, likelihood
 from .experiment import (METHODS, TrialResult, ablation, deviation_study,
                          proportion_sweep, recall_curve, run_trial)
 from .galvo import GalvoState, View, capture_view, image_to_galvo, plan_scan
-from .particles import (Particle, ProposalMixture, build_proposal,
+from .particles import (Particle, ParticleSet, build_proposal,
                         initial_sample, normalize_weights, prune_redundant,
                         sample_next, update_weights)
 from .ppm import (PanoDetection, Ppm, build_ppm, refine_allocation,
@@ -27,7 +27,7 @@ __all__ = [
     "METHODS", "TrialResult", "ablation", "deviation_study",
     "proportion_sweep", "recall_curve", "run_trial",
     "GalvoState", "View", "capture_view", "image_to_galvo", "plan_scan",
-    "Particle", "ProposalMixture", "build_proposal", "initial_sample",
+    "Particle", "ParticleSet", "build_proposal", "initial_sample",
     "normalize_weights", "prune_redundant", "sample_next", "update_weights",
     "PanoDetection", "Ppm", "build_ppm", "refine_allocation",
     "region_sampling_prob", "segment_panorama",

@@ -18,12 +18,8 @@ from typing import Callable, NamedTuple
 from . import experiment as exp
 from .config import (ConfigError, ScenarioConfig, load_scenario,
                      serialize_scenario)
-from .detector import write_detections_csv
-from .galvo import write_scan_log
-from .particles import write_particles_csv
-from .ppm import write_ppm_csv
-from .refinement import write_windows_csv
-from .scene import build_scene, write_label_grid
+from .ppm import Ppm
+from .scene import SceneMap, build_scene
 
 OUT_ENV = "PANOSEARCH_OUT"
 
@@ -47,18 +43,18 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _rows_to_csv(rows: list[dict], columns: dict[str, str]) -> str:
-    """CSV text of the given columns, in order, each printed with its %-format."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt % row[col] for col, fmt in columns.items()))
-    return "\n".join(lines) + "\n"
+def _rows_to_csv(rows, columns: dict[str, str]) -> str:
+    """CSV text: the column names, then per row its values in column order,
+    each printed with its column's %-format."""
+    line = ",".join(columns.values()) + "\n"
+    return ",".join(columns) + "\n" + "".join(line % tuple(row) for row in rows)
 
 
 def _write_results(cfg: ScenarioConfig, out: str, name: str, rows: list[dict],
                    columns: dict[str, str]) -> None:
     """The rows as CSV file `name`, and the effective config echoed beside it."""
-    _write_atomic(os.path.join(out, name), _rows_to_csv(rows, columns))
+    _write_atomic(os.path.join(out, name),
+                  _rows_to_csv(([row[c] for c in columns] for row in rows), columns))
     _write_atomic(os.path.join(out, "effective.cfg"), serialize_scenario(cfg))
 
 
@@ -97,16 +93,7 @@ def cmd_trial(args) -> int:
     }
     _write_results(cfg, out, "trial.csv", [row], TRIAL_COLUMNS)
     if args.dump:
-        write_label_grid(scene, os.path.join(out, "scene_grid.txt"))
-        ppm_path = os.path.join(out, "ppm.csv")
-        if trace.ppm is not None:
-            write_ppm_csv(trace.ppm, ppm_path, cfg.experiment.target)
-        elif os.path.exists(ppm_path):
-            os.remove(ppm_path)  # left by an earlier trial: not this one's map
-        write_scan_log(os.path.join(out, "scan_log.csv"), trace.scan)
-        write_detections_csv(os.path.join(out, "detections.csv"), trace.detections)
-        write_windows_csv(os.path.join(out, "windows.csv"), trace.windows)
-        write_particles_csv(os.path.join(out, "particles.csv"), trace.particles)
+        _write_dump(out, scene, trace, cfg.experiment.target)
     wall_views_per_s = (result.views / (result.wall_ms / 1e3)
                         if result.views else 0.0)
     print(f"trial method={result.method} seed={seed} budget={result.budget} "
@@ -114,6 +101,60 @@ def cmd_trial(args) -> int:
           f"found={len(result.found)}/{result.n_objects} "
           f"wall_views_per_s={wall_views_per_s:.0f}")
     return 0
+
+
+# the per-pass logs of `trial --dump`; `stage` is the scan pass, from 1
+SCAN_COLUMNS = {"seq": "%s", "theta_h": "%.6f", "theta_v": "%.6f",
+                "elapsed_ms": "%.4f", "n_visible": "%s"}
+PARTICLE_COLUMNS = {"stage": "%s", "theta_h": "%.6f", "theta_v": "%.6f",
+                    "weight": "%.9e", "sigma": "%.6f"}
+DETECTION_COLUMNS = {"stage": "%s", "particle": "%s", "theta_h": "%.6f",
+                     "theta_v": "%.6f", "p": "%.6f", "var_h": "%.6e",
+                     "var_v": "%.6e"}
+WINDOW_COLUMNS = {"stage": "%s", "window": "%s", "center_h": "%.6f",
+                  "center_v": "%.6f", "radius_h": "%.6e", "radius_v": "%.6e",
+                  "n_members": "%s"}
+
+
+def _label_grid_text(scene: SceneMap) -> str:
+    """Header 'W H', then one space-separated row of region ids per line."""
+    return f"{scene.width} {scene.height}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in scene.labels.tolist())
+
+
+def _ppm_csv(ppm: Ppm, target: str) -> str:
+    """One row per region, then one row per sub-region disc."""
+    lines = ["kind,region_id,label,area_px,prior,F,x_r,x_rm,"
+             "center_x,center_y,radius_px,x_ro\n"]
+    by_id = {r.id: r for r in ppm.regions}
+    for rid in sorted(ppm.region_probs):
+        region = by_id[rid]
+        allocated = ppm.remainder_counts.get(rid, 0) + sum(
+            s.count for s in ppm.sub_regions if s.region_id == rid)
+        lines.append(f"region,{rid},{region.label},{region.area_px:.0f},"
+                     f"{region.prior(target):.4f},{ppm.region_probs[rid]:.9f},"
+                     f"{allocated},{ppm.remainder_counts.get(rid, 0)},,,,\n")
+    for s in ppm.sub_regions:
+        lines.append(f"subregion,{s.region_id},,,,,,,{s.center[0]:.2f},"
+                     f"{s.center[1]:.2f},{s.radius_px:.3f},{s.count}\n")
+    return "".join(lines)
+
+
+def _write_dump(out: str, scene: SceneMap, trace: exp.TrialTrace,
+                target: str) -> None:
+    """The scene grid, the first pass's map and the per-pass logs of a trial."""
+    _write_atomic(os.path.join(out, "scene_grid.txt"), _label_grid_text(scene))
+    ppm_path = os.path.join(out, "ppm.csv")
+    if trace.ppm is not None:
+        _write_atomic(ppm_path, _ppm_csv(trace.ppm, target))
+    elif os.path.exists(ppm_path):
+        os.remove(ppm_path)  # left by an earlier trial: not this one's map
+    for name, rows, columns in (
+            ("scan_log.csv", trace.scan, SCAN_COLUMNS),
+            ("particles.csv", trace.particles, PARTICLE_COLUMNS),
+            ("detections.csv", trace.detections, DETECTION_COLUMNS),
+            ("windows.csv", trace.windows, WINDOW_COLUMNS)):
+        _write_atomic(os.path.join(out, name), _rows_to_csv(rows, columns))
 
 
 class Study(NamedTuple):

@@ -148,8 +148,10 @@ class EngineConfig:
     sigma_min_deg: float = _key(0.05, "(0, 360]")
     sigma_max_deg: float = _key(3.0, "(0, 360]")
     iou_keep: float = _key(0.5, "[0, 1)")
-    sigma_t: float = _key(0.025, "(0, inf)")        # overlap-probability temperature
-    subregion_scale: float = _key(50.0, "(0, inf)")  # px of sub-region radius per unit uncertainty
+    # overlap-probability temperature; below 1e-6 every vote weight underflows
+    sigma_t: float = _key(0.025, "[1e-6, inf)")
+    # px of sub-region radius per unit uncertainty; squared in the prior variance
+    subregion_scale: float = _key(50.0, "(0, 1e6]")
     alpha: float = _key(0.002, "(0, 360]")          # degrees per view pixel
     view_w: int = _key(264, "[1, inf)")
     view_h: int = _key(224, "[1, inf)")

@@ -1,10 +1,10 @@
-"""Search-camera detector: pluggable interface plus the default synthetic model.
+"""Search-camera detector: the synthetic model every trial runs.
 
 A detector turns a captured view into detections carrying a confidence and
 per-axis localization variances, and reduces a view's detections to a single
-likelihood scalar for particle weighting.  Anything with the same
-``detect(view, seed) -> list[Detection]`` / ``likelihood(view, dets)``
-surface plugs into the engine unchanged.
+likelihood scalar for particle weighting.  A trial builds its
+`SyntheticDetector` from the config and calls only its
+``detect(view, rng) -> list[Detection]`` and ``likelihood(view, dets)``.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def likelihood(view: View, detections, floor: float = LIKELIHOOD_FLOOR) -> float
 
 
 class SyntheticDetector:
-    """Default detector bound to a config; satisfies the engine's interface."""
+    """The synthetic detector bound to a config, as a trial calls it."""
 
     def __init__(self, cfg: DetectorConfig, alpha: float = 0.002,
                  limit: float = 20.0, floor: float = LIKELIHOOD_FLOOR):
@@ -127,12 +127,3 @@ class SyntheticDetector:
 
     def likelihood(self, view: View, detections) -> float:
         return likelihood(view, detections, floor=self.floor)
-
-
-def write_detections_csv(path: str, rows) -> None:
-    """Detection log CSV: stage, particle, theta_h, theta_v, p, var_h, var_v."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("stage,particle,theta_h,theta_v,p,var_h,var_v\n")
-        for stage, particle, det in rows:
-            fh.write(f"{stage},{particle},{det.theta_h:.6f},{det.theta_v:.6f},"
-                     f"{det.confidence:.6f},{det.var_h:.6e},{det.var_v:.6e}\n")

@@ -22,7 +22,7 @@ from .config import (METHODS, ConfigError, DetectorPreset, MethodSpec,
                      scenario_copy)
 from .detector import Detection, SyntheticDetector
 from .galvo import GalvoState, capture_view, plan_scan
-from .particles import (Particle, build_proposal, initial_sample,
+from .particles import (ParticleSet, build_proposal, initial_sample,
                         normalize_weights, prune_redundant, sample_next,
                         update_weights)
 from .ppm import Ppm, allocate_ppm, segment_panorama
@@ -67,6 +67,7 @@ class TrialResult:
 class TrialTrace:
     """Optional per-trial logs: scan order, particles, detections, windows.
 
+    Each log row is a tuple in the column order of its `trial --dump` CSV.
     `ppm` is the probability map the first pass allocated, None for methods
     that allocate none.
     """
@@ -99,33 +100,25 @@ def _pano_extent_deg(scene: SceneMap, limit: float) -> tuple[float, float]:
 
 
 def _uniform_particles(scene: SceneMap, count: int, rng, sigma0: float,
-                       limit: float) -> list[Particle]:
+                       limit: float) -> ParticleSet:
     half_h, half_v = _pano_extent_deg(scene, limit)
-    w0 = 1.0 / count
     th = rng.uniform(-half_h, half_h, size=count)
     tv = rng.uniform(-half_v, half_v, size=count)
-    return [Particle(float(th[i]), float(tv[i]), w0, sigma=sigma0)
-            for i in range(count)]
+    return ParticleSet.fresh(th, tv, 1.0 / count, sigma0)
 
 
 def _grid_particles(scene: SceneMap, count: int, sigma0: float,
-                    limit: float) -> list[Particle]:
+                    limit: float) -> ParticleSet:
+    """The first `count` points, row by row, of an nx-by-ny >= count grid."""
     half_h, half_v = _pano_extent_deg(scene, limit)
     aspect = half_h / half_v
     nx = max(1, int(math.ceil(math.sqrt(count * aspect))))
     ny = max(1, int(math.ceil(count / nx)))
     xs = np.linspace(-half_h, half_h, nx + 2)[1:-1]
     ys = np.linspace(-half_v, half_v, ny + 2)[1:-1]
-    w0 = 1.0 / count
-    out = []
-    for y in ys:
-        for x in xs:
-            if len(out) == count:
-                return out
-            out.append(Particle(float(x), float(y), w0, sigma=sigma0))
-    while len(out) < count:  # ragged last row
-        out.append(Particle(0.0, 0.0, w0, sigma=sigma0))
-    return out
+    gx, gy = np.meshgrid(xs, ys)
+    return ParticleSet.fresh(gx.ravel()[:count], gy.ravel()[:count],
+                             1.0 / count, sigma0)
 
 
 def _object_boxes(scene: SceneMap) -> np.ndarray:
@@ -211,27 +204,25 @@ def _window_var(window: SearchWindow, radius_mode: str) -> float:
 
 
 def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
-              cfg: ScenarioConfig, detector_cfg=None) -> TrialResult:
+              cfg: ScenarioConfig) -> TrialResult:
     """Run one search trial of the named method on a prebuilt world."""
     spec = METHODS.get(method)
     if spec is None:
         raise ConfigError(f"unknown method {method!r}; expected one of "
                           f"{sorted(METHODS)}")
-    return run_trial_spec(scene, method, spec, budget, iters, seed, cfg,
-                          detector_cfg=detector_cfg)
+    return run_trial_spec(scene, method, spec, budget, iters, seed, cfg)
 
 
 def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
                    iters: int, seed, cfg: ScenarioConfig,
-                   detector_cfg=None, seed_label: int | None = None,
+                   seed_label: int | None = None,
                    trace: TrialTrace | None = None) -> TrialResult:
     t_start = time.perf_counter()
     eng = cfg.engine
-    det_cfg = detector_cfg if detector_cfg is not None else cfg.detector
     target = cfg.experiment.target
     rng = np.random.default_rng(seed)
     limit = eng.galvo_limit_deg
-    detector = SyntheticDetector(det_cfg, alpha=eng.alpha, limit=limit,
+    detector = SyntheticDetector(cfg.detector, alpha=eng.alpha, limit=limit,
                                  floor=eng.likelihood_floor)
     state = GalvoState(0.0, 0.0, step_response_ms=eng.step_response_ms)
 
@@ -275,7 +266,6 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
             ap_records.append((det.confidence, _object_id(scene, ap_j)))
 
     proposal = None
-    particles: list[Particle] = []
     last_round = len(rounds) - 1
     for k, n_k in enumerate(rounds):
         if k > 0:
@@ -299,31 +289,32 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
         else:
             particles = sample_next(proposal, n_k, rng, limit=limit)
 
-        order, pass_ms = plan_scan(state, [(p.theta_h, p.theta_v) for p in particles],
+        # adaptive sigma and coordinate refinement write into these lists
+        theta_h = particles.theta_h.tolist()
+        theta_v = particles.theta_v.tolist()
+        sigmas = particles.sigma.tolist()
+        order, pass_ms = plan_scan(state, list(zip(theta_h, theta_v)),
                                    dwell_ms=eng.dwell_ms)
         elapsed_before = state.elapsed_ms
         state.elapsed_ms += pass_ms
-        last = particles[order[-1]]
-        state.theta_h, state.theta_v = last.theta_h, last.theta_v
+        state.theta_h, state.theta_v = theta_h[order[-1]], theta_v[order[-1]]
         views += n_k
         if trace is not None:
-            trace.particles.extend(
-                (stage, p.theta_h, p.theta_v, p.weight, p.sigma)
-                for p in particles)
+            trace.particles.extend(zip([stage] * n_k, theta_h, theta_v,
+                                       particles.weight.tolist(), sigmas))
 
         likes = [eng.likelihood_floor] * n_k
         round_dets: list[Detection] = []
-        best_for: list[Detection | None] = [None] * n_k
+        best_for: dict[int, Detection] = {}  # particle index -> its best detection
         for seq, idx in enumerate(order):
-            p = particles[idx]
-            view = capture_view(scene, p.theta_h, p.theta_v,
+            view = capture_view(scene, theta_h[idx], theta_v[idx],
                                 width=eng.view_w, height=eng.view_h,
                                 alpha=eng.alpha, magnification=eng.magnification)
             dets = detector.detect(view, rng)
             likes[idx] = detector.likelihood(view, dets)
             if trace is not None:
                 trace.scan.append((
-                    len(trace.scan), p.theta_h, p.theta_v,
+                    len(trace.scan), theta_h[idx], theta_v[idx],
                     elapsed_before + (seq + 1) * (eng.step_response_ms + eng.dwell_ms),
                     len(view.visible)))
             if dets:
@@ -331,7 +322,8 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
                 best = None
                 for d in dets:
                     if trace is not None:
-                        trace.detections.append((stage, idx, d))
+                        trace.detections.append((stage, idx, d.theta_h, d.theta_v,
+                                                 d.confidence, d.var_h, d.var_v))
                     if d.object_id is not None:
                         pre_vars.setdefault(d.object_id, (d.var_h + d.var_v) / 2.0)
                     if best is None or d.confidence > best.confidence:
@@ -339,13 +331,15 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
                 best_for[idx] = best
                 if spec.adaptive_sigma:
                     sigma = math.sqrt((best.var_h + best.var_v) / 2.0)
-                    p.sigma = min(max(sigma, eng.sigma_min_deg), eng.sigma_max_deg)
+                    sigmas[idx] = min(max(sigma, eng.sigma_min_deg), eng.sigma_max_deg)
 
         windows = nms_merge(round_dets, iou_keep=eng.iou_keep,
                             sigma_t=eng.sigma_t, vote=spec.voting,
                             limit=limit, radius_mode=eng.radius_mode)
         if trace is not None:
-            trace.windows.extend((stage, wi, w) for wi, w in enumerate(windows))
+            trace.windows.extend((stage, wi, w.center_h, w.center_v, w.radius_h,
+                                  w.radius_v, len(w.members))
+                                 for wi, w in enumerate(windows))
         # windows arrive confidence-ranked: the first match per object wins
         # this pass, and an existing estimate only yields to a window at
         # least as confident as the one that produced it
@@ -383,22 +377,20 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
             for w in windows:
                 for m in w.members:
                     window_center[id(m)] = (w.center_h, w.center_v)
-            for idx, best in enumerate(best_for):
-                if best is not None:
-                    c_h, c_v = window_center.get(id(best),
-                                                 (best.theta_h, best.theta_v))
-                    particles[idx].theta_h = c_h
-                    particles[idx].theta_v = c_v
-            update_weights(particles, likes)
+            for idx, best in best_for.items():
+                theta_h[idx], theta_v[idx] = window_center.get(
+                    id(best), (best.theta_h, best.theta_v))
+            particles = update_weights(
+                ParticleSet(np.array(theta_h), np.array(theta_v),
+                            particles.weight, np.array(sigmas)), likes)
             try:
-                normalize_weights(particles)
+                particles = normalize_weights(particles)
             except ValueError:
                 proposal = None  # degenerate set: reseed from the prior next pass
                 continue
             particles = prune_redundant(particles, eng.fov_deg,
                                         overlap_frac=eng.overlap_frac)
-            normalize_weights(particles)
-            proposal = build_proposal(particles)
+            proposal = build_proposal(normalize_weights(particles))
 
     elapsed = views * eng.step_response_ms + views * eng.dwell_ms  # a move per view
     vacuous = n_objects == 0

@@ -47,8 +47,15 @@ class View:
     visible: tuple[VisibleObject, ...]
 
 
-def clamp_angle(theta: float, limit: float = GALVO_LIMIT_DEG) -> float:
-    return -limit if theta < -limit else (limit if theta > limit else theta)
+def clamp_angle(theta, limit: float = GALVO_LIMIT_DEG):
+    """An angle, or an array of them, clamped into [-limit, limit].
+
+    NaN and -0.0 pass through unchanged.  A scalar takes the builtins, about
+    10x faster than numpy on one value; voting clamps every window's center.
+    """
+    if isinstance(theta, np.ndarray):
+        return np.minimum(np.maximum(theta, -limit), limit)
+    return min(max(theta, -limit), limit)
 
 
 def image_to_galvo(theta_h: float, theta_v: float, t_x: float, t_y: float,
@@ -253,11 +260,3 @@ def _scan_tour(xs: np.ndarray, ys: np.ndarray, cx: float,
         cx = xs[pick]
         cy = ys[pick]
     return order
-
-
-def write_scan_log(path: str, rows) -> None:
-    """Scan log CSV: seq, theta_h, theta_v, elapsed_ms, n_visible."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("seq,theta_h,theta_v,elapsed_ms,n_visible\n")
-        for seq, th, tv, elapsed, n_vis in rows:
-            fh.write(f"{seq},{th:.6f},{tv:.6f},{elapsed:.4f},{n_vis}\n")

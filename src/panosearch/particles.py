@@ -3,13 +3,13 @@
 A particle is a candidate gaze point with an importance weight.  The initial
 set is drawn from the probability map (uniform over each region's remainder,
 uniform over each sub-region disc); later stages draw from a Gaussian mixture
-built around the retained weighted particles.
+whose components are the retained particles with their weights normalized.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,29 +20,51 @@ from .scene import SceneMap, bbox_draw, rejection_sample
 _PRUNE_BLOCK = 32  # ranked particles whose distance rows are computed at once
 
 
+@dataclass(eq=False)
+class ParticleSet:
+    """Gaze points (degrees), importance weights and sampling stds, one array each.
+
+    As a proposal, each particle is one isotropic Gaussian component: mean
+    its gaze point, std its sigma, mix weight its normalized weight.
+    """
+
+    theta_h: np.ndarray
+    theta_v: np.ndarray
+    weight: np.ndarray
+    sigma: np.ndarray
+
+    @classmethod
+    def fresh(cls, theta_h, theta_v, weight: float, sigma: float) -> ParticleSet:
+        """Points sharing one weight and one sigma."""
+        n = len(theta_h)
+        return cls(theta_h, theta_v, np.full(n, weight), np.full(n, sigma))
+
+    def __len__(self) -> int:
+        return len(self.weight)
+
+    def subset(self, index) -> ParticleSet:
+        """The particles an index array or boolean mask selects, in its order."""
+        return ParticleSet(self.theta_h[index], self.theta_v[index],
+                           self.weight[index], self.sigma[index])
+
+
 @dataclass
 class Particle:
+    """One weighted gaze point.
+
+    The engine works on `ParticleSet`; this type and the list form of
+    `normalize_weights` stay because the acceptance suite's conservation
+    criterion builds and normalizes a list of them.
+    """
+
     theta_h: float
     theta_v: float
     weight: float
     sigma: float = 1.0  # per-particle sampling std, degrees
 
 
-@dataclass(frozen=True)
-class MixtureComponent:
-    mean_h: float
-    mean_v: float
-    std: float
-    weight: float
-
-
-@dataclass(frozen=True)
-class ProposalMixture:
-    components: tuple[MixtureComponent, ...]
-
-
 def initial_sample(ppm: Ppm, scene: SceneMap, seed,
-                   sigma0: float = 1.0, limit: float = 20.0) -> list[Particle]:
+                   sigma0: float = 1.0, limit: float = 20.0) -> ParticleSet:
     """Draw the stage-0 particle set from the probability map.
 
     Remainder counts sample uniformly over their region's pixels; sub-region
@@ -50,7 +72,6 @@ def initial_sample(ppm: Ppm, scene: SceneMap, seed,
     border.  All weights start at 1/N.
     """
     rng = np.random.default_rng(seed)
-    w0 = 1.0 / ppm.total_particles
     grid = ppm.label_grid
     h, w = grid.shape
     points: list[tuple[float, float]] = []
@@ -76,12 +97,10 @@ def initial_sample(ppm: Ppm, scene: SceneMap, seed,
         center = (float(min(max(cx, 0.0), w - 1.0)),
                   float(min(max(cy, 0.0), h - 1.0)))
         points += hits + [center] * (sub.count - len(hits))
-    particles = []
-    for x, y in points:
-        th, tv = scene.pano_to_galvo(x, y)
-        particles.append(Particle(clamp_angle(th, limit), clamp_angle(tv, limit),
-                                  w0, sigma=sigma0))
-    return particles
+    xy = np.array(points, dtype=float).reshape(-1, 2)
+    th, tv = scene.pano_to_galvo(xy[:, 0], xy[:, 1])
+    return ParticleSet.fresh(clamp_angle(th, limit), clamp_angle(tv, limit),
+                             1.0 / ppm.total_particles, sigma0)
 
 
 def _disc_draw(center: tuple[float, float], radius: float, w: int, h: int):
@@ -96,22 +115,20 @@ def _disc_draw(center: tuple[float, float], radius: float, w: int, h: int):
     return draw
 
 
-def build_proposal(particles: list[Particle]) -> ProposalMixture:
-    """Gaussian mixture with one component per retained particle.
+def build_proposal(particles: ParticleSet) -> ParticleSet:
+    """The Gaussian-mixture proposal: the retained particles, weights normalized.
 
-    Component mean is the particle's gaze point, std its sampling sigma, and
-    mix weight its normalized importance weight.
+    The weight total is a left-to-right sum, so the mix weights do not
+    depend on numpy's summation order.
     """
-    total = sum(p.weight for p in particles)
-    if not particles or total <= 0.0:
+    total = sum(particles.weight.tolist())
+    if total <= 0.0:
         raise ValueError("degenerate particle set: no positive weights")
-    comps = tuple(MixtureComponent(p.theta_h, p.theta_v, p.sigma, p.weight / total)
-                  for p in particles)
-    return ProposalMixture(components=comps)
+    return replace(particles, weight=particles.weight / total)
 
 
-def sample_next(mixture: ProposalMixture, count: int, seed,
-                limit: float = 20.0) -> list[Particle]:
+def sample_next(proposal: ParticleSet, count: int, seed,
+                limit: float = 20.0) -> ParticleSet:
     """Draw the next stage's particles from the proposal mixture.
 
     Component choice follows the mix weights, then an isotropic Gaussian
@@ -121,40 +138,41 @@ def sample_next(mixture: ProposalMixture, count: int, seed,
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    comps = mixture.components
-    weights = np.array([c.weight for c in comps])
-    weights = weights / weights.sum()
-    picks = rng.choice(len(comps), size=count, p=weights)
+    picks = rng.choice(len(proposal), size=count,
+                       p=proposal.weight / proposal.weight.sum())
     noise = rng.standard_normal((count, 2))
-    out = []
-    for i in range(count):
-        c = comps[int(picks[i])]
-        th = clamp_angle(c.mean_h + noise[i, 0] * c.std, limit)
-        tv = clamp_angle(c.mean_v + noise[i, 1] * c.std, limit)
-        out.append(Particle(th, tv, c.weight, sigma=c.std))
-    return out
+    c = proposal.subset(picks)
+    return replace(c, theta_h=clamp_angle(c.theta_h + noise[:, 0] * c.sigma, limit),
+                   theta_v=clamp_angle(c.theta_v + noise[:, 1] * c.sigma, limit))
 
 
-def update_weights(particles: list[Particle], likelihoods) -> list[Particle]:
+def update_weights(particles: ParticleSet, likelihoods) -> ParticleSet:
     """Multiply each weight by its view likelihood; weights stay unnormalized."""
     if len(particles) != len(likelihoods):
         raise ValueError(f"{len(particles)} particles but {len(likelihoods)} likelihoods")
-    for p, lk in zip(particles, likelihoods):
-        p.weight *= lk
-    return particles
+    return replace(particles,
+                   weight=particles.weight * np.asarray(likelihoods, dtype=float))
 
 
-def normalize_weights(particles: list[Particle]) -> list[Particle]:
-    total = sum(p.weight for p in particles)
+def normalize_weights(particles: ParticleSet) -> ParticleSet:
+    """Weights divided by their left-to-right sum, as a new set.
+
+    A `list[Particle]` (see `Particle`) is normalized in place instead.
+    """
+    listed = not isinstance(particles, ParticleSet)
+    total = sum(p.weight for p in particles) if listed \
+        else sum(particles.weight.tolist())
     if total <= 0.0:
         raise ValueError("particle degeneracy: all weights zero")
+    if not listed:
+        return replace(particles, weight=particles.weight / total)
     for p in particles:
         p.weight /= total
     return particles
 
 
-def prune_redundant(particles: list[Particle], fov_deg: float,
-                    overlap_frac: float = 0.5) -> list[Particle]:
+def prune_redundant(particles: ParticleSet, fov_deg: float,
+                    overlap_frac: float = 0.5) -> ParticleSet:
     """Drop particles whose gaze lies within overlap_frac * fov of a kept one.
 
     Greedy by descending weight (ties: lower index first), so the heaviest
@@ -164,11 +182,10 @@ def prune_redundant(particles: list[Particle], fov_deg: float,
     """
     n = len(particles)
     if n <= 1:
-        return list(particles)
+        return particles
     thr = overlap_frac * fov_deg
-    weights = np.array([p.weight for p in particles])
-    order = np.argsort(-weights, kind="stable")
-    ranked = np.array([[p.theta_h, p.theta_v] for p in particles])[order]
+    order = np.argsort(-particles.weight, kind="stable")
+    ranked = np.column_stack((particles.theta_h, particles.theta_v))[order]
     alive = np.ones(n, dtype=bool)
     kept = np.zeros(n, dtype=bool)
     # ranks before `start` are decided by the time its block is reached,
@@ -185,12 +202,4 @@ def prune_redundant(particles: list[Particle], fov_deg: float,
                 alive[start:] &= far[r - start]
     keep = np.zeros(n, dtype=bool)
     keep[order[kept]] = True
-    return [p for p, k in zip(particles, keep) if k]
-
-
-def write_particles_csv(path: str, rows) -> None:
-    """Particle log CSV over (stage, theta_h, theta_v, weight, sigma) rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("stage,theta_h,theta_v,weight,sigma\n")
-        for stage, th, tv, weight, sigma in rows:
-            fh.write(f"{stage},{th:.6f},{tv:.6f},{weight:.9e},{sigma:.6f}\n")
+    return particles.subset(keep)

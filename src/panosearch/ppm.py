@@ -243,20 +243,3 @@ def _measure_regions(grid: np.ndarray, n_regions: int):
             bboxes.append((int(cols[0]), int(rows[0]),
                            int(cols[-1]) + 1, int(rows[-1]) + 1))
     return areas, tuple(bboxes)
-
-
-def write_ppm_csv(ppm: Ppm, path: str, target: str = "car") -> None:
-    """PPM dump: one row per region, then one row per sub-region disc."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("kind,region_id,label,area_px,prior,F,x_r,x_rm,center_x,center_y,radius_px,x_ro\n")
-        by_id = {r.id: r for r in ppm.regions}
-        for rid in sorted(ppm.region_probs):
-            region = by_id[rid]
-            allocated = ppm.remainder_counts.get(rid, 0) + sum(
-                s.count for s in ppm.sub_regions if s.region_id == rid)
-            fh.write(f"region,{rid},{region.label},{region.area_px:.0f},"
-                     f"{region.prior(target):.4f},{ppm.region_probs[rid]:.9f},"
-                     f"{allocated},{ppm.remainder_counts.get(rid, 0)},,,,\n")
-        for s in ppm.sub_regions:
-            fh.write(f"subregion,{s.region_id},,,,,,,"
-                     f"{s.center[0]:.2f},{s.center[1]:.2f},{s.radius_px:.3f},{s.count}\n")

@@ -170,12 +170,3 @@ def _window(best: Detection, members, member_ious, sigma_t: float,
         radius_h=r_h, radius_v=r_v, confidence=best.confidence,
         width_deg=best.width_deg, height_deg=best.height_deg,
         members=tuple(members))
-
-
-def write_windows_csv(path: str, rows) -> None:
-    """Refinement log CSV: stage, window, center_h, center_v, radius_h, radius_v, n_members."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("stage,window,center_h,center_v,radius_h,radius_v,n_members\n")
-        for stage, idx, w in rows:
-            fh.write(f"{stage},{idx},{w.center_h:.6f},{w.center_v:.6f},"
-                     f"{w.radius_h:.6e},{w.radius_v:.6e},{len(w.members)}\n")

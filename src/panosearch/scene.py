@@ -234,12 +234,3 @@ def region_at(scene: SceneMap, x: float, y: float) -> int:
     if not (0 <= x < scene.width and 0 <= y < scene.height):
         raise ValueError(f"pixel ({x}, {y}) outside the {scene.width}x{scene.height} panorama")
     return int(scene.labels[int(y), int(x)])
-
-
-def write_label_grid(scene: SceneMap, path: str) -> None:
-    """Dump the region-id grid: header 'W H', then one space-separated row per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{scene.width} {scene.height}\n")
-        for row in scene.labels:
-            fh.write(" ".join(str(int(v)) for v in row))
-            fh.write("\n")

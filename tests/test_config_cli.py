@@ -2,11 +2,10 @@ import os
 
 import pytest
 
-from panosearch.cli import STUDIES, main
+from panosearch.cli import PARTICLE_COLUMNS, STUDIES, _rows_to_csv, main
 from panosearch.config import (ConfigError, apply_overrides, build_scenario,
                                check_scenario, default_scenario, load_scenario,
                                parse_text, serialize_scenario)
-from panosearch.particles import write_particles_csv
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_CFG = os.path.join(REPO_ROOT, "scenarios", "default.cfg")
@@ -87,7 +86,7 @@ def test_sigma_t_zero_is_an_error():
     cfg = default_scenario()
     cfg.engine.sigma_t = 0.0
     errors = check_scenario(cfg)
-    assert any("sigma_t must be > 0" in e for e in errors)
+    assert any("sigma_t must be >= 1e-6, got 0.0" in e for e in errors)
 
 
 def test_bad_proportion_and_method_reported():
@@ -221,6 +220,24 @@ def test_trial_dump_files_share_pass_numbers(tmp_path):
     assert stages == {name: {"1", "2", "3"} for name in stages}
 
 
+def test_trial_dump_writes_every_file_atomically(tmp_path, monkeypatch):
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst, *args, **kwargs):
+        replaced.append(os.path.basename(dst))
+        return real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    out = tmp_path / "run"
+    assert main(["trial", "--seed", "5", "--budget", "60", "--dump",
+                 "--set", "engine.iterations=3", "--out", str(out)]) == 0
+    assert sorted(replaced) == sorted([
+        "trial.csv", "effective.cfg", "scene_grid.txt", "ppm.csv",
+        "scan_log.csv", "particles.csv", "detections.csv", "windows.csv"])
+    assert sorted(os.listdir(out)) == sorted(replaced)  # no temp file left
+
+
 def test_study_config_errors_print_one_per_line(capsys):
     assert main(["curve", "--config", DEFAULT_CFG, "--set", "engine.sigma_t=0",
                  "--set", "engine.alpha=0"]) == 1
@@ -242,11 +259,9 @@ def test_trial_dump_without_a_map_writes_no_ppm(tmp_path, method):
     assert len(_csv_rows(out / "particles.csv")) == 40
 
 
-def test_particle_writer_format(tmp_path):
-    path = tmp_path / "particles.csv"
-    write_particles_csv(str(path), [(0, 1.25, -0.5, 0.0025, 1.0),
-                                    (2, -19.9999999, 3.0, 1.0 / 3.0, 0.05)])
-    assert path.read_text() == (
+def test_particle_writer_format():
+    rows = [(0, 1.25, -0.5, 0.0025, 1.0), (2, -19.9999999, 3.0, 1.0 / 3.0, 0.05)]
+    assert _rows_to_csv(rows, PARTICLE_COLUMNS) == (
         "stage,theta_h,theta_v,weight,sigma\n"
         "0,1.250000,-0.500000,2.500000000e-03,1.000000\n"
         "2,-20.000000,3.000000,3.333333333e-01,0.050000\n")
@@ -363,6 +378,9 @@ REJECTED_OVERRIDES = [
     ["engine.sigma_max_deg=inf"], ["detector.loc_noise_px=-3"],
     ["detector.conf_noise=-1"], ["detector.fp_conf_cap=5"],
     ["scene.span_deg=inf"],
+    # magnitudes the arithmetic cannot carry: an overflowing prior variance
+    # and vote weights that all underflow to zero
+    ["engine.subregion_scale=1e200"], ["engine.sigma_t=1e-100"],
     ["scene.priors.car|road=0", "scene.priors.car|field=0"],
 ]
 

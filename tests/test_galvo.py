@@ -10,7 +10,8 @@ from panosearch.config import (ObjectGroupSpec, RegionSpec, SceneConfig,
                                default_scenario)
 from panosearch.experiment import _grid_particles
 from panosearch.galvo import (GALVO_LIMIT_DEG, GalvoState, View, VisibleObject,
-                              capture_view, image_to_galvo, plan_scan)
+                              capture_view, clamp_angle, image_to_galvo,
+                              plan_scan)
 from panosearch.scene import GtObject, build_scene, step_motion
 
 
@@ -42,6 +43,15 @@ def test_clamp_at_range_limit_sets_flag():
     g_h, _, clamped = image_to_galvo(19.9, 0.0, 264.0, 112.0)
     assert g_h == 20.0
     assert clamped
+
+
+@pytest.mark.parametrize("theta", [math.nan, -0.0, 0.0, -20.0, 20.0, -25.0,
+                                   25.0, 3.5, math.inf, -math.inf])
+def test_clamp_angle_matches_the_conditional_on_scalars_and_arrays(theta):
+    want = -20.0 if theta < -20.0 else (20.0 if theta > 20.0 else theta)
+    assert repr(clamp_angle(theta, 20.0)) == repr(want)  # keeps -0.0 and NaN
+    assert clamp_angle(np.array([theta]), 20.0).tobytes() == \
+        np.array([want]).tobytes()
 
 
 def test_transform_is_affine_in_the_target():
@@ -365,8 +375,8 @@ GRID_SCENE = build_scene(default_scenario().scene, seed=0)
 
 
 def grid_positions(count):
-    return [(p.theta_h, p.theta_v)
-            for p in _grid_particles(GRID_SCENE, count, 1.0, GALVO_LIMIT_DEG)]
+    grid = _grid_particles(GRID_SCENE, count, 1.0, GALVO_LIMIT_DEG)
+    return list(zip(grid.theta_h.tolist(), grid.theta_v.tolist()))
 
 
 BELOW_1E150 = math.nextafter(1e150, 0.0)
