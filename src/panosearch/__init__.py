@@ -7,7 +7,7 @@ from .config import (ConfigError, DetectorConfig, EngineConfig,
 from .detector import Detection, SyntheticDetector, detect, likelihood
 from .experiment import (METHODS, TrialResult, ablation, deviation_study,
                          proportion_sweep, recall_curve, run_trial)
-from .galvo import GalvoState, View, capture_view, image_to_galvo, plan_scan
+from .galvo import View, capture_view, image_to_galvo, plan_scan
 from .particles import (Particle, ParticleSet, build_proposal,
                         initial_sample, normalize_weights, prune_redundant,
                         sample_next, update_weights)
@@ -26,7 +26,7 @@ __all__ = [
     "Detection", "SyntheticDetector", "detect", "likelihood",
     "METHODS", "TrialResult", "ablation", "deviation_study",
     "proportion_sweep", "recall_curve", "run_trial",
-    "GalvoState", "View", "capture_view", "image_to_galvo", "plan_scan",
+    "View", "capture_view", "image_to_galvo", "plan_scan",
     "Particle", "ParticleSet", "build_proposal", "initial_sample",
     "normalize_weights", "prune_redundant", "sample_next", "update_weights",
     "PanoDetection", "Ppm", "build_ppm", "refine_allocation",

@@ -82,9 +82,8 @@ def cmd_trial(args) -> int:
     scene = build_scene(cfg.scene, seed=[11, 0, seed])
     trace = exp.TrialTrace() if args.dump else None
     budget = cfg.engine.n_particles if args.budget is None else args.budget
-    result = exp.run_trial_spec(scene, args.method, exp.METHODS[args.method],
-                                budget, cfg.engine.iterations, [13, 0, seed], cfg,
-                                seed_label=seed, trace=trace)
+    result = exp.run_trial(scene, args.method, budget, cfg.engine.iterations,
+                           [13, 0, seed], cfg, trace=trace)
     row = {
         "method": result.method, "seed": seed, "budget": result.budget,
         "recall": result.recall, "ap": result.ap, "found": len(result.found),

@@ -35,8 +35,10 @@ class ConfigError(ValueError):
 #
 # Each block's dataclass is its key table: a field made by _key() is a config
 # key whose kind is the field's annotation and whose domain the loader checks.
-# Every float must also be finite.  An upper bound appears only where a
-# larger value crashes, hangs or means nothing; angles stop at a full turn.
+# Every float must also be finite, and 0 or of a magnitude in [1e-12, 1e12]:
+# far outside that range sizes, spans and scales overflow or underflow in
+# the trial arithmetic.  An upper bound appears only where a larger value
+# crashes, hangs or means nothing; angles stop at a full turn.
 # ---------------------------------------------------------------------------
 
 def _key(default, domain: str | tuple[str, ...] = "", name: str = ""):
@@ -159,7 +161,6 @@ class EngineConfig:
     step_response_ms: float = _key(0.25, "[0, inf)")
     dwell_ms: float = _key(2.0, "[0, inf)")
     overlap_frac: float = _key(0.5, "[0, inf)")     # particle pruning distance in view-FOV units
-    radius_mode: str = _key("harmonic", ("harmonic", "stddev"))
     # None: derived from panorama scale / alpha
     magnification: float | None = _key(None, "(0, inf)")
 
@@ -448,14 +449,21 @@ def build_scenario(root: Block) -> tuple[ScenarioConfig, list[str]]:
 # Semantic validation
 # ---------------------------------------------------------------------------
 
+MIN_MAGNITUDE, MAX_MAGNITUDE = 1e-12, 1e12  # of a nonzero config float
+
+
 def _domain_error(value, domain: str | tuple[str, ...]) -> str | None:
     """Why `value` lies outside `domain`, or None when it lies inside."""
     if isinstance(domain, tuple):
         if value in domain:
             return None
         return f"must be one of {', '.join(domain)}, got {value!r}"
-    if isinstance(value, float) and not math.isfinite(value):
-        return f"must be finite, got {value!r}"
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return f"must be finite, got {value!r}"
+        if value and not MIN_MAGNITUDE <= abs(value) <= MAX_MAGNITUDE:
+            return (f"must have a magnitude in [{MIN_MAGNITUDE:g}, "
+                    f"{MAX_MAGNITUDE:g}], got {value!r}")
     if not domain:
         return None
     lo, hi = (t.strip() for t in domain[1:-1].split(","))

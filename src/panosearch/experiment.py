@@ -21,12 +21,12 @@ from .config import (METHODS, ConfigError, DetectorPreset, MethodSpec,
                      ObjectGroupSpec, RegionSpec, ScenarioConfig, SceneConfig,
                      scenario_copy)
 from .detector import Detection, SyntheticDetector
-from .galvo import GalvoState, capture_view, plan_scan
+from .galvo import capture_view, plan_scan
 from .particles import (ParticleSet, build_proposal, initial_sample,
                         normalize_weights, prune_redundant, sample_next,
                         update_weights)
 from .ppm import Ppm, allocate_ppm, segment_panorama
-from .refinement import SearchWindow, bounds_iou, box_bounds, nms_merge
+from .refinement import bounds_iou, box_bounds, nms_merge
 from .scene import SceneMap, build_scene, step_motion
 
 
@@ -49,7 +49,6 @@ class FoundObject:
 @dataclass
 class TrialResult:
     method: str
-    seed: int
     budget: int
     recall: float
     ap: float
@@ -196,27 +195,20 @@ def average_precision_11pt(records, n_gt: int) -> float:
     return ap / 11.0
 
 
-def _window_var(window: SearchWindow, radius_mode: str) -> float:
-    r_h, r_v = window.radius_h, window.radius_v
-    if radius_mode == "stddev":
-        r_h, r_v = r_h * r_h, r_v * r_v
-    return (r_h + r_v) / 2.0
-
-
 def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
-              cfg: ScenarioConfig) -> TrialResult:
-    """Run one search trial of the named method on a prebuilt world."""
-    spec = METHODS.get(method)
+              cfg: ScenarioConfig, *, spec: MethodSpec | None = None,
+              trace: TrialTrace | None = None) -> TrialResult:
+    """Run one search trial on a prebuilt world.
+
+    `spec` gives the method's machinery; by default it is looked up from
+    `method` in METHODS, otherwise `method` only names the trial.  A
+    `trace` collects the trial's logs.
+    """
     if spec is None:
-        raise ConfigError(f"unknown method {method!r}; expected one of "
-                          f"{sorted(METHODS)}")
-    return run_trial_spec(scene, method, spec, budget, iters, seed, cfg)
-
-
-def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
-                   iters: int, seed, cfg: ScenarioConfig,
-                   seed_label: int | None = None,
-                   trace: TrialTrace | None = None) -> TrialResult:
+        spec = METHODS.get(method)
+        if spec is None:
+            raise ConfigError(f"unknown method {method!r}; expected one of "
+                              f"{sorted(METHODS)}")
     t_start = time.perf_counter()
     eng = cfg.engine
     target = cfg.experiment.target
@@ -224,7 +216,7 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
     limit = eng.galvo_limit_deg
     detector = SyntheticDetector(cfg.detector, alpha=eng.alpha, limit=limit,
                                  floor=eng.likelihood_floor)
-    state = GalvoState(0.0, 0.0, step_response_ms=eng.step_response_ms)
+    pose = (0.0, 0.0)  # the last gaze
 
     n_objects = len(scene.objects)
     found: dict[int, FoundObject] = {}
@@ -293,11 +285,8 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
         theta_h = particles.theta_h.tolist()
         theta_v = particles.theta_v.tolist()
         sigmas = particles.sigma.tolist()
-        order, pass_ms = plan_scan(state, list(zip(theta_h, theta_v)),
-                                   dwell_ms=eng.dwell_ms)
-        elapsed_before = state.elapsed_ms
-        state.elapsed_ms += pass_ms
-        state.theta_h, state.theta_v = theta_h[order[-1]], theta_v[order[-1]]
+        order = plan_scan(pose, list(zip(theta_h, theta_v)))
+        pose = (theta_h[order[-1]], theta_v[order[-1]])
         views += n_k
         if trace is not None:
             trace.particles.extend(zip([stage] * n_k, theta_h, theta_v,
@@ -306,16 +295,17 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
         likes = [eng.likelihood_floor] * n_k
         round_dets: list[Detection] = []
         best_for: dict[int, Detection] = {}  # particle index -> its best detection
-        for seq, idx in enumerate(order):
+        for idx in order:
             view = capture_view(scene, theta_h[idx], theta_v[idx],
                                 width=eng.view_w, height=eng.view_h,
                                 alpha=eng.alpha, magnification=eng.magnification)
             dets = detector.detect(view, rng)
             likes[idx] = detector.likelihood(view, dets)
             if trace is not None:
+                seq = len(trace.scan)
                 trace.scan.append((
-                    len(trace.scan), theta_h[idx], theta_v[idx],
-                    elapsed_before + (seq + 1) * (eng.step_response_ms + eng.dwell_ms),
+                    seq, theta_h[idx], theta_v[idx],
+                    (seq + 1) * (eng.step_response_ms + eng.dwell_ms),
                     len(view.visible)))
             if dets:
                 round_dets += dets
@@ -334,8 +324,7 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
                     sigmas[idx] = min(max(sigma, eng.sigma_min_deg), eng.sigma_max_deg)
 
         windows = nms_merge(round_dets, iou_keep=eng.iou_keep,
-                            sigma_t=eng.sigma_t, vote=spec.voting,
-                            limit=limit, radius_mode=eng.radius_mode)
+                            sigma_t=eng.sigma_t, vote=spec.voting, limit=limit)
         if trace is not None:
             trace.windows.extend((stage, wi, w.center_h, w.center_v, w.radius_h,
                                   w.radius_v, len(w.members))
@@ -360,7 +349,7 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
                 stage=old.stage if old is not None else stage,
                 err_x_px=float(w.center_h - boxes[j, 0]) / eng.alpha,
                 err_y_px=float(w.center_v - boxes[j, 1]) / eng.alpha,
-                post_var=_window_var(w, eng.radius_mode),
+                post_var=(w.radius_h + w.radius_v) / 2.0,
                 confidence=w.confidence)
         if k == last_round:
             sizes = np.array([(w.width_deg, w.height_deg)
@@ -397,22 +386,11 @@ def run_trial_spec(scene: SceneMap, name: str, spec: MethodSpec, budget: int,
     recall = 1.0 if vacuous else len(found) / n_objects
     ap = average_precision_11pt(ap_records, n_objects)
     wall_ms = (time.perf_counter() - t_start) * 1e3
-    if seed_label is None:
-        seed_label = _seed_scalar(seed)
-    return TrialResult(method=name, seed=seed_label, budget=budget,
+    return TrialResult(method=method, budget=budget,
                        recall=recall, ap=ap, found=found, n_objects=n_objects,
                        pre_vars=pre_vars, elapsed_sim_ms=elapsed,
                        wall_ms=wall_ms, views=views, moves=views,
                        vacuous=vacuous)
-
-
-def _seed_scalar(seed) -> int:
-    if isinstance(seed, (list, tuple)):
-        return int(seed[-1]) if seed else 0
-    try:
-        return int(seed)
-    except (TypeError, ValueError):
-        return -1
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +467,13 @@ class TrialJob:
     trial_seed: tuple[int, ...]
     cfg: ScenarioConfig  # also gives the pass count and the detector
     row: int            # index of the study row the trial counts towards
-    seed: int           # the trial's seed label
     spec: MethodSpec | None = None
 
 
 def _run_job(job: TrialJob) -> TrialResult:
     scene = _world_cache(job.scene_cfg, job.scene_seed)
-    spec = job.spec if job.spec is not None else METHODS[job.method]
-    return run_trial_spec(scene, job.method, spec, job.budget,
-                          job.cfg.engine.iterations, list(job.trial_seed),
-                          job.cfg, seed_label=job.seed)
+    return run_trial(scene, job.method, job.budget, job.cfg.engine.iterations,
+                     list(job.trial_seed), job.cfg, spec=job.spec)
 
 
 _WORLDS: dict = {}
@@ -547,7 +522,7 @@ def recall_curve(scene_cfgs: list[SceneConfig], methods: list[str],
     cells = [(mi, bi) for mi in range(len(methods)) for bi in range(len(budgets))]
     jobs = [TrialJob(scene_cfg=scene_cfg, scene_seed=(11, si, seed),
                      method=methods[mi], budget=budgets[bi], cfg=cfg, row=row,
-                     trial_seed=(13, si, seed, mi, budgets[bi]), seed=seed)
+                     trial_seed=(13, si, seed, mi, budgets[bi]))
             for row, (mi, bi) in enumerate(cells)
             for si, scene_cfg in enumerate(scene_cfgs) for seed in range(seeds)]
     return [{"method": methods[mi], "budget": budgets[bi], **_recall_stats(group),
@@ -564,7 +539,7 @@ def proportion_sweep(base_scene: SceneConfig, proportions: list[float],
              for mi in range(len(methods))]
     jobs = [TrialJob(scene_cfg=scenes[pi], scene_seed=(17, seed),
                      method=methods[mi], budget=budget,
-                     trial_seed=(19, seed, mi), cfg=cfg, row=row, seed=seed)
+                     trial_seed=(19, seed, mi), cfg=cfg, row=row)
             for row, (pi, mi) in enumerate(cells) for seed in range(seeds)]
     return [{"proportion": proportions[pi], "method": methods[mi],
              **_recall_stats(group)}
@@ -586,7 +561,7 @@ def ablation(cfg: ScenarioConfig, seeds: int | None = None,
     jobs = [TrialJob(scene_cfg=cfg.scene, scene_seed=(23, seed),
                      method=f"ppm_ps[{arms[ai][0]}]", budget=budget,
                      trial_seed=(29, di, ai, seed), cfg=cfgs[di], row=row,
-                     seed=seed, spec=arms[ai][1])
+                     spec=arms[ai][1])
             for row, (di, ai) in enumerate(cells) for seed in range(seeds)]
     rows = []
     for (di, ai), group in zip(cells, run_jobs(jobs, n_jobs)):
@@ -615,8 +590,7 @@ def deviation_study(scene_cfg: SceneConfig, seeds: int, budget: int,
     arms = (("on", METHODS["ppm_ps"]), ("off", NO_VOTE_SPEC))
     jobs = [TrialJob(scene_cfg=scene_cfg, scene_seed=(31, seed),
                      method=f"ppm_ps[vote={arm}]", budget=budget,
-                     trial_seed=(37, vi, seed), cfg=cfg, row=vi, seed=seed,
-                     spec=spec)
+                     trial_seed=(37, vi, seed), cfg=cfg, row=vi, spec=spec)
             for vi, (arm, spec) in enumerate(arms) for seed in range(seeds)]
     worlds = [_world_cache(scene_cfg, (31, seed)) for seed in range(seeds)]
     rows = []

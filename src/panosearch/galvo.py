@@ -1,9 +1,10 @@
-"""Dual-axis steerable-mirror model: pose state, view capture, scan planning.
+"""Dual-axis steerable-mirror model: view capture and scan planning.
 
 The mirror redirects a fixed search camera; a pose is a pair of angles in
 [-limit, +limit] degrees.  Each view pixel subtends `alpha` degrees, so the
-view-to-angle transform is affine around the image center.  Moves cost a
-fixed step-response time and each captured view costs a dwell time.
+view-to-angle transform is affine around the image center.  Every view costs
+one step response plus one dwell, so the trial's simulated time follows from
+its view count alone.
 """
 
 from __future__ import annotations
@@ -17,15 +18,6 @@ import numpy as np
 from .scene import SceneMap
 
 GALVO_LIMIT_DEG = 20.0
-STEP_RESPONSE_MS = 0.25
-
-
-@dataclass
-class GalvoState:
-    theta_h: float = 0.0
-    theta_v: float = 0.0
-    elapsed_ms: float = 0.0
-    step_response_ms: float = STEP_RESPONSE_MS
 
 
 @dataclass(frozen=True)
@@ -96,8 +88,7 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
     half_w_deg = width * alpha / 2.0
     half_h_deg = height * alpha / 2.0
     dpp = scene.deg_per_px
-    gx = scene.width / 2.0 + theta_h / dpp
-    gy = scene.height / 2.0 + theta_v / dpp
+    gx, gy = scene.galvo_to_pano(theta_h, theta_v)
     reach = half_w_deg / dpp + scene.max_half_w + 1.0
     lo_x, hi_x = gx - reach, gx + reach
     objects = scene.objects
@@ -136,13 +127,12 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
 _SWEEP_LIMIT = 1e150
 
 
-def plan_scan(state: GalvoState, positions, dwell_ms: float = 2.0):
+def plan_scan(pose: tuple[float, float], positions) -> list[int]:
     """Nearest-neighbour tour over gaze positions from the current pose.
 
-    `positions` is a sequence of (theta_h, theta_v) pairs.  Returns the
-    visiting order (indices into `positions`) and the total time in ms:
-    one step-response per move plus one dwell per view.  Ties break toward
-    the lower index so the tour is deterministic.
+    `pose` and each item of `positions` are (theta_h, theta_v) pairs.
+    Returns the visiting order (indices into `positions`).  Ties break
+    toward the lower index so the tour is deterministic.
 
     Each step picks the unvisited position with the least squared distance
     `dx*dx + dy*dy` from the cursor.  The positions are sorted stably along
@@ -157,21 +147,16 @@ def plan_scan(state: GalvoState, positions, dwell_ms: float = 2.0):
     of at least 1e150, take the O(n)-per-step array scan instead, whose
     argmin also orders NaN and infinite distances.
     """
-    n = len(positions)
-    if n == 0:
+    if len(positions) == 0:
         raise ValueError("cannot plan a scan over zero positions")
     xs = [float(h) for h, _ in positions]
     ys = [float(v) for _, v in positions]
-    cx, cy = float(state.theta_h), float(state.theta_v)
-    if _bounded(xs) and _bounded(ys) and _bounded((cx, cy)):
-        if max(ys) - min(ys) > max(xs) - min(xs):
-            order = _sweep_tour(ys, xs, cy, cx)
-        else:
-            order = _sweep_tour(xs, ys, cx, cy)
-    else:
-        order = _scan_tour(np.array(xs), np.array(ys), cx, cy)
-    total_ms = n * state.step_response_ms + n * dwell_ms
-    return order, total_ms
+    cx, cy = float(pose[0]), float(pose[1])
+    if not (_bounded(xs) and _bounded(ys) and _bounded((cx, cy))):
+        return _scan_tour(np.array(xs), np.array(ys), cx, cy)
+    if max(ys) - min(ys) > max(xs) - min(xs):
+        return _sweep_tour(ys, xs, cy, cx)
+    return _sweep_tour(xs, ys, cx, cy)
 
 
 def _bounded(values) -> bool:

@@ -74,31 +74,31 @@ def initial_sample(ppm: Ppm, scene: SceneMap, seed,
     rng = np.random.default_rng(seed)
     grid = ppm.label_grid
     h, w = grid.shape
-    points: list[tuple[float, float]] = []
+    xs, ys = [np.empty(0)], [np.empty(0)]  # so that no hits concatenate too
     for rid in sorted(ppm.remainder_counts):
         count = ppm.remainder_counts[rid]
         x0, y0, x1, y1 = ppm.region_bboxes[rid]
         if count <= 0 or x1 <= x0 or y1 <= y0:
             continue
-        hits = rejection_sample(rng, grid, rid, bbox_draw(ppm.region_bboxes[rid]),
-                                count, max_rounds=200)
-        if len(hits) < count:
+        hx, hy = rejection_sample(rng, grid, rid, bbox_draw(ppm.region_bboxes[rid]),
+                                  count, max_rounds=200)
+        if len(hx) < count:
             raise RuntimeError(f"region {rid}: rejection sampling starved "
-                               f"({len(hits)}/{count} placed)")
-        points += hits
+                               f"({len(hx)}/{count} placed)")
+        xs.append(hx)
+        ys.append(hy)
     for sub in ppm.sub_regions:
         if sub.count <= 0:
             continue
         cx, cy = sub.center
-        hits = rejection_sample(rng, grid, sub.region_id,
-                                _disc_draw(sub.center, sub.radius_px, w, h),
-                                sub.count, max_rounds=200)
+        hx, hy = rejection_sample(rng, grid, sub.region_id,
+                                  _disc_draw(sub.center, sub.radius_px, w, h),
+                                  sub.count, max_rounds=200)
         # disc barely intersects its region: fall back to the detection center
-        center = (float(min(max(cx, 0.0), w - 1.0)),
-                  float(min(max(cy, 0.0), h - 1.0)))
-        points += hits + [center] * (sub.count - len(hits))
-    xy = np.array(points, dtype=float).reshape(-1, 2)
-    th, tv = scene.pano_to_galvo(xy[:, 0], xy[:, 1])
+        short = sub.count - len(hx)
+        xs += [hx, np.full(short, min(max(cx, 0.0), w - 1.0))]
+        ys += [hy, np.full(short, min(max(cy, 0.0), h - 1.0))]
+    th, tv = scene.pano_to_galvo(np.concatenate(xs), np.concatenate(ys))
     return ParticleSet.fresh(clamp_angle(th, limit), clamp_angle(tv, limit),
                              1.0 / ppm.total_particles, sigma0)
 
@@ -115,16 +115,19 @@ def _disc_draw(center: tuple[float, float], radius: float, w: int, h: int):
     return draw
 
 
-def build_proposal(particles: ParticleSet) -> ParticleSet:
-    """The Gaussian-mixture proposal: the retained particles, weights normalized.
-
-    The weight total is a left-to-right sum, so the mix weights do not
-    depend on numpy's summation order.
-    """
+def _normalized(particles: ParticleSet, error: str) -> ParticleSet:
+    """Weights divided by their left-to-right sum, so the result does not
+    depend on numpy's summation order; raises ValueError(error) when the
+    sum is not positive."""
     total = sum(particles.weight.tolist())
     if total <= 0.0:
-        raise ValueError("degenerate particle set: no positive weights")
+        raise ValueError(error)
     return replace(particles, weight=particles.weight / total)
+
+
+def build_proposal(particles: ParticleSet) -> ParticleSet:
+    """The Gaussian-mixture proposal: the retained particles, weights normalized."""
+    return _normalized(particles, "degenerate particle set: no positive weights")
 
 
 def sample_next(proposal: ParticleSet, count: int, seed,
@@ -159,13 +162,12 @@ def normalize_weights(particles: ParticleSet) -> ParticleSet:
 
     A `list[Particle]` (see `Particle`) is normalized in place instead.
     """
-    listed = not isinstance(particles, ParticleSet)
-    total = sum(p.weight for p in particles) if listed \
-        else sum(particles.weight.tolist())
+    error = "particle degeneracy: all weights zero"
+    if isinstance(particles, ParticleSet):
+        return _normalized(particles, error)
+    total = sum(p.weight for p in particles)
     if total <= 0.0:
-        raise ValueError("particle degeneracy: all weights zero")
-    if not listed:
-        return replace(particles, weight=particles.weight / total)
+        raise ValueError(error)
     for p in particles:
         p.weight /= total
     return particles

@@ -46,7 +46,6 @@ class Ppm:
     label_grid: np.ndarray       # segmentation actually used (noisy when configured)
     regions: tuple[Region, ...]  # areas re-measured on label_grid
     region_bboxes: tuple[tuple[int, int, int, int], ...]
-    detections: tuple[PanoDetection, ...]
 
 
 def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
@@ -177,8 +176,6 @@ def build_ppm(scene: SceneMap, noise: SegNoiseConfig, target: str, n: int,
     Allocates exactly n particles: largest-remainder split across regions by
     sampling probability, then detection discs inside each region.
     """
-    if n <= 0:
-        raise ValueError("particle count must be > 0")
     grid, dets = segment_panorama(scene, noise, seed)
     return allocate_ppm(scene, grid, dets, target, n, r_scale=r_scale)
 
@@ -222,8 +219,7 @@ def allocate_ppm(scene: SceneMap, grid: np.ndarray, dets, target: str, n: int,
 
     return Ppm(region_probs=probs, sub_regions=tuple(sub_regions),
                remainder_counts=remainder, total_particles=n,
-               label_grid=grid, regions=regions, region_bboxes=bboxes,
-               detections=tuple(dets))
+               label_grid=grid, regions=regions, region_bboxes=bboxes)
 
 
 def _measure_regions(grid: np.ndarray, n_regions: int):

@@ -26,7 +26,7 @@ _NMS_BLOCK = 32   # selected boxes whose IoU rows nms_merge computes at once
 class SearchWindow:
     center_h: float
     center_v: float
-    radius_h: float           # per-axis spread of the window estimate
+    radius_h: float           # per-axis variance of the window estimate, deg^2
     radius_v: float
     confidence: float         # best member confidence
     width_deg: float          # extent kept from the best member
@@ -102,17 +102,17 @@ def variance_vote(members) -> tuple[float, float, float, float]:
 
 
 def nms_merge(dets, iou_keep: float = 0.5, sigma_t: float = 0.025,
-              vote: bool = True, limit: float = 20.0,
-              radius_mode: str = "harmonic") -> list[SearchWindow]:
+              vote: bool = True, limit: float = 20.0) -> list[SearchWindow]:
     """Greedy confidence-ranked suppression into voted search windows.
 
     Detections overlapping a selected box above iou_keep fold into its member
     list instead of surviving on their own.  With voting enabled the window
-    center moves to the members' precision-weighted vote; otherwise it stays
-    at the best member.  radius_mode 'stddev' reports sqrt of the aggregate.
-    IoUs are computed as arrays, one block of ranks against every later
-    rank at a time, so memory stays O(n) for a fixed block size; voting
-    reuses each member's IoU with the best box from the same block.
+    center moves to the members' precision-weighted vote and its radii are
+    the vote's aggregate variances; otherwise it stays at the best member,
+    whose floored variances are the radii.  IoUs are computed as arrays, one
+    block of ranks against every later rank at a time, so memory stays O(n)
+    for a fixed block size; voting reuses each member's IoU with the best
+    box from the same block.
     """
     if not dets:
         return []
@@ -145,26 +145,20 @@ def nms_merge(dets, iou_keep: float = 0.5, sigma_t: float = 0.025,
                 members += [dets[j] for j in order[start:][merge]]
                 member_ious += ious[row, merge].tolist()
             windows.append(_window(best, members, member_ious, sigma_t, vote,
-                                   limit, radius_mode))
+                                   limit))
     return windows
 
 
 def _window(best: Detection, members, member_ious, sigma_t: float,
-            vote: bool, limit: float, radius_mode: str) -> SearchWindow:
+            vote: bool, limit: float) -> SearchWindow:
     """Window around `best`; member_ious[i] is members[i]'s IoU with best."""
     if vote:
         pairs = [(m, _overlap_weight(v, sigma_t))
                  for m, v in zip(members, member_ious)]
-        c_h, c_v, agg_h, agg_v = variance_vote(pairs)
-        if radius_mode == "stddev":
-            r_h, r_v = math.sqrt(agg_h), math.sqrt(agg_v)
-        else:
-            r_h, r_v = agg_h, agg_v
+        c_h, c_v, r_h, r_v = variance_vote(pairs)
     else:
         c_h, c_v = best.theta_h, best.theta_v
         r_h, r_v = max(best.var_h, VAR_FLOOR), max(best.var_v, VAR_FLOOR)
-        if radius_mode == "stddev":
-            r_h, r_v = math.sqrt(r_h), math.sqrt(r_v)
     return SearchWindow(
         center_h=clamp_angle(c_h, limit), center_v=clamp_angle(c_v, limit),
         radius_h=r_h, radius_v=r_v, confidence=best.confidence,

@@ -148,12 +148,12 @@ def build_scene(config: SceneConfig, seed) -> SceneMap:
                     weights = np.array([r.area_px for r in regions])
                     total = weights.sum()
                 region = regions[int(rng.choice(len(regions), p=weights / total))]
-            hits = rejection_sample(rng, labels, region.id,
-                                    bbox_draw(bboxes[region.id]), 1, max_rounds=64)
-            if not hits:
+            xs, ys = rejection_sample(rng, labels, region.id,
+                                      bbox_draw(bboxes[region.id]), 1, max_rounds=64)
+            if len(xs) == 0:
                 raise ConfigError(f"could not place a point in region {region.id} "
                                   f"(is its area vanishing?)")
-            center = hits[0]
+            center = (float(xs[0]), float(ys[0]))
             angle = rng.uniform(0.0, 2.0 * math.pi)
             velocity = (group.speed * math.cos(angle), group.speed * math.sin(angle))
             w, h = group.size
@@ -179,21 +179,24 @@ def bbox_draw(bbox: tuple[int, int, int, int]):
 
 def rejection_sample(rng: np.random.Generator, labels: np.ndarray,
                      region_id: int, draw, count: int,
-                     max_rounds: int) -> list[tuple[float, float]]:
-    """Up to `count` points from draw(rng, n) -> (xs, ys) inside a region.
+                     max_rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Up to `count` points from draw(rng, n) -> (xs, ys) inside a region,
+    as (xs, ys) arrays in draw order.
 
     Each round draws max(2 * still needed, 16) candidates and keeps the
     first hits; after max_rounds rounds the caller handles any shortfall.
     """
-    points: list[tuple[float, float]] = []
+    xs, ys = np.empty(0), np.empty(0)
     for _ in range(max_rounds):
-        need = count - len(points)
+        need = count - len(xs)
         if need <= 0:
             break
-        xs, ys = draw(rng, max(2 * need, 16))
-        hit = labels[ys.astype(np.intp), xs.astype(np.intp)] == region_id
-        points += [(float(xs[i]), float(ys[i])) for i in np.flatnonzero(hit)[:need]]
-    return points
+        cand_x, cand_y = draw(rng, max(2 * need, 16))
+        hit = np.flatnonzero(labels[cand_y.astype(np.intp),
+                                    cand_x.astype(np.intp)] == region_id)[:need]
+        xs = np.concatenate((xs, cand_x[hit]))
+        ys = np.concatenate((ys, cand_y[hit]))
+    return xs, ys
 
 
 def _reflect(pos: float, lo: float, hi: float) -> tuple[float, float]:

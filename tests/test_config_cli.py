@@ -46,6 +46,12 @@ def test_build_unknown_key_collected():
     assert any("bogus" in e for e in errors)
 
 
+def test_radius_mode_is_an_unknown_key():
+    # window radii are always variances; the key that chose stddevs is gone
+    _, errors = build_scenario(parse_text("engine {\n radius_mode = harmonic\n}"))
+    assert errors == ["engine (line 2): unknown key 'radius_mode'"]
+
+
 def test_defaults_carry_published_constants():
     cfg = default_scenario()
     assert cfg.engine.subregion_scale == 50.0
@@ -195,6 +201,20 @@ def test_trial_dump_writes_grid_map_and_logs(tmp_path):
 def _csv_rows(path):
     header, *rows = path.read_text().strip().splitlines()
     return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def test_trial_dump_scan_clock_counts_views(tmp_path):
+    # every view costs one step response plus one dwell, across all passes
+    out = tmp_path / "run"
+    assert main(["trial", "--seed", "2", "--budget", "60", "--dump",
+                 "--set", "engine.step_response_ms=0.1",
+                 "--set", "engine.dwell_ms=0.3",
+                 "--set", "engine.iterations=4", "--out", str(out)]) == 0
+    scan = _csv_rows(out / "scan_log.csv")
+    assert [(row["seq"], row["elapsed_ms"]) for row in scan] == [
+        (str(seq), f"{(seq + 1) * 0.4:.4f}") for seq in range(60)]
+    (trial,) = _csv_rows(out / "trial.csv")
+    assert scan[-1]["elapsed_ms"] == trial["elapsed_sim_ms"]
 
 
 def test_trial_dump_ppm_is_the_first_pass_allocation(tmp_path):
@@ -378,6 +398,10 @@ REJECTED_OVERRIDES = [
     ["engine.sigma_max_deg=inf"], ["detector.loc_noise_px=-3"],
     ["detector.conf_noise=-1"], ["detector.fp_conf_cap=5"],
     ["scene.span_deg=inf"],
+    # nonzero floats outside magnitudes [1e-12, 1e12]: a zero division or
+    # an overflow in the trial arithmetic
+    ["scene.span_deg=5e-324"], ["scene.span_deg=1e-300"],
+    ["engine.magnification=1e200"], ["engine.alpha=5e-324"],
     # magnitudes the arithmetic cannot carry: an overflowing prior variance
     # and vote weights that all underflow to zero
     ["engine.subregion_scale=1e200"], ["engine.sigma_t=1e-100"],

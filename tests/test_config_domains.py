@@ -2,7 +2,8 @@
 
 Every key's domain edges are drawn: each bound, the next value just outside
 it, NaN and +/-inf, and inside each open or infinite bound a value 1e-12
-from it (1e12 for infinity).  An out-of-domain value must make
+from it (1e12 for infinity).  A float key also draws the next values just
+outside the nonzero magnitudes [1e-12, 1e12].  An out-of-domain value must make
 `load_scenario` fail naming the key; any config it accepts must run every
 method without an exception or a RuntimeWarning, with recall and AP in
 [0, 1].
@@ -18,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panosearch.config import (METHODS, ConfigError, DetectorConfig,
-                               DetectorPreset, EngineConfig, ExperimentConfig,
-                               ObjectGroupSpec, RegionSpec, SceneConfig,
-                               SegNoiseConfig, key_table,
-                               load_scenario)
+from panosearch.config import (MAX_MAGNITUDE, METHODS, MIN_MAGNITUDE,
+                               ConfigError, DetectorConfig, DetectorPreset,
+                               EngineConfig, ExperimentConfig, ObjectGroupSpec,
+                               RegionSpec, SceneConfig, SegNoiseConfig,
+                               key_table, load_scenario)
 from panosearch.experiment import run_trial
 from panosearch.scene import build_scene
 
@@ -98,6 +99,9 @@ def edges(key) -> tuple[list[str], list[str]]:
     lo, hi = (float(t) for t in key.domain[1:-1].split(","))
     inside = []
     outside = ["nan", "inf", "-inf"]
+    if not is_int:
+        outside += [math.nextafter(MIN_MAGNITUDE, 0.0),
+                    math.nextafter(MAX_MAGNITUDE, math.inf)]
     for bound, closed, inward in ((lo, key.domain[0] == "[", 1),
                                   (hi, key.domain[-1] == "]", -1)):
         if math.isinf(bound):

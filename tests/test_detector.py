@@ -138,7 +138,7 @@ class AlwaysDetect:
 
 def test_stub_detector_runs_in_the_engine():
     from panosearch.config import default_scenario
-    from panosearch.experiment import METHODS, run_trial_spec
+    from panosearch.experiment import run_trial
     from panosearch.scene import build_scene
     import panosearch.experiment as exp
 
@@ -157,8 +157,7 @@ def test_stub_detector_runs_in_the_engine():
 
     exp.SyntheticDetector = CountingStub
     try:
-        result = run_trial_spec(scene, "ppm_ps", METHODS["ppm_ps"], 60, 2,
-                                seed=3, cfg=cfg)
+        result = run_trial(scene, "ppm_ps", 60, 2, seed=3, cfg=cfg)
     finally:
         exp.SyntheticDetector = real
     assert calls["n"] == 60  # one detector call per budgeted view

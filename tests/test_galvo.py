@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from panosearch.config import (ObjectGroupSpec, RegionSpec, SceneConfig,
                                default_scenario)
-from panosearch.experiment import _grid_particles
-from panosearch.galvo import (GALVO_LIMIT_DEG, GalvoState, View, VisibleObject,
+from panosearch.experiment import _grid_particles, run_trial
+from panosearch.galvo import (GALVO_LIMIT_DEG, View, VisibleObject,
                               capture_view, clamp_angle, image_to_galvo,
                               plan_scan)
 from panosearch.scene import GtObject, build_scene, step_motion
@@ -263,43 +263,42 @@ def test_capture_matches_full_scan_after_motion(seed, steps, mag):
 # --- plan_scan --------------------------------------------------------------
 
 def test_two_particles_cost_at_least_two_steps():
-    state = GalvoState()
-    order, total = plan_scan(state, [(1.0, 0.0), (2.0, 0.0)], dwell_ms=0.0)
+    order = plan_scan((0.0, 0.0), [(1.0, 0.0), (2.0, 0.0)])
     assert sorted(order) == [0, 1]
-    assert total >= 2 * 0.25
 
 
 def test_single_particle_single_move():
-    order, total = plan_scan(GalvoState(), [(5.0, 5.0)], dwell_ms=2.0)
-    assert order == [0]
-    assert total == pytest.approx(0.25 + 2.0)
+    assert plan_scan((0.0, 0.0), [(5.0, 5.0)]) == [0]
 
 
 def test_monotone_line_preserves_order():
     # colinear, strictly increasing positions: greedy keeps the given order
     positions = [(float(i), 0.0) for i in range(1, 8)]
-    order, _ = plan_scan(GalvoState(), positions, dwell_ms=0.0)
-    assert order == list(range(7))
+    assert plan_scan((0.0, 0.0), positions) == list(range(7))
 
 
 def test_timing_linear_in_particle_count():
-    t1 = plan_scan(GalvoState(), [(1.0, 1.0)] * 10, dwell_ms=2.0)[1]
-    t2 = plan_scan(GalvoState(), [(1.0, 1.0)] * 20, dwell_ms=2.0)[1]
+    # every view costs one step response plus one dwell, wherever it points
+    cfg = default_scenario()
+    scene = build_scene(cfg.scene, seed=0)
+    t1, t2 = (run_trial(scene, "uniform", n, 1, 0, cfg).elapsed_sim_ms
+              for n in (10, 20))
+    assert t1 == pytest.approx(10 * (0.25 + 2.0))
     assert t2 == pytest.approx(2 * t1)
 
 
 def test_empty_plan_rejected():
     with pytest.raises(ValueError):
-        plan_scan(GalvoState(), [])
+        plan_scan((0.0, 0.0), [])
 
 
-def reference_plan_scan(state, positions, dwell_ms=2.0):
+def reference_plan_scan(pose, positions):
     """The original tour: rescan the remaining points, np.delete the pick."""
     n = len(positions)
     pts = np.asarray(positions, dtype=float).reshape(n, 2)
     order = np.empty(n, dtype=np.intp)
     remaining = np.arange(n, dtype=np.intp)
-    cur = np.array([state.theta_h, state.theta_v])
+    cur = np.array(pose, dtype=float)
     for i in range(n):
         d = pts[remaining] - cur
         best = int(np.argmin(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
@@ -307,8 +306,7 @@ def reference_plan_scan(state, positions, dwell_ms=2.0):
         order[i] = pick
         cur = pts[pick]
         remaining = np.delete(remaining, best)
-    total_ms = n * state.step_response_ms + n * dwell_ms
-    return order.tolist(), total_ms
+    return order.tolist()
 
 
 def tour_positions(layout: str, n: int, seed: int) -> list[tuple[float, float]]:
@@ -352,23 +350,19 @@ LAYOUTS = ["uniform", "rounded", "duplicated", "clustered", "columns", "vline",
 @given(layout=st.sampled_from(LAYOUTS),
        n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
        start=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
-       round_start=st.booleans(), step_ms=st.floats(0.0, 5.0),
-       dwell_ms=st.floats(0.0, 5.0))
+       round_start=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_tour_matches_reference(layout, n, seed, start, round_start, step_ms,
-                                dwell_ms):
-    theta_h, theta_v = (round(start[0]), round(start[1])) if round_start else start
-    state = GalvoState(theta_h, theta_v, step_response_ms=step_ms)
+def test_tour_matches_reference(layout, n, seed, start, round_start):
+    pose = (round(start[0]), round(start[1])) if round_start else start
     positions = tour_positions(layout, n, seed)
-    assert (plan_scan(state, positions, dwell_ms=dwell_ms)
-            == reference_plan_scan(state, positions, dwell_ms=dwell_ms))
+    assert plan_scan(pose, positions) == reference_plan_scan(pose, positions)
 
 
 @pytest.mark.parametrize("layout", ["uniform", "rounded"])
 def test_large_tour_matches_reference(layout):
-    state = GalvoState(0.5, -0.25)
     positions = tour_positions(layout, 1600, seed=11)
-    assert plan_scan(state, positions) == reference_plan_scan(state, positions)
+    assert (plan_scan((0.5, -0.25), positions)
+            == reference_plan_scan((0.5, -0.25), positions))
 
 
 GRID_SCENE = build_scene(default_scenario().scene, seed=0)
@@ -411,8 +405,7 @@ def extremes(m):
     pytest.param((0.0, 0.0), [(0.0, 1.0), (0.0, -1.0)], id="n2-vertical"),
 ])
 def test_structured_tour_matches_reference(start, positions):
-    state = GalvoState(*start)
-    assert plan_scan(state, positions) == reference_plan_scan(state, positions)
+    assert plan_scan(start, positions) == reference_plan_scan(start, positions)
 
 
 INF, NAN = float("inf"), float("nan")
@@ -428,7 +421,6 @@ INF, NAN = float("inf"), float("nan")
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_tour_matches_reference(start, positions):
-    state = GalvoState(*start)
-    order, total_ms = plan_scan(state, positions)
+    order = plan_scan(start, positions)
     assert sorted(order) == list(range(len(positions)))
-    assert (order, total_ms) == reference_plan_scan(state, positions)
+    assert order == reference_plan_scan(start, positions)

@@ -37,6 +37,11 @@ def ref_clamp(theta, limit):
     return -limit if theta < -limit else (limit if theta > limit else theta)
 
 
+def ref_points(xs_ys):
+    """rejection_sample's (xs, ys) arrays as a list of (x, y) float pairs."""
+    return list(zip(*(a.tolist() for a in xs_ys)))
+
+
 def ref_initial_sample(ppm, scene, rng, sigma0, limit):
     w0 = 1.0 / ppm.total_particles
     grid = ppm.label_grid
@@ -47,15 +52,16 @@ def ref_initial_sample(ppm, scene, rng, sigma0, limit):
         x0, y0, x1, y1 = ppm.region_bboxes[rid]
         if count <= 0 or x1 <= x0 or y1 <= y0:
             continue
-        points += rejection_sample(rng, grid, rid, bbox_draw(ppm.region_bboxes[rid]),
-                                   count, max_rounds=200)
+        points += ref_points(rejection_sample(
+            rng, grid, rid, bbox_draw(ppm.region_bboxes[rid]), count,
+            max_rounds=200))
     for sub in ppm.sub_regions:
         if sub.count <= 0:
             continue
         cx, cy = sub.center
-        hits = rejection_sample(rng, grid, sub.region_id,
-                                _disc_draw(sub.center, sub.radius_px, w, h),
-                                sub.count, max_rounds=200)
+        hits = ref_points(rejection_sample(
+            rng, grid, sub.region_id, _disc_draw(sub.center, sub.radius_px, w, h),
+            sub.count, max_rounds=200))
         center = (float(min(max(cx, 0.0), w - 1.0)),
                   float(min(max(cy, 0.0), h - 1.0)))
         points += hits + [center] * (sub.count - len(hits))

@@ -194,7 +194,7 @@ def test_no_vote_keeps_best_member_center():
 # --- array suppression against the scalar loop -------------------------------------
 
 def reference_nms_merge(dets, iou_keep=0.5, sigma_t=0.025, vote=True,
-                        limit=20.0, radius_mode="harmonic"):
+                        limit=20.0):
     """The original suppression: a pairwise iou() scan over the rank order."""
     if not dets:
         return []
@@ -215,16 +215,10 @@ def reference_nms_merge(dets, iou_keep=0.5, sigma_t=0.025, vote=True,
                 members.append(dets[j])
         if vote:
             pairs = [(m, overlap_prob(m, best, sigma_t)) for m in members]
-            c_h, c_v, agg_h, agg_v = variance_vote(pairs)
-            if radius_mode == "stddev":
-                r_h, r_v = math.sqrt(agg_h), math.sqrt(agg_v)
-            else:
-                r_h, r_v = agg_h, agg_v
+            c_h, c_v, r_h, r_v = variance_vote(pairs)
         else:
             c_h, c_v = best.theta_h, best.theta_v
             r_h, r_v = max(best.var_h, VAR_FLOOR), max(best.var_v, VAR_FLOOR)
-            if radius_mode == "stddev":
-                r_h, r_v = math.sqrt(r_h), math.sqrt(r_v)
         windows.append(SearchWindow(
             center_h=clamp_angle(c_h, limit), center_v=clamp_angle(c_v, limit),
             radius_h=r_h, radius_v=r_v, confidence=best.confidence,
@@ -249,11 +243,10 @@ coarse_dets = st.lists(
 
 @given(dets=coarse_dets,
        iou_keep=st.sampled_from([0.0, 0.2, 1.0 / 3.0, 0.5, 0.6, 0.75]),
-       vote=st.booleans(), radius_mode=st.sampled_from(["harmonic", "stddev"]),
-       limit=st.sampled_from([1.0, 20.0]))
+       vote=st.booleans(), limit=st.sampled_from([1.0, 20.0]))
 @settings(max_examples=300, deadline=None)
-def test_nms_matches_reference(dets, iou_keep, vote, radius_mode, limit):
-    kw = dict(iou_keep=iou_keep, vote=vote, radius_mode=radius_mode, limit=limit)
+def test_nms_matches_reference(dets, iou_keep, vote, limit):
+    kw = dict(iou_keep=iou_keep, vote=vote, limit=limit)
     assert nms_merge(dets, **kw) == reference_nms_merge(dets, **kw)
 
 
@@ -333,20 +326,17 @@ def test_bounds_iou_bit_identical_to_iou(quads):
                      var_h=st.floats(0.0, 1e-3), var_v=st.floats(0.0, 1e-3)),
            max_size=70),
        iou_keep=st.sampled_from([0.0, 0.2, 0.5]),
-       radius_mode=st.sampled_from(["harmonic", "stddev"]),
        sigma_t=st.sampled_from([0.025, 0.3]))
 @settings(max_examples=300, deadline=None)
-def test_voting_matches_overlap_prob_reference(dets, iou_keep, radius_mode,
-                                               sigma_t):
+def test_voting_matches_overlap_prob_reference(dets, iou_keep, sigma_t):
     # dense coarse clusters span several blocks; zero-area boxes have IoU 0
     # with themselves, which their vote weight must keep
-    kw = dict(iou_keep=iou_keep, radius_mode=radius_mode, sigma_t=sigma_t)
+    kw = dict(iou_keep=iou_keep, sigma_t=sigma_t)
     assert nms_merge(dets, **kw) == reference_nms_merge(dets, **kw)
 
 
-@pytest.mark.parametrize("radius_mode", ["harmonic", "stddev"])
 @pytest.mark.parametrize("n", [1, 2, 31, 33, 300])
-def test_voting_matches_overlap_prob_reference_on_clusters(radius_mode, n):
+def test_voting_matches_overlap_prob_reference_on_clusters(n):
     rng = np.random.default_rng(n)
     centers = rng.uniform(-15.0, 15.0, size=(max(1, n // 40), 2))
     pts = centers[rng.integers(0, len(centers), n)] + rng.normal(0.0, 0.005, (n, 2))
@@ -355,8 +345,8 @@ def test_voting_matches_overlap_prob_reference_on_clusters(radius_mode, n):
             for (h, v), w, c, vh in zip(pts, rng.uniform(0.1, 0.3, n),
                                         rng.uniform(0.1, 1.0, n),
                                         rng.uniform(1e-6, 1e-3, n))]
-    windows = nms_merge(dets, radius_mode=radius_mode)
-    assert windows == reference_nms_merge(dets, radius_mode=radius_mode)
+    windows = nms_merge(dets)
+    assert windows == reference_nms_merge(dets)
     if n == 300:
         assert max(len(w.members) for w in windows) > 32
 

@@ -246,6 +246,11 @@ def sampler_cases(draw):
             draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1)))
 
 
+def as_array(points):
+    """Reference (x, y) points as the (n, 2) array of rejection_sample's columns."""
+    return np.array(points, dtype=float).reshape(-1, 2)
+
+
 def _drain(gen, out):
     try:
         out.extend(gen)
@@ -266,25 +271,28 @@ def test_rejection_sample_matches_the_three_old_samplers(case, center, radius):
         expected = [ref_sample_in_region(old, labels, bbox, rid, rounds)]
     except ConfigError:
         expected = []
-    assert rejection_sample(new, labels, rid, bbox_draw(bbox), 1, rounds) \
-        == expected
+    got = np.column_stack(rejection_sample(new, labels, rid, bbox_draw(bbox), 1,
+                                           rounds))
+    assert np.array_equal(got, as_array(expected))
     assert old.bit_generator.state == new.bit_generator.state
 
     old, new = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = []
     filled = _drain(ref_uniform_in_region(old, labels, bbox, rid, count, rounds),
                     expected)
-    got = rejection_sample(new, labels, rid, bbox_draw(bbox), count, rounds)
-    assert got == expected
+    got = np.column_stack(rejection_sample(new, labels, rid, bbox_draw(bbox),
+                                           count, rounds))
+    assert np.array_equal(got, as_array(expected))
     assert filled == (len(got) == count)
     assert old.bit_generator.state == new.bit_generator.state
 
     old, new = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = list(ref_uniform_in_disc(old, labels, center, radius, rid, count,
                                         rounds))
-    got = rejection_sample(new, labels, rid, _disc_draw(center, radius, w, h),
-                           count, rounds)
-    assert got == expected[:len(got)]
+    got = np.column_stack(rejection_sample(new, labels, rid,
+                                           _disc_draw(center, radius, w, h),
+                                           count, rounds))
+    assert np.array_equal(got, as_array(expected[:len(got)]))
     fallback = (float(min(max(center[0], 0.0), w - 1.0)),
                 float(min(max(center[1], 0.0), h - 1.0)))
     assert expected[len(got):] == [fallback] * (count - len(got))
