@@ -220,6 +220,16 @@ def cmd_study(args) -> int:
     return 0
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer >= low, else a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="panosearch",
@@ -239,10 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trial", help="run a single search trial")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--method", default="ppm_ps",
                    choices=sorted(exp.METHODS))
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
     p.add_argument("--dump", action="store_true",
                    help="also write scene grid and probability-map dumps")
     p.set_defaults(func=cmd_trial)
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, study in STUDIES.items():
         p = sub.add_parser(name, help=study.help)
         common(p)
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_int_at_least(1), default=1,
                        help="worker processes; results do not depend on it")
         p.set_defaults(func=cmd_study)
     return parser

@@ -315,8 +315,8 @@ def parse_file(path: str) -> Block:
 def apply_overrides(root: Block, overrides: list[str]) -> None:
     """Apply ``--set section.key=value`` overrides onto a parsed tree.
 
-    Paths address scalar keys through uniquely-named blocks; repeated blocks
-    (region, objects, preset) cannot be addressed this way.
+    Paths address scalar keys through uniquely-named blocks; a path through
+    a repeated block (region, objects, preset) is a ConfigError.
     """
     for item in overrides:
         if "=" not in item:
@@ -325,6 +325,9 @@ def apply_overrides(root: Block, overrides: list[str]) -> None:
         parts = [p for p in path.strip().split(".") if p]
         if not parts:
             raise ConfigError(f"override {item!r} has an empty path")
+        if {"region", "objects", "preset"} & set(parts[:-1]):
+            raise ConfigError(f"override {item!r} passes through a repeated "
+                              "block, which --set cannot address")
         node = root
         for name in parts[:-1]:
             nxt = node.child(name)

@@ -49,69 +49,6 @@ def detection_probability(cfg: DetectorConfig, occlusion: float, width_px: float
     return cfg.base_recall * (1.0 - occlusion) * size_factor * center_factor
 
 
-def detect(view: View, cfg: DetectorConfig, seed, alpha: float = 0.002,
-           limit: float = 20.0) -> list[Detection]:
-    """Run the synthetic detector on one view.
-
-    Each visible object fires with probability
-    base_recall * (1 - occlusion) * size_factor * center_factor and yields a
-    box at its (noisy) center, already transformed into mirror angles.
-    False positives arrive Poisson-distributed at fp_rate per view with
-    confidence below fp_conf_cap.
-    """
-    rng = np.random.default_rng(seed)
-    half_diag = 0.5 * math.hypot(view.width, view.height)
-    out: list[Detection] = []
-    for vis in view.visible:
-        dist = math.hypot(vis.x_px - view.width / 2.0, vis.y_px - view.height / 2.0)
-        dist_norm = dist / half_diag
-        d = detection_probability(cfg, vis.occlusion, vis.width_px,
-                                  vis.height_px, dist_norm)
-        if rng.random() >= d:
-            continue
-        var_h, var_v = _variances(cfg, vis.occlusion, vis.width_px,
-                                  vis.height_px, dist_norm)
-        std_x = cfg.loc_noise_px + math.sqrt(var_h) / alpha * cfg.loc_noise_scale
-        std_y = cfg.loc_noise_px + math.sqrt(var_v) / alpha * cfg.loc_noise_scale
-        t_x = vis.x_px + (rng.normal(0.0, std_x) if std_x > 0 else 0.0)
-        t_y = vis.y_px + (rng.normal(0.0, std_y) if std_y > 0 else 0.0)
-        conf = d + (rng.normal(0.0, cfg.conf_noise) if cfg.conf_noise > 0 else 0.0)
-        g_h, g_v, _ = image_to_galvo(view.theta_h, view.theta_v, t_x, t_y,
-                                     alpha=alpha, width=view.width,
-                                     height=view.height, limit=limit)
-        out.append(Detection(
-            theta_h=g_h, theta_v=g_v,
-            width_deg=vis.width_px * alpha, height_deg=vis.height_px * alpha,
-            confidence=min(max(conf, 0.0), 1.0),
-            var_h=var_h, var_v=var_v, object_id=vis.object_id,
-        ))
-    if cfg.fp_rate > 0.0:
-        for _ in range(int(rng.poisson(cfg.fp_rate))):
-            t_x = rng.uniform(0.0, view.width - 1.0)
-            t_y = rng.uniform(0.0, view.height - 1.0)
-            size = rng.uniform(10.0, 40.0)
-            dist_norm = math.hypot(t_x - view.width / 2.0,
-                                   t_y - view.height / 2.0) / half_diag
-            var_h, var_v = _variances(cfg, 0.0, size, size, dist_norm)
-            g_h, g_v, _ = image_to_galvo(view.theta_h, view.theta_v, t_x, t_y,
-                                         alpha=alpha, width=view.width,
-                                         height=view.height, limit=limit)
-            out.append(Detection(
-                theta_h=g_h, theta_v=g_v,
-                width_deg=size * alpha, height_deg=size * alpha,
-                confidence=rng.uniform(0.0, cfg.fp_conf_cap),
-                var_h=var_h, var_v=var_v, object_id=None,
-            ))
-    return out
-
-
-def likelihood(view: View, detections, floor: float = LIKELIHOOD_FLOOR) -> float:
-    """View likelihood: best detection confidence, floored so misses survive."""
-    if not detections:
-        return floor
-    return max(max(d.confidence for d in detections), floor)
-
-
 class SyntheticDetector:
     """The synthetic detector bound to a config, as a trial calls it."""
 
@@ -123,7 +60,62 @@ class SyntheticDetector:
         self.floor = floor
 
     def detect(self, view: View, seed) -> list[Detection]:
-        return detect(view, self.cfg, seed, alpha=self.alpha, limit=self.limit)
+        """Run the synthetic detector on one view.
+
+        Each visible object fires with probability
+        base_recall * (1 - occlusion) * size_factor * center_factor and
+        yields a box at its (noisy) center, already transformed into mirror
+        angles.  False positives arrive Poisson-distributed at fp_rate per
+        view with confidence below fp_conf_cap.
+        """
+        cfg, alpha, limit = self.cfg, self.alpha, self.limit
+        rng = np.random.default_rng(seed)
+        half_diag = 0.5 * math.hypot(view.width, view.height)
+        out: list[Detection] = []
+        for vis in view.visible:
+            dist_norm = math.hypot(vis.x_px - view.width / 2.0,
+                                   vis.y_px - view.height / 2.0) / half_diag
+            d = detection_probability(cfg, vis.occlusion, vis.width_px,
+                                      vis.height_px, dist_norm)
+            if rng.random() >= d:
+                continue
+            var_h, var_v = _variances(cfg, vis.occlusion, vis.width_px,
+                                      vis.height_px, dist_norm)
+            std_x = cfg.loc_noise_px + math.sqrt(var_h) / alpha * cfg.loc_noise_scale
+            std_y = cfg.loc_noise_px + math.sqrt(var_v) / alpha * cfg.loc_noise_scale
+            t_x = vis.x_px + (rng.normal(0.0, std_x) if std_x > 0 else 0.0)
+            t_y = vis.y_px + (rng.normal(0.0, std_y) if std_y > 0 else 0.0)
+            conf = d + (rng.normal(0.0, cfg.conf_noise) if cfg.conf_noise > 0 else 0.0)
+            g_h, g_v, _ = image_to_galvo(view.theta_h, view.theta_v, t_x, t_y,
+                                         alpha=alpha, width=view.width,
+                                         height=view.height, limit=limit)
+            out.append(Detection(
+                theta_h=g_h, theta_v=g_v,
+                width_deg=vis.width_px * alpha, height_deg=vis.height_px * alpha,
+                confidence=min(max(conf, 0.0), 1.0),
+                var_h=var_h, var_v=var_v, object_id=vis.object_id,
+            ))
+        if cfg.fp_rate > 0.0:
+            for _ in range(int(rng.poisson(cfg.fp_rate))):
+                t_x = rng.uniform(0.0, view.width - 1.0)
+                t_y = rng.uniform(0.0, view.height - 1.0)
+                size = rng.uniform(10.0, 40.0)
+                dist_norm = math.hypot(t_x - view.width / 2.0,
+                                       t_y - view.height / 2.0) / half_diag
+                var_h, var_v = _variances(cfg, 0.0, size, size, dist_norm)
+                g_h, g_v, _ = image_to_galvo(view.theta_h, view.theta_v, t_x, t_y,
+                                             alpha=alpha, width=view.width,
+                                             height=view.height, limit=limit)
+                out.append(Detection(
+                    theta_h=g_h, theta_v=g_v,
+                    width_deg=size * alpha, height_deg=size * alpha,
+                    confidence=rng.uniform(0.0, cfg.fp_conf_cap),
+                    var_h=var_h, var_v=var_v, object_id=None,
+                ))
+        return out
 
     def likelihood(self, view: View, detections) -> float:
-        return likelihood(view, detections, floor=self.floor)
+        """View likelihood: best detection confidence, floored so misses survive."""
+        if not detections:
+            return self.floor
+        return max(max(d.confidence for d in detections), self.floor)

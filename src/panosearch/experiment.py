@@ -35,6 +35,7 @@ NO_PPM_SPEC = MethodSpec("uniform", False, True, True, "proposal")
 
 # the deviation study's no-voting arm: full pipeline, voting alone toggled off
 NO_VOTE_SPEC = MethodSpec("ppm", True, False, True, "proposal")
+DEVIATION_ITERATIONS = 4  # passes per deviation trial, whatever the config says
 
 
 @dataclass
@@ -546,11 +547,8 @@ def proportion_sweep(base_scene: SceneConfig, proportions: list[float],
             for (pi, mi), group in zip(cells, run_jobs(jobs, n_jobs))]
 
 
-def ablation(cfg: ScenarioConfig, seeds: int | None = None,
-             budget: int | None = None, n_jobs: int = 1) -> list[dict]:
+def ablation(cfg: ScenarioConfig, n_jobs: int = 1) -> list[dict]:
     """Recall/AP with the probability map enabled vs disabled, per detector preset."""
-    seeds = cfg.experiment.ablation_seeds if seeds is None else seeds
-    budget = cfg.experiment.ablation_budget if budget is None else budget
     presets = cfg.presets or [DetectorPreset("default", cfg.detector.base_recall,
                                              cfg.detector.sigma_base_deg)]
     cfgs = [replace(cfg, detector=replace(cfg.detector, base_recall=p.base_recall,
@@ -559,10 +557,12 @@ def ablation(cfg: ScenarioConfig, seeds: int | None = None,
     arms = (("with", METHODS["ppm_ps"]), ("without", NO_PPM_SPEC))
     cells = [(di, ai) for di in range(len(presets)) for ai in range(len(arms))]
     jobs = [TrialJob(scene_cfg=cfg.scene, scene_seed=(23, seed),
-                     method=f"ppm_ps[{arms[ai][0]}]", budget=budget,
+                     method=f"ppm_ps[{arms[ai][0]}]",
+                     budget=cfg.experiment.ablation_budget,
                      trial_seed=(29, di, ai, seed), cfg=cfgs[di], row=row,
                      spec=arms[ai][1])
-            for row, (di, ai) in enumerate(cells) for seed in range(seeds)]
+            for row, (di, ai) in enumerate(cells)
+            for seed in range(cfg.experiment.ablation_seeds)]
     rows = []
     for (di, ai), group in zip(cells, run_jobs(jobs, n_jobs)):
         sim_speed = sum(r.views for r in group) / max(
@@ -577,8 +577,7 @@ def ablation(cfg: ScenarioConfig, seeds: int | None = None,
 
 
 def deviation_study(scene_cfg: SceneConfig, seeds: int, budget: int,
-                    cfg: ScenarioConfig, n_jobs: int = 1,
-                    iters: int = 4) -> list[dict]:
+                    cfg: ScenarioConfig, n_jobs: int = 1) -> list[dict]:
     """Per-target gaze deviation with variance voting on vs off.
 
     Runs the full iterative pipeline in both arms; only the voting step
@@ -586,7 +585,7 @@ def deviation_study(scene_cfg: SceneConfig, seeds: int, budget: int,
     """
     cfg = scenario_copy(cfg)
     cfg.engine.init_frac = min(cfg.engine.init_frac, 0.5)  # leave room to iterate
-    cfg.engine.iterations = iters
+    cfg.engine.iterations = DEVIATION_ITERATIONS
     arms = (("on", METHODS["ppm_ps"]), ("off", NO_VOTE_SPEC))
     jobs = [TrialJob(scene_cfg=scene_cfg, scene_seed=(31, seed),
                      method=f"ppm_ps[vote={arm}]", budget=budget,

@@ -143,9 +143,9 @@ def plan_scan(pose: tuple[float, float], positions) -> list[int]:
     Cost: an O(n log n) sort, then per step a walk over the unvisited points
     within the current best distance along the axis; O(n^2) Python work in
     the worst case (every point inside every step's band, as on a plus
-    shape).  Inputs with a non-finite coordinate or cursor, or a magnitude
-    of at least 1e150, take the O(n)-per-step array scan instead, whose
-    argmin also orders NaN and infinite distances.
+    shape).  Raises ValueError when a coordinate or the cursor is
+    non-finite or has a magnitude of at least 1e150; no trial produces
+    such a pose, since every angle is clamped into the mirror range.
     """
     if len(positions) == 0:
         raise ValueError("cannot plan a scan over zero positions")
@@ -153,7 +153,7 @@ def plan_scan(pose: tuple[float, float], positions) -> list[int]:
     ys = [float(v) for _, v in positions]
     cx, cy = float(pose[0]), float(pose[1])
     if not (_bounded(xs) and _bounded(ys) and _bounded((cx, cy))):
-        return _scan_tour(np.array(xs), np.array(ys), cx, cy)
+        raise ValueError("plan_scan needs finite angles of magnitude < 1e150")
     if max(ys) - min(ys) > max(xs) - min(xs):
         return _sweep_tour(ys, xs, cy, cx)
     return _sweep_tour(xs, ys, cx, cy)
@@ -167,10 +167,10 @@ def _sweep_tour(us: list[float], vs: list[float], cu: float,
                 cv: float) -> list[int]:
     """Nearest-neighbour order by a sweep over the positions sorted along u.
 
-    Every distance is `du*du + dv*dv` on the same doubles as the array scan
-    (float addition commutes, so the axis choice cannot change a sum), and
-    `du*du` never exceeds it, so a side whose `du*du` is strictly greater
-    than the best holds no closer or equally close point further out.
+    Every distance is `du*du + dv*dv` (float addition commutes, so the axis
+    choice cannot change a sum), and `du*du` never exceeds it, so a side
+    whose `du*du` is strictly greater than the best holds no closer or
+    equally close point further out.
     """
     n = len(us)
     rank = sorted(range(n), key=us.__getitem__)  # stable: ties in index order
@@ -214,34 +214,4 @@ def _sweep_tour(us: list[float], vs: list[float], cu: float,
         if right < n:
             prv[right] = left
         cu, cv = su[best_r], sv[best_r]
-    return order
-
-
-def _scan_tour(xs: np.ndarray, ys: np.ndarray, cx: float,
-               cy: float) -> list[int]:
-    """Nearest-neighbour order by a full array scan per step.
-
-    Each step computes the squared distance from the cursor to every
-    position, sets the visited ones to inf and takes argmin, which returns
-    the first minimum (or the first NaN).
-    """
-    n = len(xs)
-    dx = np.empty(n)
-    dy = np.empty(n)
-    visited = np.zeros(n, dtype=bool)
-    order = [0] * n
-    for i in range(n):
-        np.subtract(xs, cx, out=dx)
-        np.multiply(dx, dx, out=dx)
-        np.subtract(ys, cy, out=dy)
-        np.multiply(dy, dy, out=dy)
-        np.add(dx, dy, out=dx)
-        np.putmask(dx, visited, np.inf)
-        pick = int(dx.argmin())
-        if visited[pick]:  # every unvisited distance is inf: take the first
-            pick = int(visited.argmin())
-        order[i] = pick
-        visited[pick] = True
-        cx = xs[pick]
-        cy = ys[pick]
     return order

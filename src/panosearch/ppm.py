@@ -103,17 +103,16 @@ def region_sampling_prob(regions, target: str) -> dict[int, float]:
     return {rid: v / z for rid, v in numerators.items()}
 
 
-def subregion_share(s_ro: float, s_rm: float, f_region: float,
-                    f_sub: float = 1.0) -> float:
+def subregion_share(s_ro: float, s_rm: float, f_region: float) -> float:
     """Fraction of a region's particles pulled into one sub-region disc.
 
     Both operands weight probability by absolute area; the sub-region
-    probability defaults to certainty.
+    probability is certainty.
     """
-    denom = f_sub * s_ro + f_region * s_rm
+    denom = s_ro + f_region * s_rm
     if denom <= 0.0:
         return 0.0
-    return f_sub * s_ro / denom
+    return s_ro / denom
 
 
 def apportion(total: int, weights) -> list[int]:

@@ -36,17 +36,10 @@ class SearchWindow:
 
 def iou(a: Detection, b: Detection) -> float:
     """Intersection over union of two center+extent angular rectangles."""
-    ax0, ax1 = a.theta_h - a.width_deg / 2.0, a.theta_h + a.width_deg / 2.0
-    ay0, ay1 = a.theta_v - a.height_deg / 2.0, a.theta_v + a.height_deg / 2.0
-    bx0, bx1 = b.theta_h - b.width_deg / 2.0, b.theta_h + b.width_deg / 2.0
-    by0, by1 = b.theta_v - b.height_deg / 2.0, b.theta_v + b.height_deg / 2.0
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = a.width_deg * a.height_deg + b.width_deg * b.height_deg - inter
-    return inter / union
+    boxes = box_bounds(np.array([(a.theta_h, a.theta_v), (b.theta_h, b.theta_v)]),
+                       np.array([(a.width_deg, a.height_deg),
+                                 (b.width_deg, b.height_deg)]))
+    return float(bounds_iou(boxes[0], boxes[1]))
 
 
 def box_bounds(centers: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -59,9 +52,7 @@ def box_bounds(centers: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def bounds_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of box_bounds rows a and b, broadcast against each other.
 
-    Overlapping pairs take the same float operations in the same order as
-    iou(); a disjoint pair, or one whose intersection underflows, is 0 as
-    in iou(), so every entry is bit-identical to iou() (also for a
+    A disjoint pair, or one whose intersection underflows, is 0 (also a
     zero-area box against itself).
     """
     overlap = np.maximum(np.minimum(a[..., 2:4], b[..., 2:4])

@@ -230,10 +230,3 @@ def step_motion(scene: SceneMap, dt: float) -> SceneMap:
             velocity=(obj.velocity[0] * dir_x, obj.velocity[1] * dir_y),
             occlusion=obj.occlusion, pano_detectable=obj.pano_detectable))
     return replace(scene, objects=tuple(moved))
-
-
-def region_at(scene: SceneMap, x: float, y: float) -> int:
-    """Region id at a panoramic pixel; raises ValueError outside the panorama."""
-    if not (0 <= x < scene.width and 0 <= y < scene.height):
-        raise ValueError(f"pixel ({x}, {y}) outside the {scene.width}x{scene.height} panorama")
-    return int(scene.labels[int(y), int(x)])

@@ -478,3 +478,26 @@ def test_flags_a_subcommand_does_not_use_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("override", [
+    "scene.objects.count=3", "scene.objects.region=field",
+    "scene.region.label=x", "preset.name=x", "preset.base_recall=0.5"])
+def test_overrides_through_repeated_blocks_rejected(override, capsys):
+    with pytest.raises(ConfigError, match="repeated block"):
+        load_scenario(DEFAULT_CFG, [override])
+    with pytest.raises(ConfigError, match="repeated block"):
+        load_scenario(None, [override])
+    assert main(["validate", "--set", override]) == 1
+    assert "repeated block" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["trial", "--seed", "-1"], ["trial", "--budget", "-5"],
+    ["trial", "--seed", "1.5"], ["curve", "--jobs", "0"],
+    ["ablation", "--jobs", "-3"]])
+def test_out_of_domain_numeric_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}" in capsys.readouterr().err

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panosearch.config import DetectorConfig
-from panosearch.detector import (Detection, SyntheticDetector, detect,
-                                 detection_probability, likelihood)
+from panosearch.detector import (Detection, SyntheticDetector,
+                                 detection_probability)
 from panosearch.galvo import View, VisibleObject
 
 
@@ -32,11 +32,12 @@ def noiseless_cfg(**kwargs):
 # --- detect ------------------------------------------------------------------
 
 def test_empty_view_no_false_positives():
-    assert detect(make_view(), noiseless_cfg(), seed=0) == []
+    assert SyntheticDetector(noiseless_cfg()).detect(make_view(), seed=0) == []
 
 
 def test_large_centered_object_deterministic_hit():
-    dets = detect(make_view([centered_object()]), noiseless_cfg(), seed=0)
+    dets = SyntheticDetector(noiseless_cfg()).detect(
+        make_view([centered_object()]), seed=0)
     assert len(dets) == 1
     det = dets[0]
     # at the view center the refined angles equal the gaze
@@ -47,12 +48,13 @@ def test_large_centered_object_deterministic_hit():
 
 
 def test_occlusion_strictly_inflates_variance():
-    clear = detect(make_view([centered_object(occlusion=0.0)]),
-                   noiseless_cfg(), seed=0)[0]
+    detector = SyntheticDetector(noiseless_cfg())
+    clear = detector.detect(make_view([centered_object(occlusion=0.0)]),
+                            seed=0)[0]
     occluded = []
     for seed in range(50):  # detection prob is 0.2, scan seeds until it fires
-        occluded = detect(make_view([centered_object(occlusion=0.8)]),
-                          noiseless_cfg(), seed=seed)
+        occluded = detector.detect(
+            make_view([centered_object(occlusion=0.8)]), seed=seed)
         if occluded:
             break
     assert occluded
@@ -69,16 +71,18 @@ def test_detection_probability_calibration():
     dist_norm = math.hypot(100.0 - 132.0, 80.0 - 112.0) / (0.5 * math.hypot(264, 224))
     expected = detection_probability(cfg, 0.25, 30.0, 20.0, dist_norm)
     rng = np.random.default_rng(42)
-    hits = sum(1 for _ in range(10_000) if detect(view, cfg, rng))
+    detector = SyntheticDetector(cfg)
+    hits = sum(1 for _ in range(10_000) if detector.detect(view, rng))
     assert hits / 10_000 == pytest.approx(expected, abs=0.02)
 
 
 def test_false_positive_rate_and_confidence_cap():
     cfg = noiseless_cfg(fp_rate=0.5, fp_conf_cap=0.3)
     rng = np.random.default_rng(7)
+    detector = SyntheticDetector(cfg)
     total = 0
     for _ in range(2000):
-        for det in detect(make_view(), cfg, rng):
+        for det in detector.detect(make_view(), rng):
             total += 1
             assert det.confidence <= 0.3
             assert det.object_id is None
@@ -102,24 +106,27 @@ def test_variance_monotonicity_over_random_configs(occ, size, dist, sigma_base,
 def test_detect_deterministic_given_seed():
     cfg = DetectorConfig(conf_noise=0.05, loc_noise_scale=1.0, fp_rate=0.2)
     view = make_view([centered_object()])
-    assert detect(view, cfg, seed=99) == detect(view, cfg, seed=99)
+    detector = SyntheticDetector(cfg)
+    assert detector.detect(view, seed=99) == detector.detect(view, seed=99)
 
 
 # --- likelihood ---------------------------------------------------------------
 
 def test_likelihood_floor_on_empty():
-    assert likelihood(make_view(), []) == pytest.approx(1e-3)
+    assert SyntheticDetector(DetectorConfig()).likelihood(make_view(), []) \
+        == pytest.approx(1e-3)
 
 
 def test_likelihood_is_max_confidence():
     dets = [Detection(0, 0, 0.1, 0.1, 0.4, 1e-4, 1e-4),
             Detection(0, 0, 0.1, 0.1, 0.9, 1e-4, 1e-4)]
-    assert likelihood(make_view(), dets) == pytest.approx(0.9)
+    assert SyntheticDetector(DetectorConfig()).likelihood(make_view(), dets) \
+        == pytest.approx(0.9)
 
 
 def test_likelihood_perfect_confidence():
     dets = [Detection(0, 0, 0.1, 0.1, 1.0, 1e-4, 1e-4)]
-    assert likelihood(make_view(), dets) == 1.0
+    assert SyntheticDetector(DetectorConfig()).likelihood(make_view(), dets) == 1.0
 
 
 # --- interface substitutability -----------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from panosearch.config import (ObjectGroupSpec, RegionSpec, SceneConfig,
                                default_scenario)
-from panosearch.experiment import _grid_particles, run_trial
+from panosearch import experiment
+from panosearch.experiment import TrialTrace, _grid_particles, run_trial
 from panosearch.galvo import (GALVO_LIMIT_DEG, View, VisibleObject,
                               capture_view, clamp_angle, image_to_galvo,
                               plan_scan)
@@ -394,11 +395,10 @@ def extremes(m):
     pytest.param((-0.0, 0.0), [(0.0, -0.0), (-0.0, 0.0), (1.0, -0.0),
                                (-0.0, -0.0), (-1.0, 0.0), (0.0, 0.0)],
                  id="signed-zeros"),
-    # just below 1e150 the sweep runs; from 1e150 on the array scan does
+    # the largest magnitudes plan_scan accepts; from 1e150 on it raises
     pytest.param((0.0, 0.0), extremes(BELOW_1E150), id="below-1e150"),
     pytest.param((-BELOW_1E150, 0.0), extremes(BELOW_1E150),
                  id="below-1e150-far-cursor"),
-    pytest.param((0.0, 0.0), extremes(1e150), id="at-1e150"),
     pytest.param((0.0, 0.0), [(3.0, 4.0)], id="n1"),
     # a tie across the cursor: the lower index lies on the side walked second
     pytest.param((0.0, 0.0), [(1.0, 0.0), (-1.0, 0.0)], id="n2-horizontal"),
@@ -418,9 +418,39 @@ INF, NAN = float("inf"), float("nan")
     ((0.0, 0.0), [(1.0, 1.0), (INF, 0.0), (2.0, 2.0)]),
     ((NAN, 0.0), [(1.0, 1.0), (2.0, 2.0)]),
     ((INF, 0.0), [(1.0, 1.0), (INF, INF), (2.0, 2.0), (-INF, 3.0)]),
+    pytest.param((0.0, 0.0), extremes(1e150), id="at-1e150"),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_tour_matches_reference(start, positions):
-    order = plan_scan(start, positions)
-    assert sorted(order) == list(range(len(positions)))
-    assert order == reference_plan_scan(start, positions)
+    """Input whose distances may not be finite is rejected, not ordered:
+    no trial produces it (see test_trial_angles_stay_in_mirror_range)."""
+    with pytest.raises(ValueError, match="finite"):
+        plan_scan(start, positions)
+
+
+@pytest.mark.parametrize("method", ["ppm_ps", "ppm_only", "rpm", "mpf",
+                                    "uniform"])
+def test_trial_angles_stay_in_mirror_range(method, monkeypatch):
+    # the invariant that keeps every trial clear of plan_scan's ValueError
+    cfg = default_scenario()
+    cfg.engine.iterations = 3
+    cfg.noise.label_flip = 0.05
+    cfg.detector.fp_rate = 0.5
+    limit = cfg.engine.galvo_limit_deg
+    tours = []
+
+    def recording_plan_scan(pose, positions):
+        tours.append([pose, *positions])
+        return plan_scan(pose, positions)
+
+    monkeypatch.setattr(experiment, "plan_scan", recording_plan_scan)
+    scene = build_scene(cfg.scene, seed=[11, 0, 3])
+    trace = TrialTrace()
+    run_trial(scene, method, 200, cfg.engine.iterations, [13, 0, 3], cfg,
+              trace=trace)
+    assert len(trace.scan) == len(trace.particles) == 200
+    assert sum(len(tour) - 1 for tour in tours) == 200
+    for angles in ([row[1:3] for row in trace.scan + trace.particles],
+                   [p for tour in tours for p in tour]):
+        angles = np.array(angles, dtype=float)
+        assert np.isfinite(angles).all()
+        assert (np.abs(angles) <= limit).all()

@@ -14,7 +14,7 @@ from panosearch.particles import (Particle, ParticleSet, _disc_draw,
                                   normalize_weights, prune_redundant,
                                   sample_next, update_weights)
 from panosearch.ppm import build_ppm
-from panosearch.scene import bbox_draw, build_scene, region_at, rejection_sample
+from panosearch.scene import bbox_draw, build_scene, rejection_sample
 
 
 def pset(*rows):
@@ -214,7 +214,7 @@ def test_zero_probability_region_gets_no_particles():
     assert len(parts) == 200
     x, y = scene.galvo_to_pano(parts.theta_h, parts.theta_v)
     for xi, yi in zip(x.tolist(), y.tolist()):
-        assert region_at(scene, min(xi, 1439.0), min(yi, 1199.0)) == 0
+        assert scene.labels[int(min(yi, 1199.0)), int(min(xi, 1439.0))] == 0
 
 
 def test_subregion_particles_stay_inside_disc():
@@ -311,7 +311,7 @@ def test_sampled_region_mass_matches_mixture():
     q = build_proposal(pset((-10.0, 0.0, 0.35, 0.05), (10.0, 0.0, 0.65, 0.05)))
     draws = sample_next(q, 100_000, seed=7)
     x, y = scene.galvo_to_pano(draws.theta_h, draws.theta_v)
-    left = sum(region_at(scene, xi, yi) == 0
+    left = sum(scene.labels[int(yi), int(xi)] == 0
                for xi, yi in zip(x.tolist(), y.tolist()))
     assert left / len(draws) == pytest.approx(0.35, abs=0.02)
 

@@ -19,6 +19,21 @@ def box(th=0.0, tv=0.0, w=1.0, h=1.0, conf=0.9, var_h=1e-4, var_v=1e-4, oid=None
 
 # --- iou ----------------------------------------------------------------------
 
+def reference_iou(a, b):
+    """The original scalar IoU: min/max over the rectangles' edges."""
+    ax0, ax1 = a.theta_h - a.width_deg / 2.0, a.theta_h + a.width_deg / 2.0
+    ay0, ay1 = a.theta_v - a.height_deg / 2.0, a.theta_v + a.height_deg / 2.0
+    bx0, bx1 = b.theta_h - b.width_deg / 2.0, b.theta_h + b.width_deg / 2.0
+    by0, by1 = b.theta_v - b.height_deg / 2.0, b.theta_v + b.height_deg / 2.0
+    iw = min(ax1, bx1) - max(ax0, bx0)
+    ih = min(ay1, by1) - max(ay0, by0)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    return inter / (a.width_deg * a.height_deg + b.width_deg * b.height_deg
+                    - inter)
+
+
 def test_identical_boxes_full_overlap():
     assert iou(box(), box()) == pytest.approx(1.0)
 
@@ -210,7 +225,7 @@ def reference_nms_merge(dets, iou_keep=0.5, sigma_t=0.025, vote=True,
         for j in order:
             if taken[j]:
                 continue
-            if iou(best, dets[j]) > iou_keep:
+            if reference_iou(best, dets[j]) > iou_keep:
                 taken[j] = True
                 members.append(dets[j])
         if vote:
@@ -310,8 +325,9 @@ def test_bounds_iou_bit_identical_to_iou(quads):
                      for d in dets])
     bounds = box_bounds(cols[:, :2], cols[:, 2:])
     got = bounds_iou(bounds[:, None], bounds)
-    want = [[iou(a, b) for b in dets] for a in dets]
+    want = [[reference_iou(a, b) for b in dets] for a in dets]
     assert got.tolist() == want
+    assert [[iou(a, b) for b in dets] for a in dets] == want
 
 
 # --- voting from the suppression IoUs against overlap_prob ------------------------
@@ -358,4 +374,6 @@ def test_bounds_iou_of_zero_area_boxes_matches_iou():
                      for d in dets])
     bounds = box_bounds(cols[:, :2], cols[:, 2:])
     got = bounds_iou(bounds[:, None], bounds)
-    assert got.tolist() == [[iou(a, b) for b in dets] for a in dets]
+    want = [[reference_iou(a, b) for b in dets] for a in dets]
+    assert got.tolist() == want
+    assert [[iou(a, b) for b in dets] for a in dets] == want

@@ -10,7 +10,7 @@ from panosearch.config import (ConfigError, ObjectGroupSpec, RegionSpec,
 from panosearch.experiment import default_scene_variants
 from panosearch.config import default_scenario
 from panosearch.particles import _disc_draw
-from panosearch.scene import (_reflect, bbox_draw, build_scene, region_at,
+from panosearch.scene import (_reflect, bbox_draw, build_scene,
                               rejection_sample, step_motion)
 
 
@@ -142,20 +142,18 @@ def test_step_motion_matches_reference():
         assert scene.band_x == want.band_x
 
 
-def test_region_at_lookup_and_bounds():
+def test_label_grid_lookup():
     cfg = SceneConfig(regions=[RegionSpec("left", (0, 0, 720, 1200)),
                                RegionSpec("right", (720, 0, 720, 1200))])
     scene = build_scene(cfg, seed=0)
-    assert region_at(scene, 0, 0) == 0
-    assert region_at(scene, 1439, 0) == 1
-    with pytest.raises(ValueError):
-        region_at(scene, 1440, 0)
+    assert scene.labels[0, 0] == 0
+    assert scene.labels[0, 1439] == 1
 
 
 def test_single_region_everything_maps_to_it():
     scene = build_scene(single_region_config(), seed=0)
     for x, y in [(0, 0), (719.5, 600.2), (1439, 1199)]:
-        assert region_at(scene, x, y) == 0
+        assert scene.labels[int(y), int(x)] == 0
 
 
 def test_pano_galvo_round_trip_and_span():
