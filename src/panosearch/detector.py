@@ -10,7 +10,7 @@ likelihood scalar for particle weighting.  A trial builds its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .galvo import View, image_to_galvo
 LIKELIHOOD_FLOOR = 1e-3
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     theta_h: float        # refined mirror angles of the box center
     theta_v: float
     width_deg: float
@@ -70,48 +69,43 @@ class SyntheticDetector:
         """
         cfg, alpha, limit = self.cfg, self.alpha, self.limit
         rng = np.random.default_rng(seed)
-        half_diag = 0.5 * math.hypot(view.width, view.height)
+        theta_h, theta_v, width, height, visible = view
         out: list[Detection] = []
-        for vis in view.visible:
-            dist_norm = math.hypot(vis.x_px - view.width / 2.0,
-                                   vis.y_px - view.height / 2.0) / half_diag
-            d = detection_probability(cfg, vis.occlusion, vis.width_px,
-                                      vis.height_px, dist_norm)
+        false_positives = cfg.fp_rate > 0.0
+        if not (visible or false_positives):
+            return out
+        c_x, c_y = width / 2.0, height / 2.0
+        half_diag = 0.5 * math.hypot(width, height)
+        for object_id, x_px, y_px, width_px, height_px, occlusion in visible:
+            dist_norm = math.hypot(x_px - c_x, y_px - c_y) / half_diag
+            d = detection_probability(cfg, occlusion, width_px, height_px,
+                                      dist_norm)
             if rng.random() >= d:
                 continue
-            var_h, var_v = _variances(cfg, vis.occlusion, vis.width_px,
-                                      vis.height_px, dist_norm)
+            var_h, var_v = _variances(cfg, occlusion, width_px, height_px,
+                                      dist_norm)
             std_x = cfg.loc_noise_px + math.sqrt(var_h) / alpha * cfg.loc_noise_scale
             std_y = cfg.loc_noise_px + math.sqrt(var_v) / alpha * cfg.loc_noise_scale
-            t_x = vis.x_px + (rng.normal(0.0, std_x) if std_x > 0 else 0.0)
-            t_y = vis.y_px + (rng.normal(0.0, std_y) if std_y > 0 else 0.0)
+            t_x = x_px + (rng.normal(0.0, std_x) if std_x > 0 else 0.0)
+            t_y = y_px + (rng.normal(0.0, std_y) if std_y > 0 else 0.0)
             conf = d + (rng.normal(0.0, cfg.conf_noise) if cfg.conf_noise > 0 else 0.0)
-            g_h, g_v, _ = image_to_galvo(view.theta_h, view.theta_v, t_x, t_y,
-                                         alpha=alpha, width=view.width,
-                                         height=view.height, limit=limit)
-            out.append(Detection(
-                theta_h=g_h, theta_v=g_v,
-                width_deg=vis.width_px * alpha, height_deg=vis.height_px * alpha,
-                confidence=min(max(conf, 0.0), 1.0),
-                var_h=var_h, var_v=var_v, object_id=vis.object_id,
-            ))
-        if cfg.fp_rate > 0.0:
+            g_h, g_v, _ = image_to_galvo(theta_h, theta_v, t_x, t_y, alpha,
+                                         width, height, limit)
+            out.append(Detection(g_h, g_v, width_px * alpha, height_px * alpha,
+                                 min(max(conf, 0.0), 1.0), var_h, var_v,
+                                 object_id))
+        if false_positives:
             for _ in range(int(rng.poisson(cfg.fp_rate))):
-                t_x = rng.uniform(0.0, view.width - 1.0)
-                t_y = rng.uniform(0.0, view.height - 1.0)
+                t_x = rng.uniform(0.0, width - 1.0)
+                t_y = rng.uniform(0.0, height - 1.0)
                 size = rng.uniform(10.0, 40.0)
-                dist_norm = math.hypot(t_x - view.width / 2.0,
-                                       t_y - view.height / 2.0) / half_diag
+                dist_norm = math.hypot(t_x - c_x, t_y - c_y) / half_diag
                 var_h, var_v = _variances(cfg, 0.0, size, size, dist_norm)
-                g_h, g_v, _ = image_to_galvo(view.theta_h, view.theta_v, t_x, t_y,
-                                             alpha=alpha, width=view.width,
-                                             height=view.height, limit=limit)
+                g_h, g_v, _ = image_to_galvo(theta_h, theta_v, t_x, t_y, alpha,
+                                             width, height, limit)
                 out.append(Detection(
-                    theta_h=g_h, theta_v=g_v,
-                    width_deg=size * alpha, height_deg=size * alpha,
-                    confidence=rng.uniform(0.0, cfg.fp_conf_cap),
-                    var_h=var_h, var_v=var_v, object_id=None,
-                ))
+                    g_h, g_v, size * alpha, size * alpha,
+                    rng.uniform(0.0, cfg.fp_conf_cap), var_h, var_v))
         return out
 
     def likelihood(self, view: View, detections) -> float:

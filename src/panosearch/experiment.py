@@ -296,12 +296,16 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
         likes = [eng.likelihood_floor] * n_k
         round_dets: list[Detection] = []
         best_for: dict[int, Detection] = {}  # particle index -> its best detection
+        # capture_view stays a module-global lookup, so a wrapper bound here
+        # sees every view
+        detect, likelihood = detector.detect, detector.likelihood
+        view_w, view_h, alpha, mag = (eng.view_w, eng.view_h, eng.alpha,
+                                      eng.magnification)
         for idx in order:
-            view = capture_view(scene, theta_h[idx], theta_v[idx],
-                                width=eng.view_w, height=eng.view_h,
-                                alpha=eng.alpha, magnification=eng.magnification)
-            dets = detector.detect(view, rng)
-            likes[idx] = detector.likelihood(view, dets)
+            view = capture_view(scene, theta_h[idx], theta_v[idx], view_w,
+                                view_h, alpha, mag)
+            dets = detect(view, rng)
+            likes[idx] = likelihood(view, dets)
             if trace is not None:
                 seq = len(trace.scan)
                 trace.scan.append((

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .scene import SceneMap
 GALVO_LIMIT_DEG = 20.0
 
 
-@dataclass(frozen=True)
-class VisibleObject:
+class VisibleObject(NamedTuple):
     object_id: int
     x_px: float          # view pixels, clipped into the view
     y_px: float
@@ -30,8 +29,7 @@ class VisibleObject:
     occlusion: float
 
 
-@dataclass(frozen=True)
-class View:
+class View(NamedTuple):
     theta_h: float
     theta_v: float
     width: int
@@ -80,46 +78,45 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
 
     Only objects whose center x lies within the view's half-width plus the
     widest object half-width (and a 1 px margin) of the gaze are tested,
-    found by bisecting the scene's band index; a non-finite gaze tests
-    every object.
+    found by bisecting the scene's band index; a view whose band holds no
+    object returns at once, and a non-finite gaze tests every object.
     """
-    if magnification is None:
-        magnification = scene.deg_per_px / alpha
-    half_w_deg = width * alpha / 2.0
-    half_h_deg = height * alpha / 2.0
     dpp = scene.deg_per_px
+    half_w_deg = width * alpha / 2.0
     gx, gy = scene.galvo_to_pano(theta_h, theta_v)
     reach = half_w_deg / dpp + scene.max_half_w + 1.0
     lo_x, hi_x = gx - reach, gx + reach
     objects = scene.objects
     if math.isfinite(lo_x) and math.isfinite(hi_x):
         band = scene.band_x
+        lo, hi = bisect_left(band, lo_x), bisect_right(band, hi_x)
+        if lo == hi:
+            return View(theta_h, theta_v, width, height, ())
         # detect draws the RNG in view.visible order: restore scene order
-        candidates = sorted(scene.band_order[bisect_left(band, lo_x):
-                                             bisect_right(band, hi_x)])
+        candidates = sorted(scene.band_order[lo:hi])
     else:
         candidates = range(len(objects))
+    if magnification is None:
+        magnification = dpp / alpha
+    half_h_deg = height * alpha / 2.0
     visible = []
     for i in candidates:
         obj = objects[i]
-        dh = (obj.center[0] - gx) * dpp
-        dv = (obj.center[1] - gy) * dpp
-        half_obj_h = obj.size[0] * dpp / 2.0
-        half_obj_v = obj.size[1] * dpp / 2.0
-        if abs(dh) > half_w_deg + half_obj_h or abs(dv) > half_h_deg + half_obj_v:
+        (c_x, c_y), (w, h) = obj.center, obj.size
+        # the band already bounds x, so most candidates fail on y
+        dv = (c_y - gy) * dpp
+        if abs(dv) > half_h_deg + h * dpp / 2.0:
+            continue
+        dh = (c_x - gx) * dpp
+        if abs(dh) > half_w_deg + w * dpp / 2.0:
             continue
         x_px = width / 2.0 + dh / alpha
         y_px = height / 2.0 + dv / alpha
         x_px = min(max(x_px, 0.0), width - 1.0)
         y_px = min(max(y_px, 0.0), height - 1.0)
-        visible.append(VisibleObject(
-            object_id=obj.id, x_px=x_px, y_px=y_px,
-            width_px=obj.size[0] * magnification,
-            height_px=obj.size[1] * magnification,
-            occlusion=obj.occlusion,
-        ))
-    return View(theta_h=theta_h, theta_v=theta_v, width=width, height=height,
-                visible=tuple(visible))
+        visible.append(VisibleObject(obj.id, x_px, y_px, w * magnification,
+                                     h * magnification, obj.occlusion))
+    return View(theta_h, theta_v, width, height, tuple(visible))
 
 
 # below this magnitude no coordinate difference squared, nor a sum of two,

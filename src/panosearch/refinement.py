@@ -11,7 +11,7 @@ shrunken per-axis sampling radius for the next search stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ VAR_FLOOR = 1e-6  # degrees^2
 _NMS_BLOCK = 32   # selected boxes whose IoU rows nms_merge computes at once
 
 
-@dataclass(frozen=True)
-class SearchWindow:
+class SearchWindow(NamedTuple):
     center_h: float
     center_v: float
     radius_h: float           # per-axis variance of the window estimate, deg^2

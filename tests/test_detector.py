@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panosearch.config import DetectorConfig
-from panosearch.detector import (Detection, SyntheticDetector,
+from panosearch.detector import (Detection, SyntheticDetector, _variances,
                                  detection_probability)
-from panosearch.galvo import View, VisibleObject
+from panosearch.galvo import View, VisibleObject, image_to_galvo
 
 
 def make_view(visible=(), theta=(0.0, 0.0)):
@@ -108,6 +108,105 @@ def test_detect_deterministic_given_seed():
     view = make_view([centered_object()])
     detector = SyntheticDetector(cfg)
     assert detector.detect(view, seed=99) == detector.detect(view, seed=99)
+
+
+# --- detect against the original per-object code ------------------------------
+
+def reference_detect(cfg, view, seed, alpha=0.002, limit=20.0):
+    """The original detect: every per-view constant recomputed per object."""
+    rng = np.random.default_rng(seed)
+    half_diag = 0.5 * math.hypot(view.width, view.height)
+    out = []
+    for vis in view.visible:
+        dist_norm = math.hypot(vis.x_px - view.width / 2.0,
+                               vis.y_px - view.height / 2.0) / half_diag
+        d = detection_probability(cfg, vis.occlusion, vis.width_px,
+                                  vis.height_px, dist_norm)
+        if rng.random() >= d:
+            continue
+        var_h, var_v = _variances(cfg, vis.occlusion, vis.width_px,
+                                  vis.height_px, dist_norm)
+        std_x = cfg.loc_noise_px + math.sqrt(var_h) / alpha * cfg.loc_noise_scale
+        std_y = cfg.loc_noise_px + math.sqrt(var_v) / alpha * cfg.loc_noise_scale
+        t_x = vis.x_px + (rng.normal(0.0, std_x) if std_x > 0 else 0.0)
+        t_y = vis.y_px + (rng.normal(0.0, std_y) if std_y > 0 else 0.0)
+        conf = d + (rng.normal(0.0, cfg.conf_noise) if cfg.conf_noise > 0 else 0.0)
+        g_h, g_v, _ = image_to_galvo(view.theta_h, view.theta_v, t_x, t_y,
+                                     alpha=alpha, width=view.width,
+                                     height=view.height, limit=limit)
+        out.append(Detection(
+            theta_h=g_h, theta_v=g_v,
+            width_deg=vis.width_px * alpha, height_deg=vis.height_px * alpha,
+            confidence=min(max(conf, 0.0), 1.0),
+            var_h=var_h, var_v=var_v, object_id=vis.object_id,
+        ))
+    if cfg.fp_rate > 0.0:
+        for _ in range(int(rng.poisson(cfg.fp_rate))):
+            t_x = rng.uniform(0.0, view.width - 1.0)
+            t_y = rng.uniform(0.0, view.height - 1.0)
+            size = rng.uniform(10.0, 40.0)
+            dist_norm = math.hypot(t_x - view.width / 2.0,
+                                   t_y - view.height / 2.0) / half_diag
+            var_h, var_v = _variances(cfg, 0.0, size, size, dist_norm)
+            g_h, g_v, _ = image_to_galvo(view.theta_h, view.theta_v, t_x, t_y,
+                                         alpha=alpha, width=view.width,
+                                         height=view.height, limit=limit)
+            out.append(Detection(
+                theta_h=g_h, theta_v=g_v,
+                width_deg=size * alpha, height_deg=size * alpha,
+                confidence=rng.uniform(0.0, cfg.fp_conf_cap),
+                var_h=var_h, var_v=var_v, object_id=None,
+            ))
+    return out
+
+
+def random_view(rng, width, height):
+    """A view of up to four objects; a third of the positions sit on the
+    clipped view border and a third of the occlusions are 0 or 1."""
+    def pick(low, high):
+        return [low, high, float(rng.uniform(low, high))][rng.integers(3)]
+
+    visible = tuple(
+        VisibleObject(object_id=i, x_px=pick(0.0, width - 1.0),
+                      y_px=pick(0.0, height - 1.0),
+                      width_px=float(rng.uniform(1.0, 400.0)),
+                      height_px=float(rng.uniform(1.0, 300.0)),
+                      occlusion=pick(0.0, 1.0))
+        for i in range(rng.integers(0, 5)))
+    theta_h, theta_v = (float(t) for t in rng.uniform(-21.0, 21.0, size=2))
+    return View(theta_h=theta_h, theta_v=theta_v, width=width, height=height,
+                visible=visible)
+
+
+ORACLE_CONFIGS = {
+    "default": DetectorConfig(),
+    "false_positives": DetectorConfig(fp_rate=3.0, conf_noise=0.2,
+                                      loc_noise_px=2.0),
+    "zero_std": noiseless_cfg(),  # the zero-std branches draw nothing
+    "zero_std_with_fp": noiseless_cfg(base_recall=0.7, fp_rate=0.8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+@pytest.mark.parametrize("alpha, limit, size", [(0.002, 20.0, (264, 224)),
+                                                (0.003, 0.5, (64, 48))])
+def test_detect_matches_the_original_code(name, alpha, limit, size):
+    cfg = ORACLE_CONFIGS[name]
+    detector = SyntheticDetector(cfg, alpha=alpha, limit=limit)
+    views = np.random.default_rng([5, len(name)])
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    empty = View(theta_h=0.0, theta_v=0.0, width=size[0], height=size[1],
+                 visible=())
+    for k in range(400):
+        view = empty if k % 7 == 0 else random_view(views, *size)
+        got = detector.detect(view, got_rng)
+        want = reference_detect(cfg, view, want_rng, alpha=alpha, limit=limit)
+        assert repr(got) == repr(want)
+    assert got_rng.random() == want_rng.random()  # the same draws were taken
+    # an integer seed makes a fresh generator on both sides
+    view = random_view(views, *size)
+    assert repr(detector.detect(view, 3)) == \
+        repr(reference_detect(cfg, view, 3, alpha=alpha, limit=limit))
 
 
 # --- likelihood ---------------------------------------------------------------

@@ -239,6 +239,24 @@ def test_capture_matches_full_scan_at_extreme_poses():
     assert len(capture_view(scene, math.nan, math.nan).visible) == len(spots)
 
 
+def test_capture_matches_full_scan_when_the_band_is_empty():
+    # gazes whose x band holds no object center take the early return: far
+    # from every object, level in y with one, or just past a band edge
+    w, h = 1440, 1200
+    dims = dict(width=w, height=h, span_deg=40.0)
+    scene = scene_of([((200.0, 600.0), (48.0, 28.0)),
+                      ((1300.0, 100.0), (120.0, 60.0))], **dims)
+    reach = 264 * 0.002 / 2.0 / scene.deg_per_px + scene.max_half_w + 1.0
+    gazes = [(700.0, 600.0), (720.0, 100.0), (200.0 + reach + 0.5, 600.0),
+             (1300.0 - reach - 0.5, 100.0), (w - 1.0, h - 1.0)]
+    for x, y in gazes:
+        assert all(abs(bx - x) > reach for bx in scene.band_x)
+        th, tv = scene.pano_to_galvo(x, y)
+        assert capture_view(scene, th, tv).visible == ()
+        assert_same_capture(scene, th, tv)
+    assert_same_capture(scene, 0.0, 0.0, width=1, height=1, alpha=1e-6)
+
+
 @given(seed=st.integers(0, 2**16), steps=st.integers(1, 6),
        mag=st.sampled_from([None, 0.0, 5.0]))
 @settings(max_examples=40, deadline=None)
