@@ -114,7 +114,7 @@ def test_validate_shipped_default_config(capsys):
 def test_validate_rejects_zero_sigma_t(capsys):
     code = main(["validate", "--config", DEFAULT_CFG, "--set", "engine.sigma_t=0"])
     assert code == 1
-    assert "sigma_t" in capsys.readouterr().out
+    assert "sigma_t" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
@@ -125,7 +125,7 @@ def test_validate_rejects_magnification_that_is_not_finite_positive(value,
     code = main(["validate", "--config", DEFAULT_CFG,
                  "--set", f"engine.magnification={value}"])
     assert code == 1
-    assert "magnification" in capsys.readouterr().out
+    assert "magnification" in capsys.readouterr().err
 
 
 def test_validate_rejects_overlapping_regions(tmp_path, capsys):
@@ -133,7 +133,7 @@ def test_validate_rejects_overlapping_regions(tmp_path, capsys):
     bad.write_text("scene {\n region {\n label = a\n rect = 0 0 800 1200\n }\n"
                    " region {\n label = b\n rect = 700 0 700 1200\n }\n}\n")
     assert main(["validate", "--config", str(bad)]) == 1
-    assert "overlap" in capsys.readouterr().out
+    assert "overlap" in capsys.readouterr().err
 
 
 def test_validate_rejects_target_without_admissible_region(capsys):
@@ -141,7 +141,18 @@ def test_validate_rejects_target_without_admissible_region(capsys):
                  "--set", "scene.priors.car|road=0",
                  "--set", "scene.priors.car|field=0"])
     assert code == 1
-    assert "no admissible region for target 'car'" in capsys.readouterr().out
+    assert "no admissible region for target 'car'" in capsys.readouterr().err
+
+
+def test_validate_errors_go_to_stderr_only(capsys):
+    # as for every other subcommand: stdout carries results, never errors
+    code = main(["validate", "--config", DEFAULT_CFG, "--set", "engine.sigma_t=0",
+                 "--set", "engine.magnification=0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
 
 def test_trial_writes_csv_and_echoes_config(tmp_path, capsys):
@@ -419,8 +430,8 @@ def test_out_of_domain_values_fail_validate_and_trial(overrides, tmp_path,
                                                       capsys):
     assert main(["validate", "--config", DEFAULT_CFG]
                 + _set_args(overrides)) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert out and all(line.startswith("error: ") for line in out)
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("error: ") for line in err)
     assert main(["trial", "--config", DEFAULT_CFG, "--budget", "20",
                  "--out", str(tmp_path)] + _set_args(overrides)) == 1
     err = capsys.readouterr().err.splitlines()
@@ -437,7 +448,7 @@ def test_out_of_domain_repeated_block_values_fail(block, error, tmp_path,
     path = tmp_path / "bad.cfg"
     path.write_text(block)
     assert main(["validate", "--config", str(path)]) == 1
-    assert capsys.readouterr().out.splitlines() == [error]
+    assert capsys.readouterr().err.splitlines() == [error]
 
 
 def test_unknown_keys_reported_in_repeated_blocks(tmp_path, capsys):
@@ -445,9 +456,9 @@ def test_unknown_keys_reported_in_repeated_blocks(tmp_path, capsys):
     path.write_text("scene {\n region {\n label = a\n rect = 0 0 10 10\n"
                     " colour = red\n }\n}\npreset {\n name = p\n speed = 3\n}\n")
     assert main(["validate", "--config", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "unknown key 'colour'" in out
-    assert "unknown key 'speed'" in out
+    err = capsys.readouterr().err
+    assert "unknown key 'colour'" in err
+    assert "unknown key 'speed'" in err
 
 
 @pytest.mark.parametrize("command", ["trial", "curve", "sweep", "ablation",
@@ -489,7 +500,7 @@ def test_overrides_through_repeated_blocks_rejected(override, capsys):
     with pytest.raises(ConfigError, match="repeated block"):
         load_scenario(None, [override])
     assert main(["validate", "--set", override]) == 1
-    assert "repeated block" in capsys.readouterr().out
+    assert "repeated block" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
