@@ -141,11 +141,12 @@ def _match_objects(boxes: np.ndarray, centers: np.ndarray) -> np.ndarray:
         return np.full(len(centers), -1)
     offset = centers[:, None] - boxes[:, :2]
     inside = (np.abs(offset) <= boxes[:, 2:] / 2.0).all(axis=-1)
+    rows, cols = np.nonzero(inside)
     # float_power is libm pow, the same as float ** 2; x * x can differ by
     # an ulp and flip a near-tie
-    square = np.float_power(offset / boxes[:, 2:], 2.0)
-    score = square[..., 0] + square[..., 1]
-    score[~inside] = np.inf
+    square = np.float_power(offset[rows, cols] / boxes[cols, 2:], 2.0)
+    score = np.full(inside.shape, np.inf)
+    score[rows, cols] = square[:, 0] + square[:, 1]
     best = np.argmin(score, axis=1)
     return np.where(inside[np.arange(best.size), best], best, -1)
 

@@ -11,6 +11,7 @@ vertical axis uses the same degrees-per-pixel factor.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +43,12 @@ class GtObject:
 
 @dataclass(frozen=True)
 class SceneMap:
-    """Immutable world snapshot.  `labels` is shared and must not be mutated."""
+    """Immutable world snapshot.
+
+    `labels` is read-only and shared: every live world with the same width,
+    height and region rectangles, and every motion snapshot of it, holds
+    the one grid object.
+    """
 
     width: int
     height: int
@@ -86,45 +92,23 @@ def build_scene(config: SceneConfig, seed) -> SceneMap:
     """
     rng = np.random.default_rng(seed)
     width, height = config.width, config.height
-    if width <= 0 or height <= 0:
-        raise ConfigError("panorama dimensions must be positive")
-
-    labels = np.full((height, width), -1, dtype=np.int16)
-    regions: list[Region] = []
-    for idx, spec in enumerate(config.regions):
-        x, y, w, h = spec.rect
-        if w <= 0 or h <= 0:
-            raise ConfigError(f"region {spec.label!r}: zero-area rectangle")
-        if x < 0 or y < 0 or x + w > width or y + h > height:
-            raise ConfigError(f"region {spec.label!r}: rectangle outside the panorama")
-        window = labels[y:y + h, x:x + w]
-        if (window != -1).any():
-            raise ConfigError(f"region {spec.label!r}: overlaps an earlier region")
-        window[:] = idx
-        regions.append(Region(
-            id=idx, label=spec.label, area_px=float(w * h),
-            class_prior={cls: config.prior(cls, spec.label)
-                         for cls in config.class_priors},
-        ))
-
-    uncovered = int((labels == -1).sum())
+    labels = _label_grid(config)
+    rects = [spec.rect for spec in config.regions]
+    regions = [Region(id=idx, label=spec.label, area_px=float(w * h),
+                      class_prior={cls: config.prior(cls, spec.label)
+                                   for cls in config.class_priors})
+               for idx, (spec, (_, _, w, h)) in enumerate(zip(config.regions, rects))]
+    bboxes = [(x, y, x + w, y + h) for x, y, w, h in rects]
+    # rectangles do not overlap, so the background is what their areas leave
+    uncovered = width * height - sum(w * h for _, _, w, h in rects)
     if uncovered > 0:
-        bg_id = len(regions)
-        labels[labels == -1] = bg_id
         regions.append(Region(
-            id=bg_id, label=config.background_label, area_px=float(uncovered),
+            id=len(regions), label=config.background_label,
+            area_px=float(uncovered),
             class_prior={cls: config.prior(cls, config.background_label)
                          for cls in config.class_priors},
         ))
-    labels.setflags(write=False)
-
-    bboxes = []
-    for region in regions:
-        if region.id < len(config.regions):
-            x, y, w, h = config.regions[region.id].rect
-            bboxes.append((x, y, x + w, y + h))
-        else:
-            bboxes.append((0, 0, width, height))
+        bboxes.append((0, 0, width, height))
 
     label_to_region = {}
     for region in regions:
@@ -169,6 +153,37 @@ def build_scene(config: SceneConfig, seed) -> SceneMap:
                     regions=tuple(regions), objects=tuple(objects),
                     deg_per_px=config.deg_per_px,
                     region_bboxes=tuple(bboxes))
+
+
+# one read-only grid per layout, alive while some world holds it
+_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _label_grid(config: SceneConfig) -> np.ndarray:
+    """The (H, W) int16 region-id grid of config's panorama size and region
+    rectangles, validated and stamped once and shared among worlds."""
+    width, height = config.width, config.height
+    key = (width, height, tuple(tuple(spec.rect) for spec in config.regions))
+    labels = _GRIDS.get(key)
+    if labels is not None:
+        return labels
+    if width <= 0 or height <= 0:
+        raise ConfigError("panorama dimensions must be positive")
+    labels = np.full((height, width), -1, dtype=np.int16)
+    for idx, spec in enumerate(config.regions):
+        x, y, w, h = spec.rect
+        if w <= 0 or h <= 0:
+            raise ConfigError(f"region {spec.label!r}: zero-area rectangle")
+        if x < 0 or y < 0 or x + w > width or y + h > height:
+            raise ConfigError(f"region {spec.label!r}: rectangle outside the panorama")
+        window = labels[y:y + h, x:x + w]
+        if (window != -1).any():
+            raise ConfigError(f"region {spec.label!r}: overlaps an earlier region")
+        window[:] = idx
+    labels[labels == -1] = len(config.regions)
+    labels.setflags(write=False)
+    _GRIDS[key] = labels
+    return labels
 
 
 def bbox_draw(bbox: tuple[int, int, int, int]):

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from panosearch import experiment
 from panosearch.config import (ConfigError, SceneConfig, SegNoiseConfig,
                                default_scenario)
-from panosearch.experiment import (_ap_matches, _match_objects, _object_boxes,
+from panosearch.detector import Detection
+from panosearch.experiment import (TrialTrace, _ap_matches, _match_objects, _object_boxes,
                                    _split_budget,
                                    average_precision_11pt,
                                    default_scene_variants, deviation_scene,
@@ -72,6 +74,33 @@ def test_run_trial_deterministic(scenario):
     assert a.ap == b.ap
     assert a.found == b.found
     assert a.elapsed_sim_ms == b.elapsed_sim_ms
+
+
+def test_confidence_ties_keep_the_first_detection(scenario, monkeypatch):
+    # two boxes of equal confidence per visible object: the first one, with
+    # the smaller variances, sets the particle's adaptive sigma
+    first_sigma, second_sigma = 0.2, 0.5
+
+    class TwinBoxes:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def detect(self, view, seed):
+            return [Detection(view.theta_h, view.theta_v, 0.1, 0.1, 0.8,
+                              var, var, object_id=v.object_id)
+                    for v in view.visible
+                    for var in (first_sigma ** 2, second_sigma ** 2)]
+
+        def likelihood(self, view, detections):
+            return 1.0 if detections else 1e-3
+
+    monkeypatch.setattr(experiment, "SyntheticDetector", TwinBoxes)
+    trace = TrialTrace()
+    run_trial(build_scene(scenario.scene, seed=1), "ppm_ps", 200, 2, seed=3,
+              cfg=scenario, trace=trace)
+    stage_two = {sigma for stage, *_, sigma in trace.particles if stage == 2}
+    assert first_sigma in stage_two
+    assert stage_two <= {first_sigma, scenario.engine.sigma0_deg}
 
 
 def test_budget_split_semantics():
@@ -248,6 +277,45 @@ grid_boxes = st.lists(st.tuples(
 def test_batched_matching_equals_scalar_loops(objects, boxes, deg_per_px):
     scene = make_scene(objects, deg_per_px)
     assert batched_matches(scene, boxes) == reference_matches(scene, boxes)
+
+
+def reference_match_all_pairs(boxes, centers):
+    """_match_objects as it scored every (point, object) pair, inside or not."""
+    if not len(boxes):
+        return np.full(len(centers), -1)
+    offset = centers[:, None] - boxes[:, :2]
+    inside = (np.abs(offset) <= boxes[:, 2:] / 2.0).all(axis=-1)
+    square = np.float_power(offset / boxes[:, 2:], 2.0)
+    score = square[..., 0] + square[..., 1]
+    score[~inside] = np.inf
+    best = np.argmin(score, axis=1)
+    return np.where(inside[np.arange(best.size), best], best, -1)
+
+
+@given(objects=grid_objects, boxes=grid_boxes,
+       deg_per_px=st.sampled_from([1.0 / 32.0, 40.0 / 1440.0]))
+@settings(max_examples=300, deadline=None)
+def test_point_match_scores_only_containing_pairs(objects, boxes, deg_per_px):
+    gt = _object_boxes(make_scene(objects, deg_per_px))
+    centers = np.array(boxes, dtype=float).reshape(-1, 4)[:, :2]
+    got = _match_objects(gt, centers)
+    want = reference_match_all_pairs(gt, centers)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+def test_point_match_scores_only_containing_pairs_at_the_edges():
+    # duplicated boxes tie; points sit exactly on box edges and corners
+    gt = np.array([[0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 2.0, 1.0],
+                   [1.0, 0.5, 2.0, 1.0], [5.0, 5.0, 0.5, 0.5]])
+    centers = np.array([[1.0, 0.5], [-1.0, -0.5], [0.0, 0.0], [2.0, 1.0],
+                        [1.0 + 2.0 ** -40, 0.0], [5.25, 4.75], [9.0, 9.0]])
+    for boxes in (gt, gt[:0], gt[3:]):
+        for points in (centers, centers[:0], centers[6:]):
+            got = _match_objects(boxes, points)
+            assert got.tolist() == \
+                reference_match_all_pairs(boxes, points).tolist()
+    assert _match_objects(gt, centers).tolist() == [2, 0, 0, 2, 2, 3, -1]
 
 
 def test_point_match_score_tie_goes_to_first_object():

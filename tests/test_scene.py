@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -295,3 +298,137 @@ def test_rejection_sample_matches_the_three_old_samplers(case, center, radius):
                 float(min(max(center[1], 0.0), h - 1.0)))
     assert expected[len(got):] == [fallback] * (count - len(got))
     assert old.bit_generator.state == new.bit_generator.state
+
+
+# --- one label grid per layout, shared among live worlds -------------------------
+
+def reference_grid(config):
+    """The label grid and region areas as build_scene stamped them when each
+    world held its own grid."""
+    width, height = config.width, config.height
+    if width <= 0 or height <= 0:
+        raise ConfigError("panorama dimensions must be positive")
+    labels = np.full((height, width), -1, dtype=np.int16)
+    areas = []
+    for idx, spec in enumerate(config.regions):
+        x, y, w, h = spec.rect
+        if w <= 0 or h <= 0:
+            raise ConfigError(f"region {spec.label!r}: zero-area rectangle")
+        if x < 0 or y < 0 or x + w > width or y + h > height:
+            raise ConfigError(f"region {spec.label!r}: rectangle outside the panorama")
+        window = labels[y:y + h, x:x + w]
+        if (window != -1).any():
+            raise ConfigError(f"region {spec.label!r}: overlaps an earlier region")
+        window[:] = idx
+        areas.append(float(w * h))
+    uncovered = int((labels == -1).sum())
+    if uncovered > 0:
+        labels[labels == -1] = len(areas)
+        areas.append(float(uncovered))
+    return labels, areas
+
+
+def test_equal_layouts_share_one_label_grid():
+    base = default_scenario().scene
+    first = build_scene(base, seed=1)
+    others = [
+        build_scene(base, seed=2),
+        build_scene(dataclasses.replace(
+            base, groups=[ObjectGroupSpec("car", 2, (30, 20))]), seed=1),
+        build_scene(dataclasses.replace(
+            base, class_priors={"car": {"road": 0.1}}), seed=1),
+        build_scene(dataclasses.replace(base, regions=[
+            dataclasses.replace(r, label=r.label + "_x") for r in base.regions],
+            background_label="meadow", groups=[]), seed=1),
+        step_motion(first, 3),
+    ]
+    for world in others:
+        assert world.labels is first.labels
+    assert not first.labels.flags.writeable
+
+
+def test_a_different_layout_gets_its_own_grid():
+    base = default_scenario().scene
+    world = build_scene(base, seed=1)
+    (x, y, w, h), rest = base.regions[0].rect, base.regions[1:]
+    moved = dataclasses.replace(base, regions=[
+        dataclasses.replace(base.regions[0], rect=(x + 1, y, w, h)), *rest])
+    wider = dataclasses.replace(base, width=base.width + 8)
+    taller = dataclasses.replace(base, height=base.height + 8)
+    for cfg in (moved, wider, taller):
+        other = build_scene(cfg, seed=1)
+        assert other.labels is not world.labels
+        assert np.array_equal(other.labels, reference_grid(cfg)[0])
+
+
+def test_grid_is_freed_with_the_last_world_using_it():
+    cfg = SceneConfig(width=97, height=61,
+                      regions=[RegionSpec("a", (3, 5, 40, 20))])
+    a, b = build_scene(cfg, seed=0), build_scene(cfg, seed=1)
+    grid = weakref.ref(a.labels)
+    del a
+    gc.collect()
+    assert grid() is b.labels
+    del b
+    gc.collect()
+    assert grid() is None
+
+
+@pytest.mark.parametrize("bad, message", [
+    (RegionSpec("b", (700, 0, 740, 1200)), "'b': overlaps an earlier region"),
+    (RegionSpec("b", (900, 0, 600, 1200)), "'b': rectangle outside the panorama"),
+    (RegionSpec("b", (900, 0, 0, 1200)), "'b': zero-area rectangle"),
+])
+def test_invalid_layouts_still_raise_once_a_valid_one_is_cached(bad, message):
+    good = SceneConfig(regions=[RegionSpec("a", (0, 0, 800, 1200))])
+    world = build_scene(good, seed=0)
+    cfg = SceneConfig(regions=[good.regions[0], bad])
+    with pytest.raises(ConfigError, match=message):
+        build_scene(cfg, seed=0)
+    with pytest.raises(ConfigError, match=message):
+        reference_grid(cfg)
+    assert build_scene(good, seed=1).labels is world.labels
+
+
+@st.composite
+def layouts(draw):
+    """Small panoramas with up to four rectangles, valid or not."""
+    width, height = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rects = draw(st.lists(st.tuples(st.integers(-2, 24), st.integers(-2, 24),
+                                    st.integers(0, 24), st.integers(0, 24)),
+                          max_size=4))
+    return SceneConfig(width=width, height=height,
+                       regions=[RegionSpec(f"r{i}", rect)
+                                for i, rect in enumerate(rects)],
+                       class_priors={"car": {"r0": 1.0}})
+
+
+@given(cfg=layouts())
+@settings(max_examples=300, deadline=None)
+def test_shared_grid_matches_the_per_world_stamping(cfg):
+    # a valid layout of the same size is cached first; it must not mask errors
+    held = build_scene(SceneConfig(width=cfg.width, height=cfg.height), seed=0)
+    try:
+        labels, areas = reference_grid(cfg)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            build_scene(cfg, seed=0)
+        assert str(got.value) == str(exc)
+        return
+    scene = build_scene(cfg, seed=0)
+    assert np.array_equal(scene.labels, labels)
+    assert scene.labels.dtype == np.int16
+    assert [r.area_px for r in scene.regions] == areas
+    assert list(scene.region_bboxes) == [
+        (x, y, x + w, y + h) for x, y, w, h in (r.rect for r in cfg.regions)
+    ] + [(0, 0, cfg.width, cfg.height)] * (len(areas) - len(cfg.regions))
+    assert build_scene(cfg, seed=1).labels is scene.labels
+    assert (held.labels is scene.labels) == (not cfg.regions)
+
+
+def test_study_variants_match_the_per_world_stamping():
+    for cfg in default_scene_variants(default_scenario().scene, 10):
+        scene = build_scene(cfg, seed=4)
+        labels, areas = reference_grid(cfg)
+        assert np.array_equal(scene.labels, labels)
+        assert [r.area_px for r in scene.regions] == areas
