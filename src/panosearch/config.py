@@ -53,19 +53,18 @@ def _key(default, domain: str | tuple[str, ...] = "", name: str = ""):
 
 @dataclass(frozen=True)
 class MethodSpec:
-    init: str                 # ppm | region | uniform | grid
-    bootstrap: bool           # count panorama-scale detections as initial finds
+    init: str                 # ppm (wide-camera finds at stage 0) | region | uniform | grid
     voting: bool              # variance voting inside NMS
     adaptive_sigma: bool      # per-particle sigma from detector uncertainty
     resample: str             # proposal | uniform | none
 
 
 METHODS: dict[str, MethodSpec] = {
-    "ppm_ps": MethodSpec("ppm", True, True, True, "proposal"),
-    "ppm_only": MethodSpec("ppm", True, False, False, "none"),
-    "rpm": MethodSpec("region", False, False, False, "proposal"),
-    "mpf": MethodSpec("uniform", False, False, False, "uniform"),
-    "uniform": MethodSpec("grid", False, False, False, "none"),
+    "ppm_ps": MethodSpec("ppm", True, True, "proposal"),
+    "ppm_only": MethodSpec("ppm", False, False, "none"),
+    "rpm": MethodSpec("region", False, False, "proposal"),
+    "mpf": MethodSpec("uniform", False, False, "uniform"),
+    "uniform": MethodSpec("grid", False, False, "none"),
 }
 
 

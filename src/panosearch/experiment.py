@@ -26,15 +26,15 @@ from .particles import (ParticleSet, build_proposal, initial_sample,
                         normalize_weights, prune_redundant, sample_next,
                         update_weights)
 from .ppm import Ppm, allocate_ppm, segment_panorama
-from .refinement import bounds_iou, box_bounds, nms_merge
+from .refinement import SearchWindow, bounds_iou, box_bounds, nms_merge
 from .scene import SceneMap, build_scene, step_motion
 
 
 # the ablation's "prior disabled" arm: same searching machinery, no map
-NO_PPM_SPEC = MethodSpec("uniform", False, True, True, "proposal")
+NO_PPM_SPEC = MethodSpec("uniform", True, True, "proposal")
 
 # the deviation study's no-voting arm: full pipeline, voting alone toggled off
-NO_VOTE_SPEC = MethodSpec("ppm", True, False, True, "proposal")
+NO_VOTE_SPEC = MethodSpec("ppm", False, True, "proposal")
 DEVIATION_ITERATIONS = 4  # passes per deviation trial, whatever the config says
 
 
@@ -165,10 +165,6 @@ def _ap_matches(boxes: np.ndarray, centers: np.ndarray, sizes: np.ndarray,
     return np.where(v[np.arange(last.size), last] >= iou_thr, last, -1)
 
 
-def _object_id(scene: SceneMap, index) -> int | None:
-    return None if index < 0 else scene.objects[index].id
-
-
 def average_precision_11pt(records, n_gt: int) -> float:
     """11-point interpolated AP over (confidence, matched-object-or-None) records."""
     if n_gt <= 0:
@@ -195,6 +191,39 @@ def average_precision_11pt(records, n_gt: int) -> float:
         best = max((p for p, rc in zip(precisions, recalls) if rc >= r), default=0.0)
         ap += best
     return ap / 11.0
+
+
+def _claim(scene: SceneMap, boxes: np.ndarray, windows: list[SearchWindow],
+           stage: int, found: dict[int, FoundObject], alpha: float,
+           ap_records: list | None = None) -> np.ndarray:
+    """One stage's windows, in confidence order, claim the objects whose boxes
+    hold their centers: the first match per object wins the stage, and a find
+    yields only to a window at least as confident, keeping its stage.  Adds
+    one (confidence, IoU-matched object index or None) record per window to
+    `ap_records` if given; returns each window's match index, -1 for none.
+    """
+    centers = np.array([(w.center_h, w.center_v) for w in windows]).reshape(-1, 2)
+    matches = _match_objects(boxes, centers)
+    claimed: set[int] = set()
+    for w, j in zip(windows, matches):
+        if j < 0 or j in claimed:
+            continue
+        claimed.add(j)
+        oid = scene.objects[j].id
+        old = found.get(oid)
+        if old is not None and w.confidence < old.confidence:
+            continue
+        found[oid] = FoundObject(
+            stage=stage if old is None else old.stage,
+            err_x_px=float(w.center_h - boxes[j, 0]) / alpha,
+            err_y_px=float(w.center_v - boxes[j, 1]) / alpha,
+            post_var=(w.radius_h + w.radius_v) / 2.0,
+            confidence=w.confidence)
+    if ap_records is not None:
+        sizes = np.array([(w.width_deg, w.height_deg) for w in windows]).reshape(-1, 2)
+        ap_records.extend((w.confidence, None if j < 0 else int(j)) for w, j
+                          in zip(windows, _ap_matches(boxes, centers, sizes)))
+    return matches
 
 
 def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
@@ -229,35 +258,23 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
     rounds = _split_budget(budget, 1 if spec.resample == "none" else iters,
                            eng.init_frac)
 
-    grid = dets_pano = None
-    if spec.init in ("ppm", "region") or spec.bootstrap:
+    if spec.init in ("ppm", "region"):
         grid, dets_pano = segment_panorama(scene, cfg.noise, rng)
-        if spec.init == "region":
-            dets_pano_alloc = []
-        else:
-            dets_pano_alloc = dets_pano
+        dets_pano_alloc = [] if spec.init == "region" else dets_pano
 
     boxes = _object_boxes(scene)
-    if spec.bootstrap and dets_pano:
-        dpp = scene.deg_per_px
-        centers = np.array([scene.pano_to_galvo(*det.center)
-                            for det in dets_pano])
-        sizes = np.array([scene.objects[det.object_id].size
-                          for det in dets_pano]) * dpp
-        for det, (c_h, c_v), j, ap_j in zip(
-                dets_pano, centers, _match_objects(boxes, centers),
-                _ap_matches(boxes, centers, sizes)):
-            prior_var = (eng.subregion_scale * det.sigma_o * dpp) ** 2
+    if spec.init == "ppm":
+        # the wide camera's detections are stage-0 windows: both radii are
+        # the sub-region prior variance, the extent is the object's box
+        windows = []
+        for det in dets_pano:
+            var = (eng.subregion_scale * det.sigma_o * scene.deg_per_px) ** 2
+            windows.append(SearchWindow(*scene.pano_to_galvo(*det.center), var, var,
+                                        det.confidence, *boxes[det.object_id, 2:], ()))
+        for w, j in zip(windows, _claim(scene, boxes, windows, 0, found,
+                                        eng.alpha, ap_records)):
             if j >= 0:
-                oid = scene.objects[j].id
-                pre_vars.setdefault(oid, prior_var)
-                if oid not in found:
-                    found[oid] = FoundObject(
-                        stage=0,
-                        err_x_px=float(c_h - boxes[j, 0]) / eng.alpha,
-                        err_y_px=float(c_v - boxes[j, 1]) / eng.alpha,
-                        post_var=prior_var, confidence=det.confidence)
-            ap_records.append((det.confidence, _object_id(scene, ap_j)))
+                pre_vars.setdefault(scene.objects[j].id, w.radius_h)
 
     proposal = None
     last_round = len(rounds) - 1
@@ -283,11 +300,11 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
         else:
             particles = sample_next(proposal, n_k, rng, limit=limit)
 
+        order = plan_scan(pose, np.column_stack((particles.theta_h, particles.theta_v)))
         # adaptive sigma and coordinate refinement write into these lists
         theta_h = particles.theta_h.tolist()
         theta_v = particles.theta_v.tolist()
         sigmas = particles.sigma.tolist()
-        order = plan_scan(pose, list(zip(theta_h, theta_v)))
         pose = (theta_h[order[-1]], theta_v[order[-1]])
         views += n_k
         if trace is not None:
@@ -335,34 +352,8 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
             trace.windows.extend((stage, wi, w.center_h, w.center_v, w.radius_h,
                                   w.radius_v, len(w.members))
                                  for wi, w in enumerate(windows))
-        # windows arrive confidence-ranked: the first match per object wins
-        # this pass, and an existing estimate only yields to a window at
-        # least as confident as the one that produced it
-        centers = np.array([(w.center_h, w.center_v)
-                            for w in windows]).reshape(-1, 2)
-        claimed_now: set[int] = set()
-        for w, j in zip(windows, _match_objects(boxes, centers)):
-            if j < 0:
-                continue
-            oid = scene.objects[j].id
-            if oid in claimed_now:
-                continue
-            claimed_now.add(oid)
-            old = found.get(oid)
-            if old is not None and w.confidence < old.confidence:
-                continue
-            found[oid] = FoundObject(
-                stage=old.stage if old is not None else stage,
-                err_x_px=float(w.center_h - boxes[j, 0]) / eng.alpha,
-                err_y_px=float(w.center_v - boxes[j, 1]) / eng.alpha,
-                post_var=(w.radius_h + w.radius_v) / 2.0,
-                confidence=w.confidence)
-        if k == last_round:
-            sizes = np.array([(w.width_deg, w.height_deg)
-                              for w in windows]).reshape(-1, 2)
-            ap_hits = _ap_matches(boxes, centers, sizes)
-            for w, j in zip(windows, ap_hits):
-                ap_records.append((w.confidence, _object_id(scene, j)))
+        _claim(scene, boxes, windows, stage, found, eng.alpha,
+               ap_records if k == last_round else None)
 
         if spec.resample == "proposal" and k < last_round:
             # coordinate refinement: a detecting particle re-centers on the
@@ -385,7 +376,7 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
                 continue
             particles = prune_redundant(particles, eng.fov_deg,
                                         overlap_frac=eng.overlap_frac)
-            proposal = build_proposal(normalize_weights(particles))
+            proposal = build_proposal(particles)
 
     elapsed = views * eng.step_response_ms + views * eng.dwell_ms  # a move per view
     vacuous = n_objects == 0
@@ -407,12 +398,14 @@ _VARIANTS = [(0.18, 380), (0.20, 420), (0.22, 460), (0.24, 400), (0.26, 440)]
 
 
 def default_scene_variants(base: SceneConfig, count: int) -> list[SceneConfig]:
-    """Deterministic family of scene configs varying the high-prior region."""
+    """Deterministic family of scene configs varying the high-prior region,
+    each rectangle kept inside the panorama."""
     out = []
     for i in range(count):
         frac, y = _VARIANTS[i % len(_VARIANTS)]
         cfg = scenario_copy(ScenarioConfig(scene=base)).scene
-        rect_h = 360
+        rect_h = min(360, cfg.height)
+        y = min(y, cfg.height - rect_h)
         rect_w = int(round(frac * cfg.width * cfg.height / rect_h))
         rect_w = min(rect_w, cfg.width)
         x = (cfg.width - rect_w) // 2 + 20 * (i // len(_VARIANTS))
@@ -445,17 +438,19 @@ def proportion_scene(base: SceneConfig, proportion: float) -> SceneConfig:
 
 
 def deviation_scene(base: SceneConfig, mover_speed: float = 6.0) -> SceneConfig:
-    """Default scene split into static targets plus three fast movers."""
+    """Default scene split into static targets plus three fast movers,
+    pinned to the first region (the background when there is none)."""
     cfg = scenario_copy(ScenarioConfig(scene=base)).scene
+    home = cfg.regions[0].label if cfg.regions else cfg.background_label
     cfg.groups = [
         ObjectGroupSpec(class_name="car", count=2, size=(120.0, 60.0),
-                        speed=0.0, region_label="road"),
+                        speed=0.0, region_label=home),
         ObjectGroupSpec(class_name="car", count=1, size=(120.0, 60.0),
                         speed=0.0, region_label=cfg.background_label),
         ObjectGroupSpec(class_name="car", count=3, size=(48.0, 28.0),
-                        speed=0.0, region_label="road"),
+                        speed=0.0, region_label=home),
         ObjectGroupSpec(class_name="car", count=3, size=(48.0, 28.0),
-                        speed=mover_speed, region_label="road"),
+                        speed=mover_speed, region_label=home),
     ]
     return cfg
 

@@ -127,8 +127,8 @@ _SWEEP_LIMIT = 1e150
 def plan_scan(pose: tuple[float, float], positions) -> list[int]:
     """Nearest-neighbour tour over gaze positions from the current pose.
 
-    `pose` and each item of `positions` are (theta_h, theta_v) pairs.
-    Returns the visiting order (indices into `positions`).  Ties break
+    `pose` is a (theta_h, theta_v) pair, `positions` an (n, 2) array-like of
+    them.  Returns the visiting order (indices into `positions`).  Ties break
     toward the lower index so the tour is deterministic.
 
     Each step picks the unvisited position with the least squared distance
@@ -144,20 +144,16 @@ def plan_scan(pose: tuple[float, float], positions) -> list[int]:
     non-finite or has a magnitude of at least 1e150; no trial produces
     such a pose, since every angle is clamped into the mirror range.
     """
-    if len(positions) == 0:
+    pts = np.asarray(positions, dtype=float).reshape(len(positions), 2)
+    if len(pts) == 0:
         raise ValueError("cannot plan a scan over zero positions")
-    xs = [float(h) for h, _ in positions]
-    ys = [float(v) for _, v in positions]
     cx, cy = float(pose[0]), float(pose[1])
-    if not (_bounded(xs) and _bounded(ys) and _bounded((cx, cy))):
+    if not (np.abs(np.vstack((pts, (cx, cy)))) < _SWEEP_LIMIT).all():
         raise ValueError("plan_scan needs finite angles of magnitude < 1e150")
-    if max(ys) - min(ys) > max(xs) - min(xs):
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    if np.ptp(pts[:, 1]) > np.ptp(pts[:, 0]):
         return _sweep_tour(ys, xs, cy, cx)
     return _sweep_tour(xs, ys, cx, cy)
-
-
-def _bounded(values) -> bool:
-    return all(-_SWEEP_LIMIT < v < _SWEEP_LIMIT for v in values)
 
 
 def _sweep_tour(us: list[float], vs: list[float], cu: float,

@@ -117,21 +117,20 @@ def build_scene(config: SceneConfig, seed) -> SceneMap:
     objects: list[GtObject] = []
     obj_id = 0
     for group in config.groups:
+        if group.region_label is not None:
+            region = label_to_region.get(group.region_label)
+            if region is None and group.count:  # an empty group places nothing
+                raise ConfigError(f"object group pinned to unknown region "
+                                  f"{group.region_label!r}")
+        else:
+            weights = np.array([r.area_px * r.prior(group.class_name) for r in regions])
+            if weights.sum() <= 0:
+                # no informative prior for this class: fall back to area
+                weights = np.array([r.area_px for r in regions])
+            weights /= weights.sum()
         for _ in range(group.count):
-            if group.region_label is not None:
-                region = label_to_region.get(group.region_label)
-                if region is None:
-                    raise ConfigError(f"object group pinned to unknown region "
-                                      f"{group.region_label!r}")
-            else:
-                weights = np.array([r.area_px * r.prior(group.class_name)
-                                    for r in regions])
-                total = weights.sum()
-                if total <= 0:
-                    # no informative prior for this class: fall back to area
-                    weights = np.array([r.area_px for r in regions])
-                    total = weights.sum()
-                region = regions[int(rng.choice(len(regions), p=weights / total))]
+            if group.region_label is None:
+                region = regions[int(rng.choice(len(regions), p=weights))]
             xs, ys = rejection_sample(rng, labels, region.id,
                                       bbox_draw(bboxes[region.id]), 1, max_rounds=64)
             if len(xs) == 0:

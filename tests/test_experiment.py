@@ -1,18 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panosearch import experiment
-from panosearch.config import (ConfigError, SceneConfig, SegNoiseConfig,
-                               default_scenario)
+from panosearch.config import (ConfigError, RegionSpec, SceneConfig,
+                               SegNoiseConfig, default_scenario)
 from panosearch.detector import Detection
-from panosearch.experiment import (TrialTrace, _ap_matches, _match_objects, _object_boxes,
-                                   _split_budget,
+from panosearch.experiment import (FoundObject, TrialTrace, _ap_matches, _claim,
+                                   _match_objects, _object_boxes, _split_budget,
                                    average_precision_11pt,
                                    default_scene_variants, deviation_scene,
                                    deviation_study, proportion_sweep,
                                    recall_curve, run_trial)
+from panosearch.refinement import SearchWindow
 from panosearch.scene import GtObject, SceneMap, build_scene
 
 
@@ -424,7 +427,6 @@ def test_proportion_sweep_rows(scenario):
 
 def test_deviation_static_zero_noise_is_exact(zero_noise_scenario):
     cfg = zero_noise_scenario
-    import dataclasses
     det = dataclasses.replace(cfg.detector, conf_noise=0.0, loc_noise_px=0.0,
                               loc_noise_scale=0.0, fp_rate=0.0, base_recall=1.0)
     cfg = dataclasses.replace(cfg, detector=det)
@@ -455,8 +457,93 @@ def _rows_equal(a, b):
     return True
 
 
+def test_deviation_scene_pins_to_the_first_region(scenario):
+    base = dataclasses.replace(scenario.scene)
+    base.regions = [RegionSpec("street", (240, 420, 960, 360))]
+    base.class_priors = {"car": {"street": 0.7}}
+    scene_cfg = deviation_scene(base)
+    assert {g.region_label for g in scene_cfg.groups} == {"street", "field"}
+    assert len(build_scene(scene_cfg, seed=0).objects) == 9
+    rows = deviation_study(scene_cfg, seeds=1, budget=40, cfg=scenario)
+    assert len(rows) == 18
+
+
+def test_deviation_scene_without_regions_pins_to_the_background(scenario):
+    base = dataclasses.replace(scenario.scene, regions=[])
+    scene = build_scene(deviation_scene(base), seed=0)
+    assert [r.label for r in scene.regions] == ["field"]
+    assert len(scene.objects) == 9
+
+
 def test_deviation_tables_are_reproducible(scenario):
     scene_cfg = deviation_scene(scenario.scene)
     a = deviation_study(scene_cfg, seeds=3, budget=120, cfg=scenario)
     b = deviation_study(scene_cfg, seeds=3, budget=120, cfg=scenario)
     assert _rows_equal(a, b)
+
+
+# --- one claim step for the wide camera's finds and every scan pass ------------
+
+# objects 0 and 1 are 2 x 2 degree boxes centered at (0, 0) and (8.75, 0)
+CLAIM_SCENE = make_scene([((720.0, 600.0), (64.0, 64.0)),
+                          ((1000.0, 600.0), (64.0, 64.0))])
+
+
+def window(h, v, confidence, radius=0.01, size=(2.0, 2.0)):
+    return SearchWindow(h, v, radius, 3 * radius, confidence, *size, ())
+
+
+def claim(windows, stage, found, ap_records=None):
+    return _claim(CLAIM_SCENE, _object_boxes(CLAIM_SCENE), windows, stage,
+                  found, 0.5, ap_records).tolist()
+
+
+def test_claim_first_match_per_object_wins_the_stage():
+    found = {}
+    windows = [window(0.25, 0.0, 0.6), window(0.5, -0.5, 0.9),
+               window(8.75, 0.5, 0.4, radius=0.02), window(30.0, 0.0, 0.99)]
+    assert claim(windows, 2, found) == [0, 0, 1, -1]
+    assert found == {0: FoundObject(2, 0.5, 0.0, 0.02, 0.6),
+                     1: FoundObject(2, 0.0, 1.0, 0.04, 0.4)}
+
+
+def test_claim_find_yields_only_to_an_equal_or_higher_confidence():
+    bootstrap = FoundObject(0, 4.0, 4.0, 9.0, 0.8)
+    found = {0: bootstrap}
+    claim([window(0.25, 0.0, 0.79)], 1, found)
+    assert found == {0: bootstrap}
+    claim([window(0.25, 0.0, 0.8)], 2, found)
+    assert found == {0: FoundObject(0, 0.5, 0.0, 0.02, 0.8)}
+    claim([window(-0.5, 0.0, 0.95), window(0.0, 0.0, 0.99)], 3, found)
+    assert found == {0: FoundObject(0, -1.0, 0.0, 0.02, 0.95)}
+
+
+def test_claim_ap_records_one_per_window_by_object_index():
+    records = []
+    windows = [window(0.0, 0.0, 0.9), window(0.1, 0.0, 0.8),
+               window(8.75, 0.0, 0.7, size=(0.5, 0.5)), window(30.0, 0.0, 0.6)]
+    assert claim(windows, 1, {}, records) == [0, 0, 1, -1]
+    # the small window sits inside object 1 but overlaps it with IoU 1/16
+    assert records == [(0.9, 0), (0.8, 0), (0.7, None), (0.6, None)]
+    assert all(type(j) is int for _, j in records[:2])
+    assert claim([], 1, {}, records) == [] and len(records) == 4
+
+
+def test_wide_camera_finds_are_stage_zero_windows(zero_noise_scenario):
+    cfg = zero_noise_scenario
+    scene = build_scene(cfg.scene, seed=0)
+    trace = TrialTrace()
+    res = run_trial(scene, "ppm_only", 0, 1, 0, cfg, trace=trace)
+    dpp = scene.deg_per_px
+    assert res.found and not trace.windows
+    for oid, f in res.found.items():
+        obj = scene.objects[oid]
+        assert obj.pano_detectable and f.stage == 0
+        assert (f.err_x_px, f.err_y_px) == (0.0, 0.0)
+        # zero noise: sigma_o is the floor and the confidence is size-driven
+        sigma_o = max(1.0 - f.confidence, cfg.noise.sigma_min)
+        assert f.post_var == res.pre_vars[oid] == \
+            (cfg.engine.subregion_scale * sigma_o * dpp) ** 2
+    # each stage-0 window is one AP record, and all three hit
+    assert res.recall == pytest.approx(3 / 9)
+    assert res.ap == pytest.approx(4 / 11)

@@ -426,23 +426,45 @@ def test_structured_tour_matches_reference(start, positions):
     assert plan_scan(start, positions) == reference_plan_scan(start, positions)
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_tour_takes_an_array_or_a_list(layout):
+    positions = tour_positions(layout, 300, seed=5)
+    want = plan_scan((0.5, -0.25), positions)
+    assert plan_scan((0.5, -0.25), np.array(positions)) == want
+    assert plan_scan((0.5, -0.25), [list(p) for p in positions]) == want
+
+
+def test_malformed_positions_rejected():
+    for positions in ([(1.0, 2.0, 3.0)], np.zeros((4, 3)), np.zeros(0)):
+        with pytest.raises(ValueError):
+            plan_scan((0.0, 0.0), positions)
+
+
 INF, NAN = float("inf"), float("nan")
-
-
-@pytest.mark.parametrize("start,positions", [
+NON_FINITE = [
     # squared distances overflow to inf, so every candidate ties at inf
     ((0.0, 0.0), [(1e200, 0.0), (-1e200, 0.0), (3.0, 3.0)]),
     ((0.0, 0.0), [(NAN, 0.0), (1.0, 1.0), (2.0, 2.0)]),
     ((0.0, 0.0), [(1.0, 1.0), (INF, 0.0), (2.0, 2.0)]),
     ((NAN, 0.0), [(1.0, 1.0), (2.0, 2.0)]),
     ((INF, 0.0), [(1.0, 1.0), (INF, INF), (2.0, 2.0), (-INF, 3.0)]),
-    pytest.param((0.0, 0.0), extremes(1e150), id="at-1e150"),
+]
+
+
+@pytest.mark.parametrize("start,positions", [
+    *NON_FINITE, pytest.param((0.0, 0.0), extremes(1e150), id="at-1e150"),
 ])
 def test_non_finite_tour_matches_reference(start, positions):
     """Input whose distances may not be finite is rejected, not ordered:
     no trial produces it (see test_trial_angles_stay_in_mirror_range)."""
     with pytest.raises(ValueError, match="finite"):
         plan_scan(start, positions)
+
+
+@pytest.mark.parametrize("start,positions", NON_FINITE)
+def test_non_finite_array_rejected(start, positions):
+    with pytest.raises(ValueError, match="finite"):
+        plan_scan(np.array(start), np.array(positions))
 
 
 @pytest.mark.parametrize("method", ["ppm_ps", "ppm_only", "rpm", "mpf",

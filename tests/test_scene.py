@@ -179,6 +179,23 @@ def test_scene_variants_cover_requested_count():
         build_scene(v, seed=0)  # all variants remain valid partitions
 
 
+@pytest.mark.parametrize("height", [600, 400, 300, 1])
+def test_scene_variants_stay_inside_a_short_panorama(height):
+    base = dataclasses.replace(default_scenario().scene, height=height)
+    base.regions = [RegionSpec("road", (240, 0, 960, height))]
+    for v in default_scene_variants(base, 10):
+        x, y, w, h = v.regions[0].rect
+        assert 0 <= y and y + h <= height and h == min(360, height)
+        assert 0 <= x and x + w <= v.width
+        build_scene(v, seed=0)
+
+
+def test_scene_variants_keep_the_tall_panorama_rectangles():
+    variants = default_scene_variants(default_scenario().scene, 5)
+    assert [v.regions[0].rect[1::2] for v in variants] == [
+        (380, 360), (420, 360), (460, 360), (400, 360), (440, 360)]
+
+
 # --- one rejection sampler against the three it replaced -------------------------
 
 def ref_sample_in_region(rng, labels, bbox, region_id, max_rounds=64):
@@ -432,3 +449,73 @@ def test_study_variants_match_the_per_world_stamping():
         labels, areas = reference_grid(cfg)
         assert np.array_equal(scene.labels, labels)
         assert [r.area_px for r in scene.regions] == areas
+
+
+# --- region weights once per group, the draws of the per-object loop ----------
+
+def reference_objects(config, seed):
+    """Centers and velocities as build_scene drew them when it rebuilt the
+    area x class-prior weights for every object."""
+    scene = build_scene(config, seed)  # regions, grid and boxes are not drawn
+    rng = np.random.default_rng(seed)
+    regions = scene.regions
+    by_label = {}
+    for region in regions:
+        by_label.setdefault(region.label, region)
+    out = []
+    for group in config.groups:
+        for _ in range(group.count):
+            if group.region_label is not None:
+                region = by_label[group.region_label]
+            else:
+                weights = np.array([r.area_px * r.prior(group.class_name)
+                                    for r in regions])
+                total = weights.sum()
+                if total <= 0:
+                    weights = np.array([r.area_px for r in regions])
+                    total = weights.sum()
+                region = regions[int(rng.choice(len(regions), p=weights / total))]
+            xs, ys = rejection_sample(rng, scene.labels, region.id,
+                                      bbox_draw(scene.region_bboxes[region.id]),
+                                      1, max_rounds=64)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            out.append(((float(xs[0]), float(ys[0])),
+                        (group.speed * math.cos(angle), group.speed * math.sin(angle))))
+    return out
+
+
+@st.composite
+def placed_groups(draw):
+    groups = []
+    for _ in range(draw(st.integers(1, 5))):
+        groups.append(ObjectGroupSpec(
+            class_name=draw(st.sampled_from(["car", "bus", "bike"])),
+            count=draw(st.integers(0, 6)), speed=draw(st.sampled_from([0.0, 2.0])),
+            region_label=draw(st.sampled_from([None, None, "road", "field", "yard"]))))
+    return groups
+
+
+@given(groups=placed_groups(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_group_weights_keep_the_per_object_draws(groups, seed):
+    # "bike" has no prior anywhere, so its groups fall back to area
+    cfg = SceneConfig(width=160, height=120,
+                      regions=[RegionSpec("road", (20, 30, 80, 40)),
+                               RegionSpec("yard", (110, 10, 30, 100))],
+                      groups=groups,
+                      class_priors={"car": {"road": 0.7, "field": 0.05},
+                                    "bus": {"yard": 1.0}})
+    scene = build_scene(cfg, seed)
+    assert [(o.center, o.velocity) for o in scene.objects] == \
+        reference_objects(cfg, seed)
+
+
+def test_unknown_pinned_region_raises_only_when_the_group_places_objects():
+    for count in (0, 1):
+        cfg = single_region_config([ObjectGroupSpec(count=count, region_label="road"),
+                                    ObjectGroupSpec(count=2)])
+        if count:
+            with pytest.raises(ConfigError, match="pinned to unknown region 'road'"):
+                build_scene(cfg, seed=0)
+        else:
+            assert len(build_scene(cfg, seed=0).objects) == 2
