@@ -12,7 +12,7 @@ Config files are line-oriented plain text with nested brace blocks:
 
 One entry per line.  ``key = value`` assigns; ``name {`` opens a nested
 block and ``}`` closes it; ``#`` starts a comment.  Repeated blocks
-(``region``, ``objects``, ``preset``) accumulate in declaration order.
+(``region``, ``objects``, ``preset``) accumulate in order; no other block may repeat.
 Values are whitespace-separated tokens parsed by the typed builders below.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 
 class ConfigError(ValueError):
@@ -33,8 +33,9 @@ class ConfigError(ValueError):
 # +/-20 degrees with 0.25 ms step response, transform coefficient 0.002,
 # sub-region scale 50, overlap temperature 0.025.
 #
-# Each block's dataclass is its key table: a field made by _key() is a config
-# key whose kind is the field's annotation and whose domain the loader checks.
+# Each block's dataclass is its schema: a field made by _key() is a config key
+# whose kind is the field's annotation and whose domain the loader checks, and
+# a field made by _block() is a nested block.
 # Every float must also be finite, and 0 or of a magnitude in [1e-12, 1e12]:
 # far outside that range sizes, spans and scales overflow or underflow in
 # the trial arithmetic.  An upper bound appears only where a larger value
@@ -49,6 +50,15 @@ def _key(default, domain: str | tuple[str, ...] = "", name: str = ""):
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=meta)
     return field(default=default, metadata=meta)
+
+
+def _block(cls, name: str = "", needs: tuple[str, ...] | None = None):
+    """A nested-block field: one `cls` block or, when `needs` names the keys
+    each copy must set, a list of repeated ones; `dict` is the class|label
+    prior table.  `name` is the block's name in the config file when it
+    differs from the field."""
+    meta = {"block": cls, "name": name, "needs": needs}
+    return field(default_factory=cls if needs is None else list, metadata=meta)
 
 
 @dataclass(frozen=True)
@@ -90,13 +100,13 @@ class SceneConfig:
     height: int = _key(1200, "[1, inf)")
     span_deg: float = _key(40.0, "(0, 360]")  # full panorama width maps onto this span
     background_label: str = _key("field", name="background")
-    regions: list[RegionSpec] = field(default_factory=list)
-    groups: list[ObjectGroupSpec] = field(default_factory=list)
-    # class priors: target class -> region label -> probability of the class
-    # given the region
-    class_priors: dict[str, dict[str, float]] = field(default_factory=dict)
     # px; larger objects are visible at panorama scale
     pano_detect_threshold: float = _key(60.0, "(0, inf)")
+    regions: list[RegionSpec] = _block(RegionSpec, "region", ("label", "rect"))
+    groups: list[ObjectGroupSpec] = _block(ObjectGroupSpec, "objects", ())
+    # class priors: target class -> region label -> probability of the class
+    # given the region
+    class_priors: dict[str, dict[str, float]] = _block(dict, "priors")
 
     @property
     def deg_per_px(self) -> float:
@@ -191,18 +201,14 @@ class ExperimentConfig:
     deviation_seeds: int = _key(20, "[1, inf)")
 
 
-# config blocks with one instance, named as ScenarioConfig's attributes
-_SECTIONS = ("noise", "detector", "engine", "experiment")
-
-
 @dataclass
 class ScenarioConfig:
-    scene: SceneConfig = field(default_factory=SceneConfig)
-    noise: SegNoiseConfig = field(default_factory=SegNoiseConfig)
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
-    engine: EngineConfig = field(default_factory=EngineConfig)
-    experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
-    presets: list[DetectorPreset] = field(default_factory=list)
+    scene: SceneConfig = _block(SceneConfig)
+    noise: SegNoiseConfig = _block(SegNoiseConfig)
+    detector: DetectorConfig = _block(DetectorConfig)
+    engine: EngineConfig = _block(EngineConfig)
+    experiment: ExperimentConfig = _block(ExperimentConfig)
+    presets: list[DetectorPreset] = _block(DetectorPreset, "preset", ("name",))
     out_dir: str | None = _key(None, name="out")
 
 
@@ -214,10 +220,20 @@ class Key:
     domain: str | tuple[str, ...]
 
 
+def _name(f) -> str:
+    """A key or nested block field's name in the config file."""
+    return f.metadata["name"] or f.name
+
+
 def key_table(cls) -> list[Key]:
     """The config keys of a block dataclass, in declaration order."""
-    return [Key(f.metadata["name"] or f.name, f.name, f.type, f.metadata["domain"])
+    return [Key(_name(f), f.name, f.type, f.metadata["domain"])
             for f in fields(cls) if "domain" in f.metadata]
+
+
+def _nested(cls) -> list:
+    """The nested-block fields of a block dataclass (or instance), in order."""
+    return [f for f in fields(cls) if "block" in f.metadata] if is_dataclass(cls) else []
 
 
 def default_scenario() -> ScenarioConfig:
@@ -317,6 +333,12 @@ def apply_overrides(root: Block, overrides: list[str]) -> None:
     Paths address scalar keys through uniquely-named blocks; a path through
     a repeated block (region, objects, preset) is a ConfigError.
     """
+    repeated, todo = set(), [ScenarioConfig]
+    while todo:
+        for f in _nested(todo.pop()):
+            if f.metadata["needs"] is not None:
+                repeated.add(_name(f))
+            todo.append(f.metadata["block"])
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form path.key=value")
@@ -324,7 +346,7 @@ def apply_overrides(root: Block, overrides: list[str]) -> None:
         parts = [p for p in path.strip().split(".") if p]
         if not parts:
             raise ConfigError(f"override {item!r} has an empty path")
-        if {"region", "objects", "preset"} & set(parts[:-1]):
+        if repeated & set(parts[:-1]):
             raise ConfigError(f"override {item!r} passes through a repeated "
                               "block, which --set cannot address")
         node = root
@@ -371,79 +393,55 @@ def _coerce(value: str, kind: str, where: str, errors: list[str]):
     return None
 
 
-def _fill_simple(block: Block | None, obj, section: str, errors: list[str],
-                 children: tuple[str, ...] = ()) -> None:
-    """Set obj's keys from a block; reports unknown keys and child blocks."""
-    if block is None:
-        return
-    table = {k.name: k for k in key_table(type(obj))}
+def _fill(block: Block, obj, path: str, errors: list[str]) -> None:
+    """Set obj's keys and nested blocks from a parsed block: a single block
+    updates its value, repeated blocks and a priors block replace theirs.
+    Reports unknown keys and blocks, missing required keys and a second copy
+    of a single block."""
+    where = path or "top level"
+    table = {k.name: k for k in key_table(type(obj))} if is_dataclass(obj) else {}
     for key, value, line in block.entries:
         k = table.get(key)
-        if k is None:
-            errors.append(f"{section} (line {line}): unknown key {key!r}")
-            continue
-        parsed = _coerce(value, k.kind, f"{section}.{key} (line {line})", errors)
-        if parsed is not None:
-            setattr(obj, k.attr, parsed)
-    for child in block.children:
-        if child.name not in children:
-            errors.append(f"{section} (line {child.line}): unknown block {child.name!r}")
-
-
-def _fill_repeated(blocks: list[Block], cls, section: str,
-                   required: tuple[str, ...], errors: list[str]) -> list:
-    """One `cls` per repeated block, each starting from the class defaults."""
-    out = []
-    for block in blocks:
-        if any(block.get(k) is None for k in required):
-            errors.append(f"{section} (line {block.line}): needs "
-                          + " and ".join(repr(k) for k in required))
-            continue
-        obj = cls()
-        _fill_simple(block, obj, section, errors)
-        out.append(obj)
-    return out
-
-
-def _build_scene(block: Block | None, scene: SceneConfig,
-                 errors: list[str]) -> None:
-    """Apply a scene block; its region, objects or priors replace the defaults."""
-    if block is None:
-        return
-    _fill_simple(block, scene, "scene", errors, ("region", "objects", "priors"))
-    regions = block.children_named("region")
-    if regions:
-        scene.regions = _fill_repeated(regions, RegionSpec, "scene.region",
-                                       ("label", "rect"), errors)
-    groups = block.children_named("objects")
-    if groups:
-        scene.groups = _fill_repeated(groups, ObjectGroupSpec, "scene.objects",
-                                      (), errors)
-    pb = block.child("priors")
-    if pb is not None:
-        scene.class_priors = {}
-        for key, value, line in pb.entries:
-            if "|" not in key:
-                errors.append(f"scene.priors (line {line}): key must be 'class|label'")
-                continue
-            cls, label = key.split("|", 1)
-            p = _coerce(value, "float", f"scene.priors.{key} (line {line})", errors)
+        if isinstance(obj, dict) and "|" in key:  # the class|label prior table
+            p = _coerce(value, "float", f"{where}.{key} (line {line})", errors)
             if p is not None:
-                scene.class_priors.setdefault(cls.strip(), {})[label.strip()] = p
+                cls, label = key.split("|", 1)
+                obj.setdefault(cls.strip(), {})[label.strip()] = p
+        elif isinstance(obj, dict):
+            errors.append(f"{where} (line {line}): key must be 'class|label'")
+        elif k is None:
+            errors.append(f"{where} (line {line}): unknown key {key!r}")
+        else:
+            parsed = _coerce(value, k.kind, f"{where}.{key} (line {line})", errors)
+            if parsed is not None:
+                setattr(obj, k.attr, parsed)
+    nested = {_name(f): f for f in _nested(obj)}
+    for child in block.children:
+        if child.name not in nested:
+            errors.append(f"{where} (line {child.line}): unknown block {child.name!r}")
+    for name, f in nested.items():
+        cls, needs = f.metadata["block"], f.metadata["needs"]
+        sub, copies = f"{path}.{name}" if path else name, block.children_named(name)
+        if copies and (needs is not None or cls is dict):  # replaced, not updated
+            setattr(obj, f.name, f.default_factory())
+        for i, c in enumerate(copies):
+            if needs is None:
+                if i:
+                    errors.append(f"{sub} (line {c.line}): may appear only once")
+                _fill(c, getattr(obj, f.name), sub, errors)
+            elif any(c.get(req) is None for req in needs):
+                errors.append(f"{sub} (line {c.line}): needs "
+                              + " and ".join(repr(k) for k in needs))
+            else:
+                getattr(obj, f.name).append(cls())
+                _fill(c, getattr(obj, f.name)[-1], sub, errors)
 
 
 def build_scenario(root: Block) -> tuple[ScenarioConfig, list[str]]:
     """Build a ScenarioConfig from a parsed tree, starting from the defaults."""
     errors: list[str] = []
     cfg = default_scenario()
-    _fill_simple(root, cfg, "top level", errors, ("scene", *_SECTIONS, "preset"))
-    _build_scene(root.child("scene"), cfg.scene, errors)
-    for name in _SECTIONS:
-        _fill_simple(root.child(name), getattr(cfg, name), name, errors)
-    presets = root.children_named("preset")
-    if presets:
-        cfg.presets = _fill_repeated(presets, DetectorPreset, "preset",
-                                     ("name",), errors)
+    _fill(root, cfg, "", errors)
     return cfg, errors
 
 
@@ -478,27 +476,32 @@ def _domain_error(value, domain: str | tuple[str, ...]) -> str | None:
     return f"must be in {domain}, got {value!r}"
 
 
-def _check_keys(obj, where: str, errors: list[str]) -> None:
-    """Check every key of a config block against its domain."""
-    for k in key_table(type(obj)):
-        value = getattr(obj, k.attr)
-        for item in value if isinstance(value, (list, tuple)) else [value]:
-            problem = None if item is None else _domain_error(item, k.domain)
-            if problem:
-                errors.append(f"{where}: {k.name} {problem}")
-                break
+def _blocks(obj, path: str = ""):
+    """(where, block) for obj and every keyed block nested in it, in field
+    order; a repeated block's where carries its index, as in scene.region[0]."""
+    if is_dataclass(obj):
+        yield path, obj
+    for f in _nested(obj):
+        sub, value = f"{path}.{_name(f)}" if path else _name(f), getattr(obj, f.name)
+        if f.metadata["needs"] is None:
+            yield from _blocks(value, sub)
+        else:
+            for i, item in enumerate(value):
+                yield from _blocks(item, f"{sub}[{i}]")
 
 
 def check_scenario(cfg: ScenarioConfig) -> list[str]:
     """Domain checks of every key, then the rules that span several keys."""
     errors: list[str] = []
+    for where, obj in _blocks(cfg):
+        for k in key_table(type(obj)):
+            value = getattr(obj, k.attr)
+            for item in value if isinstance(value, (list, tuple)) else [value]:
+                problem = None if item is None else _domain_error(item, k.domain)
+                if problem:
+                    errors.append(f"{where}: {k.name} {problem}")
+                    break
     s = cfg.scene
-    blocks = [("scene", s), *((name, getattr(cfg, name)) for name in _SECTIONS)]
-    blocks += [(f"scene.region[{i}]", r) for i, r in enumerate(s.regions)]
-    blocks += [(f"scene.objects[{i}]", g) for i, g in enumerate(s.groups)]
-    blocks += [(f"preset[{i}]", p) for i, p in enumerate(cfg.presets)]
-    for where, obj in blocks:
-        _check_keys(obj, where, errors)
     target = cfg.experiment.target
     placed: list[tuple[int, int, int, int]] = []
     covered = 0
@@ -564,40 +567,27 @@ def _fmt(value) -> str:
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
+    """The config text of cfg: every key and block, in field order."""
     lines: list[str] = []
 
-    def emit(indent: int, text: str) -> None:
-        lines.append("    " * indent + text)
+    def emit(obj, indent: int) -> None:
+        pad = "    " * indent
+        if isinstance(obj, dict):  # the prior table, sorted
+            lines.extend(f"{pad}{cls}|{label} = {_fmt(obj[cls][label])}"
+                         for cls in sorted(obj) for label in sorted(obj[cls]))
+            return
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if "block" not in f.metadata:
+                if value is not None:
+                    lines.append(f"{pad}{_name(f)} = {_fmt(value)}")
+                continue
+            for item in value if f.metadata["needs"] is not None else [value]:
+                lines.append(f"{pad}{_name(f)} {{")
+                emit(item, indent + 1)
+                lines.append(pad + "}")
 
-    def emit_keys(indent: int, obj) -> None:
-        for k in key_table(type(obj)):
-            value = getattr(obj, k.attr)
-            if value is not None:
-                emit(indent, f"{k.name} = {_fmt(value)}")
-
-    def emit_block(indent: int, name: str, obj) -> None:
-        emit(indent, name + " {")
-        emit_keys(indent + 1, obj)
-        emit(indent, "}")
-
-    s = cfg.scene
-    emit(0, "scene {")
-    emit_keys(1, s)
-    for r in s.regions:
-        emit_block(1, "region", r)
-    for g in s.groups:
-        emit_block(1, "objects", g)
-    emit(1, "priors {")
-    for cls in sorted(s.class_priors):
-        for label in sorted(s.class_priors[cls]):
-            emit(2, f"{cls}|{label} = {_fmt(s.class_priors[cls][label])}")
-    emit(1, "}")
-    emit(0, "}")
-    for name in _SECTIONS:
-        emit_block(0, name, getattr(cfg, name))
-    for p in cfg.presets:
-        emit_block(0, "preset", p)
-    emit_keys(0, cfg)
+    emit(cfg, 0)
     return "\n".join(lines) + "\n"
 
 

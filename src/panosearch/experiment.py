@@ -10,6 +10,7 @@ and gaze-deviation metrics.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -18,8 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import (METHODS, ConfigError, DetectorPreset, MethodSpec,
-                     ObjectGroupSpec, RegionSpec, ScenarioConfig, SceneConfig,
-                     scenario_copy)
+                     ObjectGroupSpec, RegionSpec, ScenarioConfig, SceneConfig)
 from .detector import Detection, SyntheticDetector
 from .galvo import capture_view, plan_scan
 from .particles import (ParticleSet, build_proposal, initial_sample,
@@ -399,18 +399,21 @@ _VARIANTS = [(0.18, 380), (0.20, 420), (0.22, 460), (0.24, 400), (0.26, 440)]
 
 def default_scene_variants(base: SceneConfig, count: int) -> list[SceneConfig]:
     """Deterministic family of scene configs varying the high-prior region,
-    each rectangle kept inside the panorama."""
+    each rectangle kept inside the panorama; a variant that would overlap
+    another region keeps the configured rectangle."""
     out = []
     for i in range(count):
         frac, y = _VARIANTS[i % len(_VARIANTS)]
-        cfg = scenario_copy(ScenarioConfig(scene=base)).scene
+        cfg = copy.deepcopy(base)
         rect_h = min(360, cfg.height)
         y = min(y, cfg.height - rect_h)
         rect_w = int(round(frac * cfg.width * cfg.height / rect_h))
         rect_w = min(rect_w, cfg.width)
         x = (cfg.width - rect_w) // 2 + 20 * (i // len(_VARIANTS))
         x = min(x, cfg.width - rect_w)
-        if cfg.regions:
+        clear = all(x >= px + pw or px >= x + rect_w or y >= py + ph or py >= y + rect_h
+                    for px, py, pw, ph in (r.rect for r in cfg.regions[1:]))
+        if cfg.regions and clear:
             cfg.regions[0] = replace(cfg.regions[0], rect=(x, y, rect_w, rect_h))
         out.append(cfg)
     return out
@@ -418,7 +421,7 @@ def default_scene_variants(base: SceneConfig, count: int) -> list[SceneConfig]:
 
 def proportion_scene(base: SceneConfig, proportion: float) -> SceneConfig:
     """Scene whose high-prior region covers the given panorama fraction."""
-    cfg = scenario_copy(ScenarioConfig(scene=base)).scene
+    cfg = copy.deepcopy(base)
     rect_w = max(1, min(cfg.width, int(round(proportion * cfg.width))))
     label = cfg.regions[0].label if cfg.regions else "road"
     cfg.regions = [RegionSpec(label=label, rect=(0, 0, rect_w, cfg.height))]
@@ -439,14 +442,17 @@ def proportion_scene(base: SceneConfig, proportion: float) -> SceneConfig:
 
 def deviation_scene(base: SceneConfig, mover_speed: float = 6.0) -> SceneConfig:
     """Default scene split into static targets plus three fast movers,
-    pinned to the first region (the background when there is none)."""
-    cfg = scenario_copy(ScenarioConfig(scene=base)).scene
+    pinned to the first region (the background when there is none); the
+    background's one car moves to that region when regions cover it all."""
+    cfg = copy.deepcopy(base)
     home = cfg.regions[0].label if cfg.regions else cfg.background_label
+    covered = sum(w * h for _, _, w, h in (r.rect for r in cfg.regions))
+    outlier_home = cfg.background_label if covered < cfg.width * cfg.height else home
     cfg.groups = [
         ObjectGroupSpec(class_name="car", count=2, size=(120.0, 60.0),
                         speed=0.0, region_label=home),
         ObjectGroupSpec(class_name="car", count=1, size=(120.0, 60.0),
-                        speed=0.0, region_label=cfg.background_label),
+                        speed=0.0, region_label=outlier_home),
         ObjectGroupSpec(class_name="car", count=3, size=(48.0, 28.0),
                         speed=0.0, region_label=home),
         ObjectGroupSpec(class_name="car", count=3, size=(48.0, 28.0),
@@ -583,7 +589,7 @@ def deviation_study(scene_cfg: SceneConfig, seeds: int, budget: int,
     Runs the full iterative pipeline in both arms; only the voting step
     differs, so deviation deltas isolate the coordinate refinement.
     """
-    cfg = scenario_copy(cfg)
+    cfg = copy.deepcopy(cfg)
     cfg.engine.init_frac = min(cfg.engine.init_frac, 0.5)  # leave room to iterate
     cfg.engine.iterations = DEVIATION_ITERATIONS
     arms = (("on", METHODS["ppm_ps"]), ("off", NO_VOTE_SPEC))

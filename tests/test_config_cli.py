@@ -86,6 +86,78 @@ def test_malformed_override_rejected():
         apply_overrides(parse_text(""), ["engine.sigma_t"])
 
 
+# --- one schema: blocks declared on the dataclasses ----------------------------
+
+DATA = os.path.join(REPO_ROOT, "tests", "data")
+
+
+@pytest.mark.parametrize("path", ["scene", "noise", "detector", "engine",
+                                  "experiment", "scene.priors"])
+def test_second_copy_of_a_single_block_is_reported_with_its_line(path):
+    *outer, name = path.split(".")
+    text = ("".join(f"{o} {{\n" for o in outer)
+            + f"{name} {{\n}}\n{name} {{\n bogus = 1\n}}\n" + "}\n" * len(outer))
+    _, errors = build_scenario(parse_text(text))
+    line = 3 + len(outer)
+    assert errors[0] == f"{path} (line {line}): may appear only once"
+    # the second copy is still read, so its own problems show too
+    assert len(errors) == 2 and f"(line {line + 1})" in errors[1]
+
+
+def test_second_scene_block_with_a_bad_width_fails_validate(tmp_path, capsys):
+    cfg = tmp_path / "two_scenes.cfg"
+    cfg.write_text("scene {\n}\nscene {\n width = -4\n}\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == ["error: scene (line 3): may appear only once",
+                       "error: scene: width must be >= 1, got -4"]
+
+
+def test_echo_of_every_kind_of_block_is_unchanged():
+    # recorded before the blocks were declared on the dataclasses
+    cfg = load_scenario(os.path.join(DATA, "every_block.cfg"))
+    with open(os.path.join(DATA, "every_block_echo.cfg"), encoding="utf-8") as fh:
+        assert serialize_scenario(cfg) == fh.read()
+
+
+# recorded, in this order, before the blocks were declared on the dataclasses;
+# the domain lines now follow field order, so scene.objects comes before noise
+MANY_ERRORS = """\
+top level (line 2): unknown key 'bogus_top'
+top level (line 3): unknown block 'weird'
+scene.width (line 7): cannot parse 'abc' as int
+scene (line 9): unknown key 'flurb'
+scene (line 39): unknown block 'inner'
+scene.region (line 14): needs 'label' and 'rect'
+scene.objects.size (line 27): cannot parse '1' as tuple[float, float]
+scene.objects (line 28): unknown block 'sub'
+scene.priors (line 36): key must be 'class|label'
+scene.priors.car|b (line 37): cannot parse 'x' as float
+engine (line 52): unknown key 'radius_mode'
+engine.view_w (line 53): cannot parse '1.5' as int
+preset (line 60): needs 'name'
+noise: label_flip must be finite, got nan
+detector: fp_rate must be in [0, 10], got 11.0
+experiment: methods must be one of ppm_ps, ppm_only, rpm, mpf, uniform, got 'warp'
+experiment: proportions must be in (0, 1], got 1.5
+scene.objects[0]: count must be >= 0, got -3
+scene.objects[1]: occlusion must be in [0, 1], got 2.0
+preset[0]: base_recall must be in [0, 1], got 2.0
+scene.region[1] (c): overlaps an earlier region
+scene.region[2] (d): zero-area rect
+scene.priors car|a: 1.5 outside [0, 1]
+experiment: no admissible region for target 'boat': every area x prior product is zero
+noise: need sigma_min <= sigma_max
+engine: need sigma_min_deg <= sigma_max_deg
+""".splitlines()
+
+
+def test_many_errors_print_the_recorded_lines(capsys):
+    assert main(["validate", "--config", os.path.join(DATA, "many_errors.cfg")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert sorted(err) == sorted(f"error: {line}" for line in MANY_ERRORS)
+
+
 # --- semantic validation -------------------------------------------------------
 
 def test_sigma_t_zero_is_an_error():

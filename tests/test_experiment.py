@@ -475,6 +475,17 @@ def test_deviation_scene_without_regions_pins_to_the_background(scenario):
     assert len(scene.objects) == 9
 
 
+def test_deviation_scene_moves_the_background_car_when_regions_cover_all(scenario):
+    # one region over the whole panorama leaves no background to pin to
+    base = dataclasses.replace(scenario.scene, class_priors={"car": {"road": 0.7}})
+    base.regions = [RegionSpec("road", (0, 0, 1440, 1200))]
+    scene_cfg = deviation_scene(base)
+    assert {g.region_label for g in scene_cfg.groups} == {"road"}
+    scene = build_scene(scene_cfg, seed=0)
+    assert [r.label for r in scene.regions] == ["road"]
+    assert len(scene.objects) == 9
+
+
 def test_deviation_tables_are_reproducible(scenario):
     scene_cfg = deviation_scene(scenario.scene)
     a = deviation_study(scene_cfg, seeds=3, budget=120, cfg=scenario)

@@ -196,6 +196,18 @@ def test_scene_variants_keep_the_tall_panorama_rectangles():
         (380, 360), (420, 360), (460, 360), (400, 360), (440, 360)]
 
 
+def test_scene_variant_that_would_overlap_another_region_keeps_the_configured_one():
+    # the third variant would span y = 460-820 over the yard at y = 800-900
+    base = dataclasses.replace(default_scenario().scene)
+    road = RegionSpec("road", (240, 420, 960, 360))
+    base.regions = [road, RegionSpec("yard", (240, 800, 100, 100))]
+    variants = default_scene_variants(base, 5)
+    assert [v.regions[0].rect[1] for v in variants] == [380, 420, 420, 400, 440]
+    assert variants[2].regions == base.regions
+    for v in variants:
+        build_scene(v, seed=0)
+
+
 # --- one rejection sampler against the three it replaced -------------------------
 
 def ref_sample_in_region(rng, labels, bbox, region_id, max_rounds=64):
