@@ -266,8 +266,9 @@ def default_scenario() -> ScenarioConfig:
 @dataclass
 class Block:
     name: str
-    line: int
-    entries: list[tuple[str, str, int]] = field(default_factory=list)
+    # where the block or entry was set, for errors: "line 12" or "--set a.b=1"
+    origin: str = ""
+    entries: list[tuple[str, str, str]] = field(default_factory=list)  # key, value, origin
     children: list["Block"] = field(default_factory=list)
 
     def get(self, key: str) -> str | None:
@@ -288,7 +289,7 @@ class Block:
 
 def parse_text(text: str, source: str = "<config>") -> Block:
     """Parse config text into a block tree.  Raises ConfigError with line numbers."""
-    root = Block(name="", line=0)
+    root = Block(name="")
     stack = [root]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -302,7 +303,7 @@ def parse_text(text: str, source: str = "<config>") -> Block:
             name = line[:-1].strip()
             if not name or "=" in name:
                 raise ConfigError(f"{source}:{lineno}: malformed block header {raw.strip()!r}")
-            block = Block(name=name, line=lineno)
+            block = Block(name=name, origin=f"line {lineno}")
             stack[-1].children.append(block)
             stack.append(block)
         elif "=" in line:
@@ -310,11 +311,11 @@ def parse_text(text: str, source: str = "<config>") -> Block:
             key = key.strip()
             if not key:
                 raise ConfigError(f"{source}:{lineno}: missing key before '='")
-            stack[-1].entries.append((key, value.strip(), lineno))
+            stack[-1].entries.append((key, value.strip(), f"line {lineno}"))
         else:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', block, or '}}'")
     if len(stack) != 1:
-        raise ConfigError(f"{source}: unclosed block {stack[-1].name!r} opened at line {stack[-1].line}")
+        raise ConfigError(f"{source}: unclosed block {stack[-1].name!r} opened at {stack[-1].origin}")
     return root
 
 
@@ -349,16 +350,16 @@ def apply_overrides(root: Block, overrides: list[str]) -> None:
         if repeated & set(parts[:-1]):
             raise ConfigError(f"override {item!r} passes through a repeated "
                               "block, which --set cannot address")
-        node = root
+        origin, node = f"--set {item}", root
         for name in parts[:-1]:
             nxt = node.child(name)
             if nxt is None:
-                nxt = Block(name=name, line=0)
+                nxt = Block(name=name, origin=origin)
                 node.children.append(nxt)
             node = nxt
         key = parts[-1]
         node.entries = [(k, v, ln) for k, v, ln in node.entries if k != key]
-        node.entries.append((key, value.strip(), 0))
+        node.entries.append((key, value.strip(), origin))
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +401,25 @@ def _fill(block: Block, obj, path: str, errors: list[str]) -> None:
     of a single block."""
     where = path or "top level"
     table = {k.name: k for k in key_table(type(obj))} if is_dataclass(obj) else {}
-    for key, value, line in block.entries:
+    for key, value, origin in block.entries:
         k = table.get(key)
         if isinstance(obj, dict) and "|" in key:  # the class|label prior table
-            p = _coerce(value, "float", f"{where}.{key} (line {line})", errors)
+            p = _coerce(value, "float", f"{where}.{key} ({origin})", errors)
             if p is not None:
                 cls, label = key.split("|", 1)
                 obj.setdefault(cls.strip(), {})[label.strip()] = p
         elif isinstance(obj, dict):
-            errors.append(f"{where} (line {line}): key must be 'class|label'")
+            errors.append(f"{where} ({origin}): key must be 'class|label'")
         elif k is None:
-            errors.append(f"{where} (line {line}): unknown key {key!r}")
+            errors.append(f"{where} ({origin}): unknown key {key!r}")
         else:
-            parsed = _coerce(value, k.kind, f"{where}.{key} (line {line})", errors)
+            parsed = _coerce(value, k.kind, f"{where}.{key} ({origin})", errors)
             if parsed is not None:
                 setattr(obj, k.attr, parsed)
     nested = {_name(f): f for f in _nested(obj)}
     for child in block.children:
         if child.name not in nested:
-            errors.append(f"{where} (line {child.line}): unknown block {child.name!r}")
+            errors.append(f"{where} ({child.origin}): unknown block {child.name!r}")
     for name, f in nested.items():
         cls, needs = f.metadata["block"], f.metadata["needs"]
         sub, copies = f"{path}.{name}" if path else name, block.children_named(name)
@@ -427,10 +428,10 @@ def _fill(block: Block, obj, path: str, errors: list[str]) -> None:
         for i, c in enumerate(copies):
             if needs is None:
                 if i:
-                    errors.append(f"{sub} (line {c.line}): may appear only once")
+                    errors.append(f"{sub} ({c.origin}): may appear only once")
                 _fill(c, getattr(obj, f.name), sub, errors)
             elif any(c.get(req) is None for req in needs):
-                errors.append(f"{sub} (line {c.line}): needs "
+                errors.append(f"{sub} ({c.origin}): needs "
                               + " and ".join(repr(k) for k in needs))
             else:
                 getattr(obj, f.name).append(cls())
@@ -542,7 +543,7 @@ def load_scenario(path: str | None, overrides: list[str] | None = None) -> Scena
     The error message lists every problem found, one per line.
     """
     if path is None:
-        root = Block(name="", line=0)
+        root = Block(name="")
     else:
         root = parse_file(path)
     if overrides:

@@ -17,6 +17,8 @@ import numpy as np
 from .config import SegNoiseConfig
 from .scene import Region, SceneMap
 
+_FLIP_CHUNK = 1 << 16  # flip uniforms segment_panorama draws at once (512 KiB)
+
 
 @dataclass(frozen=True)
 class PanoDetection:
@@ -61,9 +63,21 @@ def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
     if noise.label_flip > 0.0 and n_regions > 1:
         grid = scene.labels.copy()
         flat = grid.reshape(-1)
-        flip = np.flatnonzero(rng.random(grid.shape) < noise.label_flip)
-        offsets = rng.integers(1, n_regions, size=flip.size, dtype=np.int16)
-        flat[flip] = (flat[flip] + offsets) % n_regions
+        # the doubles of one rng.random(grid.shape) call, in order, drawn
+        # through one reused buffer instead of a full-panorama array; the
+        # flip positions are kept once, per chunk, and the buffer is freed
+        # before the offsets are drawn
+        buf = np.empty(_FLIP_CHUNK)
+        hits = [np.flatnonzero(rng.random(out=buf[:flat.size - start])
+                               < noise.label_flip) + start
+                for start in range(0, flat.size, _FLIP_CHUNK)]
+        del buf
+        offsets = rng.integers(1, n_regions, size=sum(h.size for h in hits),
+                               dtype=np.int16)
+        done = 0
+        for flip in hits:
+            flat[flip] = (flat[flip] + offsets[done:done + flip.size]) % n_regions
+            done += flip.size
         grid.setflags(write=False)
     else:
         grid = scene.labels
@@ -224,17 +238,37 @@ def allocate_ppm(scene: SceneMap, grid: np.ndarray, dets, target: str, n: int,
 def _measure_regions(grid: np.ndarray, n_regions: int):
     """Pixel count and (x0, y0, x1, y1) exclusive bbox of each region id.
 
-    One mask per region; an absent region has area 0 and bbox (0, 0, 0, 0).
+    Each region's box shrinks from the panorama edges while its edge rows or
+    columns hold none of the region's pixels; its pixels are then counted
+    inside the box.  An absent region has area 0 and bbox (0, 0, 0, 0).
     """
+    height, width = grid.shape
     areas, bboxes = [], []
     for rid in range(n_regions):
-        mask = grid == rid
-        areas.append(np.count_nonzero(mask))
-        rows = np.flatnonzero(mask.any(axis=1))
-        cols = np.flatnonzero(mask.any(axis=0))
-        if rows.size == 0:
+        y0 = _first_line(grid, rid)
+        if y0 == height:
+            areas.append(0)
             bboxes.append((0, 0, 0, 0))
-        else:
-            bboxes.append((int(cols[0]), int(rows[0]),
-                           int(cols[-1]) + 1, int(rows[-1]) + 1))
+            continue
+        y1 = height - _first_line(grid[::-1], rid)
+        cols = grid[y0:y1].T
+        x0 = _first_line(cols, rid)
+        x1 = width - _first_line(cols[::-1], rid)
+        areas.append(np.count_nonzero(grid[y0:y1, x0:x1] == rid))
+        bboxes.append((x0, y0, x1, y1))
     return areas, tuple(bboxes)
+
+
+def _first_line(lines: np.ndarray, rid: int) -> int:
+    """Index of the first row of `lines` holding `rid`, or len(lines).
+
+    Scans bands of 1, 2, 4, ... rows, so a hit in row d costs O(log d) numpy
+    calls over at most 2d + 1 rows; a noisy grid usually hits in row 0.
+    """
+    start, size = 0, 1
+    while start < len(lines):
+        hit = np.flatnonzero((lines[start:start + size] == rid).any(axis=1))
+        if hit.size:
+            return start + int(hit[0])
+        start, size = start + size, 2 * size
+    return len(lines)

@@ -227,6 +227,23 @@ def test_validate_errors_go_to_stderr_only(capsys):
     assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
 
+def test_override_errors_name_the_override(tmp_path, capsys):
+    # a --set entry has no line in any file: its errors cite the override,
+    # while the file's entries keep their line numbers
+    path = tmp_path / "engine.cfg"
+    path.write_text("engine {\n nope = 1\n}\n")
+    code = main(["validate", "--config", str(path), "--set", "bogus.x=1",
+                 "--set", "engine.nope2=2", "--set", "engine.sigma_t=abc"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: top level (--set bogus.x=1): unknown block 'bogus'",
+        "error: engine (line 2): unknown key 'nope'",
+        "error: engine (--set engine.nope2=2): unknown key 'nope2'",
+        "error: engine.sigma_t (--set engine.sigma_t=abc): "
+        "cannot parse 'abc' as float",
+    ]
+
+
 def test_trial_writes_csv_and_echoes_config(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["trial", "--seed", "7", "--budget", "60", "--out", str(out)])

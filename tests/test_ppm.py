@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from panosearch.config import (ObjectGroupSpec, RegionSpec, SceneConfig,
                                SegNoiseConfig, default_scenario)
-from panosearch.ppm import (_measure_regions, allocate_ppm, apportion,
-                            build_ppm, refine_allocation,
+from panosearch.ppm import (_FLIP_CHUNK, _measure_regions, allocate_ppm,
+                            apportion, build_ppm, refine_allocation,
                             region_sampling_prob, segment_panorama,
                             subregion_share)
 from panosearch.scene import Region, build_scene
@@ -209,13 +210,7 @@ def reference_noisy_grid(scene, label_flip, seed):
     return grid, rng
 
 
-@pytest.mark.parametrize("label_flip,seed", [(0.05, 1), (0.3, 7), (1.0, 2)])
-@pytest.mark.parametrize("extra_regions", [0, 2])
-def test_label_flip_matches_boolean_mask_reference(label_flip, seed,
-                                                   extra_regions):
-    cfg = default_scenario().scene
-    cfg.regions += [RegionSpec(label="lot", rect=(40 + 100 * k, 40, 80, 200))
-                    for k in range(extra_regions)]
+def check_label_flip_against_reference(cfg, label_flip, seed):
     scene = build_scene(cfg, seed=2)
     noise = SegNoiseConfig(label_flip=label_flip, conf_std=0.1, center_std_px=2.0)
     gen = np.random.default_rng(seed)
@@ -227,6 +222,66 @@ def test_label_flip_matches_boolean_mask_reference(label_flip, seed,
     # detection follow the flips, leaving both streams at the same state
     ref.normal(size=3 * len(dets))
     assert gen.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("label_flip,seed", [(0.05, 1), (0.3, 7), (1.0, 2)])
+@pytest.mark.parametrize("extra_regions", [0, 2])
+def test_label_flip_matches_boolean_mask_reference(label_flip, seed,
+                                                   extra_regions):
+    cfg = default_scenario().scene
+    cfg.regions += [RegionSpec(label="lot", rect=(40 + 100 * k, 40, 80, 200))
+                    for k in range(extra_regions)]
+    check_label_flip_against_reference(cfg, label_flip, seed)
+
+
+# panoramas of under one flip chunk, of exactly two chunks and of two chunks
+# plus one pixel, with the road region on their right quarter
+@pytest.mark.parametrize("size", [(300, 200), (2 * _FLIP_CHUNK // 256, 256),
+                                  (2 * _FLIP_CHUNK + 1, 1)],
+                         ids=["under_one_chunk", "two_chunks",
+                              "two_chunks_and_1px"])
+@pytest.mark.parametrize("label_flip,seed", [(0.05, 1), (0.3, 7), (1.0, 2)])
+def test_label_flip_matches_boolean_mask_reference_at_chunk_edges(
+        size, label_flip, seed):
+    width, height = size
+    cfg = default_scenario().scene
+    cfg.width, cfg.height = width, height
+    cfg.regions = [RegionSpec(label="road", rect=(width * 3 // 4, 0,
+                                                  width - width * 3 // 4,
+                                                  height))]
+    cfg.regions += [RegionSpec(label="lot", rect=(40 + 100 * k, 0, 80,
+                                                  min(200, height)))
+                    for k in range(2)]
+    check_label_flip_against_reference(cfg, label_flip, seed)
+
+
+def traced_peak(call):
+    """call()'s result and the peak of numpy and Python memory it traced."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("label_flip", [0.05, 1.0])
+def test_label_flip_peak_memory_is_the_grid_and_the_flips(label_flip):
+    # the noisy grid, 8 + 2 bytes of position and offset per flipped pixel
+    # and the 512 KiB draw buffer: at 0.05 that is under the grid + 2 MiB,
+    # where a full-panorama array of uniforms alone would be 13 MiB
+    scene = build_scene(default_scenario().scene, seed=2)
+    noise = SegNoiseConfig(label_flip=label_flip)
+    (grid, _), peak = traced_peak(lambda: segment_panorama(scene, noise, 1))
+    flipped = np.count_nonzero(grid != scene.labels)
+    assert peak <= grid.nbytes + 10 * flipped + 2**20
+
+
+def test_noisy_allocation_peak_memory_is_one_panorama_mask():
+    scene = build_scene(default_scenario().scene, seed=2)
+    grid, dets = segment_panorama(scene, SegNoiseConfig(label_flip=0.05), 1)
+    _, peak = traced_peak(lambda: allocate_ppm(scene, grid, dets, "car", 400))
+    assert peak <= grid.size + 2**18
 
 
 def reference_measure(grid, n_regions):

@@ -156,6 +156,23 @@ def test_vote_floors_zero_variance():
     assert r_h > 0
 
 
+def test_variances_between_1e6_and_1e5_are_not_floored():
+    # 2e-6 and 5e-6 lie above the 1e-6 floor: a floor raised to 1e-5 would
+    # clamp both, giving centre (1/30, ...) and radii 1e-5 / 1.5
+    a = box(0.0, 1.0, conf=0.9, var_h=2e-6, var_v=5e-6)
+    b = box(0.1, 1.2, conf=0.7, var_h=5e-6, var_v=2e-6)
+    c_h, c_v, r_h, r_v = variance_vote([(a, 1.0), (b, 0.5)])
+    wa_h, wa_v, wb_h, wb_v = 1.0 / 2e-6, 1.0 / 5e-6, 0.5 / 5e-6, 0.5 / 2e-6
+    assert (c_h, r_h) == ((wa_h * 0.0 + wb_h * 0.1) / (wa_h + wb_h),
+                          1.0 / (wa_h + wb_h))
+    assert (c_v, r_v) == ((wa_v * 1.0 + wb_v * 1.2) / (wa_v + wb_v),
+                          1.0 / (wa_v + wb_v))
+    assert c_h == pytest.approx(1.0 / 60.0, rel=1e-12)
+    assert r_h == pytest.approx(1.0 / 6e5, rel=1e-12)
+    (window,) = nms_merge([a, b], vote=False)
+    assert (window.radius_h, window.radius_v) == (2e-6, 5e-6)
+
+
 # --- nms_merge --------------------------------------------------------------------
 
 def test_single_detection_single_window():
