@@ -13,7 +13,6 @@ from __future__ import annotations
 import copy
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -505,6 +504,7 @@ def run_jobs(jobs: list[TrialJob], n_jobs: int = 1) -> list[list[TrialResult]]:
     do not depend on the worker count.
     """
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_run_job, jobs, chunksize=8))
     else:

@@ -72,11 +72,13 @@ def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
                                < noise.label_flip) + start
                 for start in range(0, flat.size, _FLIP_CHUNK)]
         del buf
+        # int16 (an int8 draw is another stream); int32 sums cannot wrap
         offsets = rng.integers(1, n_regions, size=sum(h.size for h in hits),
                                dtype=np.int16)
         done = 0
         for flip in hits:
-            flat[flip] = (flat[flip] + offsets[done:done + flip.size]) % n_regions
+            flat[flip] = np.add(flat[flip], offsets[done:done + flip.size],
+                                dtype=np.int32) % n_regions
             done += flip.size
         grid.setflags(write=False)
     else:
@@ -239,23 +241,28 @@ def _measure_regions(grid: np.ndarray, n_regions: int):
     """Pixel count and (x0, y0, x1, y1) exclusive bbox of each region id.
 
     Each region's box shrinks from the panorama edges while its edge rows or
-    columns hold none of the region's pixels; its pixels are then counted
-    inside the box.  An absent region has area 0 and bbox (0, 0, 0, 0).
+    columns hold none of its pixels, which are then counted in the box; the
+    largest box's region gets what the others leave.  An absent region has
+    area 0 and bbox (0, 0, 0, 0).
     """
     height, width = grid.shape
-    areas, bboxes = [], []
+    bboxes = []
     for rid in range(n_regions):
         y0 = _first_line(grid, rid)
         if y0 == height:
-            areas.append(0)
             bboxes.append((0, 0, 0, 0))
             continue
         y1 = height - _first_line(grid[::-1], rid)
         cols = grid[y0:y1].T
         x0 = _first_line(cols, rid)
         x1 = width - _first_line(cols[::-1], rid)
-        areas.append(np.count_nonzero(grid[y0:y1, x0:x1] == rid))
         bboxes.append((x0, y0, x1, y1))
+    big = int(np.argmax([(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in bboxes]))
+    band = max(1, 2**16 // width)  # 64 KiB masks: full-box ones page-fault anew per trial
+    areas = [0 if rid == big else sum(
+        np.count_nonzero(grid[y:y + band, x0:x1] == rid) for y in range(y0, y1, band))
+        for rid, (x0, y0, x1, y1) in enumerate(bboxes)]
+    areas[big] = height * width - sum(areas)
     return areas, tuple(bboxes)
 
 

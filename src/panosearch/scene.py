@@ -52,7 +52,7 @@ class SceneMap:
 
     width: int
     height: int
-    labels: np.ndarray                     # (H, W) int16 region ids
+    labels: np.ndarray                     # (H, W) int8 region ids (int16 past 127)
     regions: tuple[Region, ...]
     objects: tuple[GtObject, ...]
     deg_per_px: float
@@ -159,8 +159,8 @@ _GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _label_grid(config: SceneConfig) -> np.ndarray:
-    """The (H, W) int16 region-id grid of config's panorama size and region
-    rectangles, validated and stamped once and shared among worlds."""
+    """The (H, W) region-id grid of config's panorama size and region
+    rectangles, validated, stamped once in int8 or int16 and shared."""
     width, height = config.width, config.height
     key = (width, height, tuple(tuple(spec.rect) for spec in config.regions))
     labels = _GRIDS.get(key)
@@ -168,7 +168,10 @@ def _label_grid(config: SceneConfig) -> np.ndarray:
         return labels
     if width <= 0 or height <= 0:
         raise ConfigError("panorama dimensions must be positive")
-    labels = np.full((height, width), -1, dtype=np.int16)
+    n = len(config.regions)
+    if n > 32767:  # ids, and the flip offsets segment_panorama draws, are int16
+        raise ConfigError(f"{n} regions: the label grid holds at most 32767")
+    labels = np.full((height, width), n, dtype=np.int8 if n <= 127 else np.int16)
     for idx, spec in enumerate(config.regions):
         x, y, w, h = spec.rect
         if w <= 0 or h <= 0:
@@ -176,10 +179,9 @@ def _label_grid(config: SceneConfig) -> np.ndarray:
         if x < 0 or y < 0 or x + w > width or y + h > height:
             raise ConfigError(f"region {spec.label!r}: rectangle outside the panorama")
         window = labels[y:y + h, x:x + w]
-        if (window != -1).any():
+        if window.min() != n:  # stamped ids are all below the background's
             raise ConfigError(f"region {spec.label!r}: overlaps an earlier region")
         window[:] = idx
-    labels[labels == -1] = len(config.regions)
     labels.setflags(write=False)
     _GRIDS[key] = labels
     return labels

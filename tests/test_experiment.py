@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -558,3 +561,12 @@ def test_wide_camera_finds_are_stage_zero_windows(zero_noise_scenario):
     # each stage-0 window is one AP record, and all three hit
     assert res.recall == pytest.approx(3 / 9)
     assert res.ap == pytest.approx(4 / 11)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # run_jobs imports the pool only when it starts workers
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, panosearch; "
+            "sys.exit('multiprocessing' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -200,13 +200,14 @@ def test_label_flip_noise_changes_grid_but_not_partition_size():
 
 
 def reference_noisy_grid(scene, label_flip, seed):
-    """The original label flip: the boolean mask indexes the grid twice."""
+    """The original label flip: the boolean mask indexes the grid twice.
+    Its sums are exact, wherever int16 ids would wrap."""
     rng = np.random.default_rng(seed)
     n_regions = len(scene.regions)
     grid = scene.labels.copy()
     flip = rng.random(grid.shape) < label_flip
     offsets = rng.integers(1, n_regions, size=int(flip.sum()), dtype=np.int16)
-    grid[flip] = (grid[flip] + offsets) % n_regions
+    grid[flip] = (grid[flip].astype(np.int64) + offsets) % n_regions
     return grid, rng
 
 
@@ -253,6 +254,15 @@ def test_label_flip_matches_boolean_mask_reference_at_chunk_edges(
                                                   min(200, height)))
                     for k in range(2)]
     check_label_flip_against_reference(cfg, label_flip, seed)
+
+
+def test_label_flip_of_ids_past_16383_does_not_wrap():
+    # 20,000 one-pixel regions and the background: most id + offset sums of
+    # flipped pixels pass 32,767
+    cfg = SceneConfig(width=256, height=128, groups=[],
+                      regions=[RegionSpec(f"r{k}", (k % 256, k // 256, 1, 1))
+                               for k in range(20_000)])
+    check_label_flip_against_reference(cfg, 0.3, 3)
 
 
 def traced_peak(call):
@@ -317,6 +327,44 @@ def test_region_measure_matches_bincount(seed, n_regions, shape, absent, sparse)
     assert (areas, bboxes) == reference_measure(grid, n_regions)
     assert areas[absent % n_regions] == 0
     assert bboxes[absent % n_regions] == (0, 0, 0, 0)
+
+
+def _measure_case(name):
+    """Grids whose largest box is shared, is not the last id, sits next to
+    an absent region, or is wider than a 64 KiB counting band."""
+    grid = np.full((30, 40), 2, dtype=np.int8)
+    if name == "tied_full_frame_boxes":
+        grid[0, 0] = grid[-1, -1] = 0
+        grid[0, -1] = grid[-1, 0] = 1
+    elif name == "full_frame_region_not_last":
+        grid[:] = 0
+        grid[5:9, 10:20] = 1
+        grid[20:22, 3:7] = 2
+    elif name == "absent_region":  # region 1 holds no pixel
+        grid[:, :25] = 0
+        grid[12, 30] = 0
+    else:  # "wider_than_a_band": one row per band
+        grid = np.zeros((4, 2**16 + 3), dtype=np.int8)
+        grid[1:3, 5:9] = 1
+        grid[2:4, -2:] = 2
+    return grid
+
+
+@pytest.mark.parametrize("name", ["tied_full_frame_boxes",
+                                  "full_frame_region_not_last",
+                                  "absent_region", "wider_than_a_band"])
+def test_region_measure_by_subtraction(name):
+    grid = _measure_case(name)
+    assert _measure_regions(grid, 3) == reference_measure(grid, 3)
+
+
+def test_region_measure_counts_through_small_masks():
+    # a full-box mask per region is 1.6 MiB here; freed and made again on
+    # every trial, it page-faults anew each time
+    scene = build_scene(default_scenario().scene, seed=2)
+    grid, _ = segment_panorama(scene, SegNoiseConfig(label_flip=0.05), 1)
+    _, peak = traced_peak(lambda: _measure_regions(grid, len(scene.regions)))
+    assert peak <= 2**18
 
 
 def test_noisy_allocation_measures_the_noisy_grid():

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,8 +13,9 @@ from panosearch.config import (ConfigError, ObjectGroupSpec, RegionSpec,
                                SceneConfig)
 from panosearch.experiment import default_scene_variants
 from panosearch.config import default_scenario
+from panosearch import scene as scene_module
 from panosearch.particles import _disc_draw
-from panosearch.scene import (_reflect, bbox_draw, build_scene,
+from panosearch.scene import (_label_grid, _reflect, bbox_draw, build_scene,
                               rejection_sample, step_motion)
 
 
@@ -446,7 +448,8 @@ def test_shared_grid_matches_the_per_world_stamping(cfg):
         return
     scene = build_scene(cfg, seed=0)
     assert np.array_equal(scene.labels, labels)
-    assert scene.labels.dtype == np.int16
+    assert scene.labels.dtype == (np.int8 if len(cfg.regions) <= 127
+                                  else np.int16)
     assert [r.area_px for r in scene.regions] == areas
     assert list(scene.region_bboxes) == [
         (x, y, x + w, y + h) for x, y, w, h in (r.rect for r in cfg.regions)
@@ -461,6 +464,43 @@ def test_study_variants_match_the_per_world_stamping():
         labels, areas = reference_grid(cfg)
         assert np.array_equal(scene.labels, labels)
         assert [r.area_px for r in scene.regions] == areas
+
+
+@pytest.mark.parametrize("n_regions, dtype", [(127, np.int8), (128, np.int16)])
+def test_grid_is_int8_while_the_background_id_fits(n_regions, dtype):
+    # one-pixel columns with a gap between them, so a background remains
+    cfg = SceneConfig(width=2 * n_regions, height=3,
+                      regions=[RegionSpec(f"r{k}", (2 * k, 1, 1, 2))
+                               for k in range(n_regions)])
+    scene = build_scene(cfg, seed=0)
+    labels, areas = reference_grid(cfg)
+    assert scene.labels.dtype == dtype
+    assert np.array_equal(scene.labels, labels)
+    assert [r.area_px for r in scene.regions] == areas
+
+
+def test_region_ids_past_int16_are_a_config_error():
+    def pixels(n):  # n one-pixel regions
+        return SceneConfig(width=256, height=256, groups=[],
+                           regions=[RegionSpec(f"r{k}", (k % 256, k // 256, 1, 1))
+                                    for k in range(n)])
+    assert build_scene(pixels(32_767), seed=0).labels.dtype == np.int16
+    with pytest.raises(ConfigError, match="at most 32767"):
+        build_scene(pixels(32_768), seed=0)
+
+
+def test_stamping_a_grid_allocates_only_the_grid(monkeypatch):
+    # a fresh cache, so that the default layout is stamped here
+    monkeypatch.setattr(scene_module, "_GRIDS", weakref.WeakValueDictionary())
+    cfg = default_scenario().scene
+    tracemalloc.start()
+    try:
+        grid = _label_grid(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(grid, reference_grid(cfg)[0])
+    assert peak <= grid.nbytes + 2**18
 
 
 # --- region weights once per group, the draws of the per-object loop ----------
