@@ -22,6 +22,8 @@ import copy
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Invalid scenario configuration: bad value, bad geometry, or parse error."""
@@ -504,7 +506,9 @@ def check_scenario(cfg: ScenarioConfig) -> list[str]:
                     break
     s = cfg.scene
     target = cfg.experiment.target
-    placed: list[tuple[int, int, int, int]] = []
+    # placed rectangles, stamped as _label_grid does; a bad width or height
+    # leaves every rectangle outside
+    placed = np.zeros((max(s.height, 0), max(s.width, 0)), dtype=bool)
     covered = 0
     admissible = False
     for i, r in enumerate(s.regions):
@@ -515,10 +519,10 @@ def check_scenario(cfg: ScenarioConfig) -> list[str]:
         if x < 0 or y < 0 or x + w > s.width or y + h > s.height:
             errors.append(f"scene.region[{i}] ({r.label}): rect outside the panorama")
             continue
-        if any(x < px + pw and px < x + w and y < py + ph and py < y + h
-               for px, py, pw, ph in placed):
+        window = placed[y:y + h, x:x + w]
+        if window.any():
             errors.append(f"scene.region[{i}] ({r.label}): overlaps an earlier region")
-        placed.append(r.rect)
+        window[:] = True
         covered += w * h
         admissible |= s.prior(target, r.label) > 0.0
     if s.width * s.height > covered:  # the background region is not empty

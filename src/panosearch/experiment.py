@@ -168,28 +168,15 @@ def average_precision_11pt(records, n_gt: int) -> float:
     """11-point interpolated AP over (confidence, matched-object-or-None) records."""
     if n_gt <= 0:
         return 1.0
-    ranked = sorted(range(len(records)), key=lambda i: (-records[i][0], i))
     claimed: set[int] = set()
-    tps = []
-    for i in ranked:
-        obj = records[i][1]
+    points = []  # (precision, recall) after each record, by falling confidence
+    # a stable sort: ties keep record order
+    for k, (_, obj) in enumerate(sorted(records, key=lambda rec: -rec[0]), start=1):
         if obj is not None and obj not in claimed:
             claimed.add(obj)
-            tps.append(1)
-        else:
-            tps.append(0)
-    precisions, recalls = [], []
-    tp = 0
-    for k, hit in enumerate(tps, start=1):
-        tp += hit
-        precisions.append(tp / k)
-        recalls.append(tp / n_gt)
-    ap = 0.0
-    for level in range(11):
-        r = level / 10.0
-        best = max((p for p, rc in zip(precisions, recalls) if rc >= r), default=0.0)
-        ap += best
-    return ap / 11.0
+        points.append((len(claimed) / k, len(claimed) / n_gt))
+    return sum(max((p for p, rc in points if rc >= level / 10.0), default=0.0)
+               for level in range(11)) / 11.0
 
 
 def _claim(scene: SceneMap, boxes: np.ndarray, windows: list[SearchWindow],
@@ -363,8 +350,7 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
                 for m in w.members:
                     window_center[id(m)] = (w.center_h, w.center_v)
             for idx, best in best_for.items():
-                theta_h[idx], theta_v[idx] = window_center.get(
-                    id(best), (best.theta_h, best.theta_v))
+                theta_h[idx], theta_v[idx] = window_center[id(best)]
             particles = update_weights(
                 ParticleSet(np.array(theta_h), np.array(theta_v),
                             particles.weight, np.array(sigmas)), likes)
@@ -476,25 +462,20 @@ class TrialJob:
     spec: MethodSpec | None = None
 
 
-def _run_job(job: TrialJob) -> TrialResult:
-    scene = _world_cache(job.scene_cfg, job.scene_seed)
-    return run_trial(scene, job.method, job.budget, job.cfg.engine.iterations,
-                     list(job.trial_seed), job.cfg, spec=job.spec)
-
-
 _WORLDS: dict = {}
 
 
-def _world_cache(scene_cfg: SceneConfig, seed: tuple[int, ...]) -> SceneMap:
+def _run_job(job: TrialJob) -> TrialResult:
     # the repr names every field, so two different worlds never share a key
-    key = (repr(scene_cfg), seed)
-    world = _WORLDS.get(key)
-    if world is None:
-        world = build_scene(scene_cfg, list(seed))
+    key = (repr(job.scene_cfg), job.scene_seed)
+    scene = _WORLDS.get(key)
+    if scene is None:
+        scene = build_scene(job.scene_cfg, list(job.scene_seed))
         if len(_WORLDS) > 256:
             _WORLDS.clear()
-        _WORLDS[key] = world
-    return world
+        _WORLDS[key] = scene
+    return run_trial(scene, job.method, job.budget, job.cfg.engine.iterations,
+                     list(job.trial_seed), job.cfg, spec=job.spec)
 
 
 def run_jobs(jobs: list[TrialJob], n_jobs: int = 1) -> list[list[TrialResult]]:
@@ -597,25 +578,22 @@ def deviation_study(scene_cfg: SceneConfig, seeds: int, budget: int,
                      method=f"ppm_ps[vote={arm}]", budget=budget,
                      trial_seed=(37, vi, seed), cfg=cfg, row=vi, spec=spec)
             for vi, (arm, spec) in enumerate(arms) for seed in range(seeds)]
-    worlds = [_world_cache(scene_cfg, (31, seed)) for seed in range(seeds)]
+    # objects are placed group by group, and a nonzero speed always gives a
+    # nonzero velocity component
+    moving = [g.speed != 0.0 for g in scene_cfg.groups for _ in range(g.count)]
     rows = []
     for (arm, _), group in zip(arms, run_jobs(jobs, n_jobs)):
-        n_targets = max(r.n_objects for r in group)
-        for target in range(n_targets):
-            moving = any(any(v != 0.0 for v in w.objects[target].velocity)
-                         for w in worlds)
-            dxs, dys, pres, posts = [], [], [], []
-            for res in group:
-                rec = res.found.get(target)
-                if rec is None:
-                    continue
-                dxs.append(abs(rec.err_x_px))
-                dys.append(abs(rec.err_y_px))
-                posts.append(rec.post_var)
-                if target in res.pre_vars:
-                    pres.append(res.pre_vars[target])
+        finds: list[list] = [[] for _ in moving]  # per target: (find, pre_var)
+        for res in group:
+            for target, rec in res.found.items():
+                finds[target].append((rec, res.pre_vars.get(target)))
+        for target, target_finds in enumerate(finds):
+            dxs = [abs(rec.err_x_px) for rec, _ in target_finds]
+            dys = [abs(rec.err_y_px) for rec, _ in target_finds]
+            posts = [rec.post_var for rec, _ in target_finds]
+            pres = [pre for _, pre in target_finds if pre is not None]
             rows.append({
-                "target": target, "moving": int(moving), "voting": arm,
+                "target": target, "moving": int(moving[target]), "voting": arm,
                 "n_seeds": len(group), "found_rate": len(dxs) / len(group),
                 "mean_abs_dx_px": float(np.mean(dxs)) if dxs else float("nan"),
                 "mean_abs_dy_px": float(np.mean(dys)) if dys else float("nan"),

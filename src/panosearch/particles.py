@@ -15,7 +15,7 @@ import numpy as np
 
 from .galvo import clamp_angle
 from .ppm import Ppm
-from .scene import SceneMap, bbox_draw, rejection_sample
+from .scene import SceneMap, rejection_sample, sample_region
 
 _PRUNE_BLOCK = 32  # ranked particles whose distance rows are computed at once
 
@@ -80,11 +80,8 @@ def initial_sample(ppm: Ppm, scene: SceneMap, seed,
         x0, y0, x1, y1 = ppm.region_bboxes[rid]
         if count <= 0 or x1 <= x0 or y1 <= y0:
             continue
-        hx, hy = rejection_sample(rng, grid, rid, bbox_draw(ppm.region_bboxes[rid]),
-                                  count, max_rounds=200)
-        if len(hx) < count:
-            raise RuntimeError(f"region {rid}: rejection sampling starved "
-                               f"({len(hx)}/{count} placed)")
+        hx, hy = sample_region(rng, grid, rid, ppm.region_bboxes[rid], count,
+                               max_rounds=200)
         xs.append(hx)
         ys.append(hy)
     for sub in ppm.sub_regions:

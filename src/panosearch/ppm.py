@@ -35,7 +35,6 @@ class SubRegion:
     region_id: int
     center: tuple[float, float]
     radius_px: float
-    area_px: float
     count: int
 
 
@@ -227,10 +226,8 @@ def allocate_ppm(scene: SceneMap, grid: np.ndarray, dets, target: str, n: int,
                                          probs[region.id], r_scale=r_scale)
         remainder[region.id] = x_rm
         for det, count in zip(region_dets, counts):
-            radius = r_scale * det.sigma_o
-            sub_regions.append(SubRegion(
-                region_id=region.id, center=det.center, radius_px=radius,
-                area_px=math.pi * radius * radius, count=count))
+            sub_regions.append(SubRegion(region_id=region.id, center=det.center,
+                                         radius_px=r_scale * det.sigma_o, count=count))
 
     return Ppm(region_probs=probs, sub_regions=tuple(sub_regions),
                remainder_counts=remainder, total_particles=n,

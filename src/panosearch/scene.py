@@ -93,22 +93,17 @@ def build_scene(config: SceneConfig, seed) -> SceneMap:
     rng = np.random.default_rng(seed)
     width, height = config.width, config.height
     labels = _label_grid(config)
-    rects = [spec.rect for spec in config.regions]
-    regions = [Region(id=idx, label=spec.label, area_px=float(w * h),
-                      class_prior={cls: config.prior(cls, spec.label)
-                                   for cls in config.class_priors})
-               for idx, (spec, (_, _, w, h)) in enumerate(zip(config.regions, rects))]
-    bboxes = [(x, y, x + w, y + h) for x, y, w, h in rects]
+    parts = [(spec.label, w * h, (x, y, x + w, y + h))
+             for spec in config.regions for x, y, w, h in [spec.rect]]
     # rectangles do not overlap, so the background is what their areas leave
-    uncovered = width * height - sum(w * h for _, _, w, h in rects)
+    uncovered = width * height - sum(area for _, area, _ in parts)
     if uncovered > 0:
-        regions.append(Region(
-            id=len(regions), label=config.background_label,
-            area_px=float(uncovered),
-            class_prior={cls: config.prior(cls, config.background_label)
-                         for cls in config.class_priors},
-        ))
-        bboxes.append((0, 0, width, height))
+        parts.append((config.background_label, uncovered, (0, 0, width, height)))
+    regions = [Region(id=idx, label=label, area_px=float(area),
+                      class_prior={cls: config.prior(cls, label)
+                                   for cls in config.class_priors})
+               for idx, (label, area, _) in enumerate(parts)]
+    bboxes = [box for _, _, box in parts]
 
     label_to_region = {}
     for region in regions:
@@ -131,11 +126,8 @@ def build_scene(config: SceneConfig, seed) -> SceneMap:
         for _ in range(group.count):
             if group.region_label is None:
                 region = regions[int(rng.choice(len(regions), p=weights))]
-            xs, ys = rejection_sample(rng, labels, region.id,
-                                      bbox_draw(bboxes[region.id]), 1, max_rounds=64)
-            if len(xs) == 0:
-                raise ConfigError(f"could not place a point in region {region.id} "
-                                  f"(is its area vanishing?)")
+            xs, ys = sample_region(rng, labels, region.id, bboxes[region.id], 1,
+                                   max_rounds=64)
             center = (float(xs[0]), float(ys[0]))
             angle = rng.uniform(0.0, 2.0 * math.pi)
             velocity = (group.speed * math.cos(angle), group.speed * math.sin(angle))
@@ -212,6 +204,28 @@ def rejection_sample(rng: np.random.Generator, labels: np.ndarray,
                                     cand_x.astype(np.intp)] == region_id)[:need]
         xs = np.concatenate((xs, cand_x[hit]))
         ys = np.concatenate((ys, cand_y[hit]))
+    return xs, ys
+
+
+def sample_region(rng: np.random.Generator, labels: np.ndarray, region_id: int,
+                  bbox: tuple[int, int, int, int], count: int,
+                  max_rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """`count` points uniform over the region's pixels in an (x0, y0, x1, y1)
+    box that holds some of them, as (xs, ys) arrays.
+
+    Rejection rounds in the box come first, so no draw changes when they
+    suffice; uniform picks among the region's pixels in the box, each at a
+    uniform offset inside its pixel, fill any shortfall.
+    """
+    xs, ys = rejection_sample(rng, labels, region_id, bbox_draw(bbox), count,
+                              max_rounds)
+    short = count - len(xs)
+    if short > 0:
+        x0, y0, x1, y1 = bbox
+        py, px = np.nonzero(labels[y0:y1, x0:x1] == region_id)
+        pick = rng.integers(len(px), size=short)
+        xs = np.concatenate((xs, x0 + px[pick] + rng.random(short)))
+        ys = np.concatenate((ys, y0 + py[pick] + rng.random(short)))
     return xs, ys
 
 

@@ -1,11 +1,14 @@
 import os
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panosearch.cli import PARTICLE_COLUMNS, STUDIES, _rows_to_csv, main
-from panosearch.config import (ConfigError, apply_overrides, build_scenario,
-                               check_scenario, default_scenario, load_scenario,
-                               parse_text, serialize_scenario)
+from panosearch.config import (METHODS, ConfigError, RegionSpec, apply_overrides,
+                               build_scenario, check_scenario, default_scenario,
+                               load_scenario, parse_text, serialize_scenario)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_CFG = os.path.join(REPO_ROOT, "scenarios", "default.cfg")
@@ -174,6 +177,48 @@ def test_bad_proportion_and_method_reported():
     errors = check_scenario(cfg)
     assert any("warp" in e for e in errors)
     assert any("1.5" in e for e in errors)
+
+
+def reference_region_errors(scene):
+    """The geometry lines of check_scenario as it tested every earlier
+    rectangle pair for overlap."""
+    errors, placed = [], []
+    for i, r in enumerate(scene.regions):
+        x, y, w, h = r.rect
+        if w <= 0 or h <= 0:
+            errors.append(f"scene.region[{i}] ({r.label}): zero-area rect")
+            continue
+        if x < 0 or y < 0 or x + w > scene.width or y + h > scene.height:
+            errors.append(f"scene.region[{i}] ({r.label}): rect outside the panorama")
+            continue
+        if any(x < px + pw and px < x + w and y < py + ph and py < y + h
+               for px, py, pw, ph in placed):
+            errors.append(f"scene.region[{i}] ({r.label}): overlaps an earlier region")
+        placed.append(r.rect)
+    return errors
+
+
+@given(rects=st.lists(st.tuples(st.integers(-2, 10), st.integers(-2, 10),
+                                st.integers(-1, 6), st.integers(-1, 6)), max_size=10),
+       width=st.integers(-4, 10), height=st.integers(-4, 10))
+@settings(max_examples=300, deadline=None)
+def test_region_errors_match_the_pairwise_overlap_test(rects, width, height):
+    cfg = default_scenario()
+    cfg.scene.width, cfg.scene.height = width, height
+    cfg.scene.regions = [RegionSpec(f"r{i}", rect) for i, rect in enumerate(rects)]
+    got = [e for e in check_scenario(cfg) if e.startswith("scene.region[")
+           and e.endswith(("zero-area rect", "panorama", "earlier region"))]
+    assert got == reference_region_errors(cfg.scene)
+
+
+def test_overlap_check_is_linear_in_the_region_count():
+    cfg = default_scenario()
+    cfg.scene.regions = [RegionSpec(f"r{i}", (i % 1440, i // 1440, 1, 1))
+                         for i in range(20000)]
+    start = time.perf_counter()
+    errors = check_scenario(cfg)
+    assert time.perf_counter() - start < 3.0  # pairwise tests took 10 s and more
+    assert errors == []
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -601,3 +646,35 @@ def test_out_of_domain_numeric_flags_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {argv[1]}" in capsys.readouterr().err
+
+
+SLIVER_CFG = """scene {
+    region {
+        label = road
+        rect = 0 0 1440 1197
+    }
+    objects {
+        class = car
+        count = 3
+        size = 48 28
+        region = field
+    }
+    priors {
+        car|road = 0.001
+        car|field = 0.9
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_every_method_runs_on_a_three_row_background(tmp_path, method, capsys):
+    # the background's box is the whole panorama, so rejection rounds alone
+    # used to miss its 3 rows: cars could not be placed at some world seeds,
+    # and the map's 277 background particles starved
+    path = tmp_path / "sliver.cfg"
+    path.write_text(SLIVER_CFG)
+    assert main(["validate", "--config", str(path)]) == 0
+    for seed in range(10):
+        assert main(["trial", "--config", str(path), "--method", method,
+                     "--seed", str(seed), "--out", str(tmp_path / "out")]) == 0

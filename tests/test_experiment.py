@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panosearch import experiment
-from panosearch.config import (ConfigError, RegionSpec, SceneConfig,
-                               SegNoiseConfig, default_scenario)
+from panosearch.config import (ConfigError, ObjectGroupSpec, RegionSpec,
+                               SceneConfig, SegNoiseConfig, default_scenario)
 from panosearch.detector import Detection
 from panosearch.experiment import (FoundObject, TrialTrace, _ap_matches, _claim,
                                    _match_objects, _object_boxes, _split_budget,
@@ -487,6 +487,23 @@ def test_deviation_scene_moves_the_background_car_when_regions_cover_all(scenari
     scene = build_scene(scene_cfg, seed=0)
     assert [r.label for r in scene.regions] == ["road"]
     assert len(scene.objects) == 9
+
+
+def test_deviation_moving_flags_match_the_built_worlds(scenario):
+    # a static group between two moving ones, and an empty group that
+    # places nothing, so target ids and group order must line up
+    scene_cfg = dataclasses.replace(scenario.scene, groups=[
+        ObjectGroupSpec(count=2, speed=3.0, region_label="road"),
+        ObjectGroupSpec(count=2, speed=0.0, region_label="road"),
+        ObjectGroupSpec(count=0, speed=5.0),
+        ObjectGroupSpec(count=1, speed=1.5)])
+    rows = deviation_study(scene_cfg, seeds=2, budget=40, cfg=scenario)
+    worlds = [build_scene(scene_cfg, [31, seed]) for seed in range(2)]
+    moving = [int(any(any(v != 0.0 for v in w.objects[t].velocity) for w in worlds))
+              for t in range(5)]
+    assert moving == [1, 1, 0, 0, 1]
+    assert [(r["voting"], r["target"], r["moving"]) for r in rows] == [
+        (arm, t, m) for arm in ("on", "off") for t, m in enumerate(moving)]
 
 
 def test_deviation_tables_are_reproducible(scenario):

@@ -297,6 +297,24 @@ def test_nms_matches_reference_on_random_clusters(seed, n):
     assert nms_merge(dets) == reference_nms_merge(dets)
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 120),
+       iou_keep=st.sampled_from([0.0, 0.3, 0.5]), vote=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_nms_windows_partition_the_detections(seed, n, iou_keep, vote):
+    # run_trial looks up each detection's window by identity, so every
+    # detection object, equal-valued copies included, is in exactly one
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-3.0, 3.0, size=(max(1, n // 10), 2))
+    pts = centers[rng.integers(0, len(centers), n)] + rng.normal(0.0, 0.05, (n, 2))
+    dets = [box(float(h), float(v), w=float(w), h=0.1, conf=float(c))
+            for (h, v), w, c in zip(pts, rng.uniform(0.05, 0.3, n),
+                                    rng.choice([0.5, 0.9], n))]
+    dets += [box(*d[:4], conf=d.confidence) for d in dets[:n // 4]]
+    windows = nms_merge(dets, iou_keep=iou_keep, vote=vote)
+    members = sorted(id(m) for w in windows for m in w.members)
+    assert members == sorted(id(d) for d in dets)
+
+
 def test_nms_confidence_tie_goes_to_lower_index():
     a = box(0.0, 0.0, conf=0.8, var_h=1e-3)
     b = box(0.1, 0.0, conf=0.8, var_h=2e-4)

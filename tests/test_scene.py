@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from panosearch.config import (ConfigError, ObjectGroupSpec, RegionSpec,
@@ -16,7 +16,7 @@ from panosearch.config import default_scenario
 from panosearch import scene as scene_module
 from panosearch.particles import _disc_draw
 from panosearch.scene import (_label_grid, _reflect, bbox_draw, build_scene,
-                              rejection_sample, step_motion)
+                              rejection_sample, sample_region, step_motion)
 
 
 def single_region_config(groups=None):
@@ -357,6 +357,56 @@ def reference_grid(config):
         labels[labels == -1] = len(areas)
         areas.append(float(uncovered))
     return labels, areas
+
+
+# --- region draws complete however little of its box a region fills ----------
+
+@given(case=sampler_cases())
+@settings(max_examples=300, deadline=None)
+def test_sample_region_completes_the_rejection_rounds(case):
+    labels, bbox, rid, count, rounds, seed = case
+    x0, y0, x1, y1 = bbox
+    assume((labels[y0:y1, x0:x1] == rid).any())
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    hx, hy = rejection_sample(old, labels, rid, bbox_draw(bbox), count, rounds)
+    xs, ys = sample_region(new, labels, rid, bbox, count, rounds)
+    assert len(xs) == len(ys) == count
+    assert np.array_equal(xs[:len(hx)], hx) and np.array_equal(ys[:len(hy)], hy)
+    assert ((x0 <= xs) & (xs < x1) & (y0 <= ys) & (ys < y1)).all()
+    assert (labels[ys.astype(np.intp), xs.astype(np.intp)] == rid).all()
+    if len(hx) == count:  # no draw changes when the rounds suffice
+        assert old.bit_generator.state == new.bit_generator.state
+
+
+def test_sample_region_fills_uniformly_over_the_region_pixels():
+    labels = np.zeros((50, 60), dtype=np.int8)
+    labels[[3, 17, 40], [5, 33, 59]] = 1
+    xs, ys = sample_region(np.random.default_rng(3), labels, 1, (0, 0, 60, 50),
+                           30000, max_rounds=1)
+    cells = ys.astype(int) * 60 + xs.astype(int)
+    counts = [np.count_nonzero(cells == c) for c in (3 * 60 + 5, 17 * 60 + 33,
+                                                     40 * 60 + 59)]
+    # binomial sd about 82 per pixel; the offset mean has sd about 0.0012
+    assert sum(counts) == 30000
+    assert all(abs(c - 10000) < 400 for c in counts)
+    assert abs(np.concatenate((xs % 1.0, ys % 1.0)).mean() - 0.5) < 0.006
+
+
+def sliver_config():
+    """A road over all but the bottom 3 rows, three cars pinned to the
+    background those rows leave, and a prior that favours it."""
+    return SceneConfig(regions=[RegionSpec("road", (0, 0, 1440, 1197))],
+                       groups=[ObjectGroupSpec(count=3, region_label="field")],
+                       class_priors={"car": {"road": 0.001, "field": 0.9}})
+
+
+def test_cars_pinned_to_a_three_row_background_are_placed_at_every_seed():
+    for seed in range(50):
+        scene = build_scene(sliver_config(), seed)
+        assert len(scene.objects) == 3
+        for obj in scene.objects:
+            x, y = obj.center
+            assert scene.labels[int(y), int(x)] == 1
 
 
 def test_equal_layouts_share_one_label_grid():
