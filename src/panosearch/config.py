@@ -172,8 +172,6 @@ class EngineConfig:
     step_response_ms: float = _key(0.25, "[0, inf)")
     dwell_ms: float = _key(2.0, "[0, inf)")
     overlap_frac: float = _key(0.5, "[0, inf)")     # particle pruning distance in view-FOV units
-    # None: derived from panorama scale / alpha
-    magnification: float | None = _key(None, "(0, inf)")
 
     @property
     def fov_deg(self) -> float:
@@ -373,7 +371,7 @@ def apply_overrides(root: Block, overrides: list[str]) -> None:
 # __future__) -> (item type, item count): None for a scalar, 0 for a list
 _KINDS = {
     "int": (int, None), "float": (float, None), "str": (str, None),
-    "float | None": (float, None), "str | None": (str, None),
+    "str | None": (str, None),
     "list[int]": (int, 0), "list[float]": (float, 0), "list[str]": (str, 0),
     "tuple[float, float]": (float, 2), "tuple[int, int, int, int]": (int, 4),
 }
@@ -507,8 +505,13 @@ def check_scenario(cfg: ScenarioConfig) -> list[str]:
     s = cfg.scene
     target = cfg.experiment.target
     # placed rectangles, stamped as _label_grid does; a bad width or height
-    # leaves every rectangle outside
-    placed = np.zeros((max(s.height, 0), max(s.width, 0)), dtype=bool)
+    # leaves every rectangle outside, and past 2^28 pixels (a 256 MiB grid, and
+    # validate or a noisy trial holds more than one) nothing is stamped
+    shape = (max(s.height, 0), max(s.width, 0))
+    if shape[0] * shape[1] > 2**28:
+        errors.append(f"scene: width x height must be <= {2**28}, got {s.width * s.height}")
+        shape = (0, 0)
+    placed = np.zeros(shape, dtype=bool)
     covered = 0
     admissible = False
     for i, r in enumerate(s.regions):

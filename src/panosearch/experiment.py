@@ -303,11 +303,10 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
         # capture_view stays a module-global lookup, so a wrapper bound here
         # sees every view
         detect, likelihood = detector.detect, detector.likelihood
-        view_w, view_h, alpha, mag = (eng.view_w, eng.view_h, eng.alpha,
-                                      eng.magnification)
+        view_w, view_h, alpha = eng.view_w, eng.view_h, eng.alpha
         for idx in order:
             view = capture_view(scene, theta_h[idx], theta_v[idx], view_w,
-                                view_h, alpha, mag)
+                                view_h, alpha)
             dets = detect(view, rng)
             likes[idx] = likelihood(view, dets)
             if trace is not None:

@@ -66,15 +66,14 @@ def image_to_galvo(theta_h: float, theta_v: float, t_x: float, t_y: float,
 
 
 def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
-                 width: int = 264, height: int = 224, alpha: float = 0.002,
-                 magnification: float | None = None) -> View:
+                 width: int = 264, height: int = 224, alpha: float = 0.002) -> View:
     """Simulate the search camera at a mirror pose.
 
     Includes every object whose angular footprint intersects the view
     window, in scene order.  Positions are the object centers in view
     pixels, clipped into the view when only part of the object is visible.
-    By default the magnification matches the optics (panorama scale /
-    alpha), which makes gaze refinement via image_to_galvo exact.
+    Sizes scale by the optics' magnification (panorama scale / alpha), as
+    positions do, which makes gaze refinement via image_to_galvo exact.
 
     Only objects whose center x lies within the view's half-width plus the
     widest object half-width (and a 1 px margin) of the gaze are tested,
@@ -96,8 +95,7 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
         candidates = sorted(scene.band_order[lo:hi])
     else:
         candidates = range(len(objects))
-    if magnification is None:
-        magnification = dpp / alpha
+    magnification = dpp / alpha
     half_h_deg = height * alpha / 2.0
     visible = []
     for i in candidates:

@@ -1,10 +1,10 @@
 """Panoramic probability map: simulated wide-camera perception and allocation.
 
 The wide camera yields a (possibly noisy) region segmentation plus coarse
-detections of panorama-scale objects.  Region sampling probabilities combine
-relative region area with a per-class prior table; coarse detections then
-carve high-confidence sub-region discs inside their regions and pull a share
-of the region's particle allocation into them.
+detections of panorama-scale objects.  Regions are sampled by area x class
+prior, the rule that also places the objects; coarse detections then carve
+high-confidence sub-region discs inside their regions and pull a share of
+the region's particle allocation into them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SegNoiseConfig
-from .scene import Region, SceneMap
+from .scene import Region, SceneMap, region_sampling_prob
 
 _FLIP_CHUNK = 1 << 16  # flip uniforms segment_panorama draws at once (512 KiB)
 
@@ -101,21 +101,6 @@ def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
         detections.append(PanoDetection(object_id=obj.id, center=(cx, cy),
                                         confidence=confidence, sigma_o=sigma_o))
     return grid, detections
-
-
-def region_sampling_prob(regions, target: str) -> dict[int, float]:
-    """Normalized sampling probability per region: area share times class prior."""
-    total_area = sum(r.area_px for r in regions)
-    numerators = {r.id: (r.area_px / total_area) * r.prior(target) for r in regions}
-    z = sum(numerators.values())
-    if z <= 0.0:
-        # an area share times a subnormal prior can underflow to zero
-        numerators = {r.id: r.area_px * r.prior(target) for r in regions}
-        z = sum(numerators.values())
-    if z <= 0.0:
-        raise ValueError(f"no admissible region for target {target!r}: "
-                         "every area x prior product is zero")
-    return {rid: v / z for rid, v in numerators.items()}
 
 
 def subregion_share(s_ro: float, s_rm: float, f_region: float) -> float:
@@ -206,12 +191,7 @@ def allocate_ppm(scene: SceneMap, grid: np.ndarray, dets, target: str, n: int,
         areas, bboxes = _measure_regions(grid, len(scene.regions))
         regions = tuple(replace(r, area_px=float(areas[r.id])) for r in scene.regions)
 
-    probs = region_sampling_prob([r for r in regions if r.area_px > 0], target)
-    for r in regions:
-        probs.setdefault(r.id, 0.0)
-
-    ordered = sorted(probs)
-    x_r = dict(zip(ordered, apportion(n, [probs[rid] for rid in ordered])))
+    probs = region_sampling_prob(regions, target)
 
     by_region: dict[int, list[PanoDetection]] = {}
     for det in dets:
@@ -220,9 +200,9 @@ def allocate_ppm(scene: SceneMap, grid: np.ndarray, dets, target: str, n: int,
 
     sub_regions: list[SubRegion] = []
     remainder: dict[int, int] = {}
-    for region in regions:
+    for region, x_r in zip(regions, apportion(n, probs.values())):
         region_dets = by_region.get(region.id, [])
-        counts, x_rm = refine_allocation(region, x_r[region.id], region_dets,
+        counts, x_rm = refine_allocation(region, x_r, region_dets,
                                          probs[region.id], r_scale=r_scale)
         remainder[region.id] = x_rm
         for det, count in zip(region_dets, counts):

@@ -30,6 +30,20 @@ class Region:
         return float(self.class_prior.get(target, 0.0))
 
 
+def region_sampling_prob(regions, target: str) -> dict[int, float]:
+    """Sampling probability per region id: area x class prior, or area alone
+    when every product is zero, over its sum.  Object placement and the
+    probability map share this rule; raises ValueError only when no region
+    holds any area."""
+    weights = [r.area_px * r.prior(target) for r in regions]
+    if not any(weights):  # no region can hold the target: fall back to area
+        weights = [r.area_px for r in regions]
+    z = sum(weights)
+    if z <= 0.0:
+        raise ValueError("no region holds any area")
+    return {r.id: w / z for r, w in zip(regions, weights)}
+
+
 @dataclass(frozen=True)
 class GtObject:
     id: int
@@ -87,8 +101,8 @@ def build_scene(config: SceneConfig, seed) -> SceneMap:
 
     Region rectangles are stamped in declaration order and must not overlap;
     pixels claimed by no rectangle form the background region (dropped when
-    empty).  Objects are placed in regions drawn proportionally to
-    area x class prior, or uniformly inside a pinned region.
+    empty).  Objects are placed in regions drawn by region_sampling_prob,
+    or uniformly inside a pinned region.
     """
     rng = np.random.default_rng(seed)
     width, height = config.width, config.height
@@ -118,11 +132,7 @@ def build_scene(config: SceneConfig, seed) -> SceneMap:
                 raise ConfigError(f"object group pinned to unknown region "
                                   f"{group.region_label!r}")
         else:
-            weights = np.array([r.area_px * r.prior(group.class_name) for r in regions])
-            if weights.sum() <= 0:
-                # no informative prior for this class: fall back to area
-                weights = np.array([r.area_px for r in regions])
-            weights /= weights.sum()
+            weights = list(region_sampling_prob(regions, group.class_name).values())
         for _ in range(group.count):
             if group.region_label is None:
                 region = regions[int(rng.choice(len(regions), p=weights))]

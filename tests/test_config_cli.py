@@ -237,12 +237,12 @@ def test_validate_rejects_zero_sigma_t(capsys):
 @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
 def test_validate_rejects_magnification_that_is_not_finite_positive(value,
                                                                     capsys):
-    # a zero magnification gives every search-camera box zero area, so the
-    # search camera never detects anything
+    # search-camera sizes always follow the optics, so any value of the key
+    # is an unknown key
     code = main(["validate", "--config", DEFAULT_CFG,
                  "--set", f"engine.magnification={value}"])
     assert code == 1
-    assert "magnification" in capsys.readouterr().err
+    assert "unknown key 'magnification'" in capsys.readouterr().err
 
 
 def test_validate_rejects_overlapping_regions(tmp_path, capsys):
@@ -264,7 +264,7 @@ def test_validate_rejects_target_without_admissible_region(capsys):
 def test_validate_errors_go_to_stderr_only(capsys):
     # as for every other subcommand: stdout carries results, never errors
     code = main(["validate", "--config", DEFAULT_CFG, "--set", "engine.sigma_t=0",
-                 "--set", "engine.magnification=0"])
+                 "--set", "engine.alpha=0"])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -545,8 +545,9 @@ REJECTED_OVERRIDES = [
     ["scene.span_deg=inf"],
     # nonzero floats outside magnitudes [1e-12, 1e12]: a zero division or
     # an overflow in the trial arithmetic
-    ["scene.span_deg=5e-324"], ["scene.span_deg=1e-300"],
-    ["engine.magnification=1e200"], ["engine.alpha=5e-324"],
+    ["scene.span_deg=5e-324"], ["scene.span_deg=1e-300"], ["engine.alpha=5e-324"],
+    # a removed key: search-camera sizes always follow the optics
+    ["engine.magnification=1e200"],
     # magnitudes the arithmetic cannot carry: an overflowing prior variance
     # and vote weights that all underflow to zero
     ["engine.subregion_scale=1e200"], ["engine.sigma_t=1e-100"],
@@ -604,6 +605,98 @@ def test_no_admissible_region_is_a_config_error(command, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: experiment: no admissible region for target 'car': "
         "every area x prior product is zero"]
+
+
+# the field alone can hold a car; at proportion 1.0 the sweep's region covers
+# the whole panorama with a prior of 0, so objects and map fall back to area
+FIELD_ONLY_PRIOR = """\
+scene {
+    priors {
+        car|field = 0.5
+    }
+}
+experiment {
+    methods = ppm_ps mpf
+    proportions = 0.5 1.0
+    sweep_budget = 40
+    sweep_seeds = 2
+}
+"""
+
+# every pixel flips, so the noisy segmentation can leave region a, the only
+# one with a prior, without a pixel
+THREE_PIXELS_NOISY = """\
+scene {
+    width = 3
+    height = 1
+    background = c
+    region {
+        label = a
+        rect = 0 0 1 1
+    }
+    region {
+        label = b
+        rect = 1 0 1 1
+    }
+    objects {
+        class = car
+        count = 1
+        size = 1 1
+        region = a
+    }
+    priors {
+        car|a = 0.7
+    }
+}
+noise {
+    label_flip = 1.0
+}
+"""
+
+
+def test_sweep_runs_where_the_target_region_covers_the_panorama(tmp_path):
+    path = tmp_path / "field.cfg"
+    path.write_text(FIELD_ONLY_PRIOR)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    rows = (out / "proportion_sweep.csv").read_text().strip().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        ["0.50", "ppm_ps"], ["0.50", "mpf"], ["1.00", "ppm_ps"], ["1.00", "mpf"]]
+
+
+@pytest.mark.parametrize("method", ["ppm_ps", "ppm_only", "rpm"])
+def test_trial_runs_when_noise_empties_the_target_region(method, tmp_path):
+    path = tmp_path / "three.cfg"
+    path.write_text(THREE_PIXELS_NOISY)
+    for seed in range(10):
+        assert main(["trial", "--config", str(path), "--method", method,
+                     "--seed", str(seed), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("size", [
+    ["scene.width=100000000000000"],
+    ["scene.width=100000000000000000000000"],
+    ["scene.width=200000", "scene.height=200000"]])
+def test_huge_panorama_is_one_error_line(size, capsys):
+    # checked before check_scenario stamps its one-byte overlap mask
+    assert main(["validate"] + _set_args(size)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: scene: width x height must be <= 268435456")
+
+
+def test_readme_config_example_loads(tmp_path):
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme[readme.index("## Config format"):]
+    start = section.index("```\n") + len("```\n")
+    path = tmp_path / "example.cfg"
+    path.write_text(section[start:section.index("```", start)])
+    cfg = load_scenario(str(path))
+    assert cfg.noise.center_std_px == 2.0
+    assert cfg.engine.n_particles == 400
+    assert [r.label for r in cfg.scene.regions] == ["road"]
 
 
 def test_scene_override_keeps_the_default_scene(tmp_path, capsys):

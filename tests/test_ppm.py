@@ -41,9 +41,22 @@ def test_hand_computed_two_region_case():
     assert probs[1] == pytest.approx(0.04 / 0.52, rel=1e-12)
 
 
-def test_no_admissible_region_raises():
-    with pytest.raises(ValueError, match="no admissible region"):
-        region_sampling_prob([make_region(prior=0.0)], "car")
+def test_zero_products_fall_back_to_area():
+    # no region can hold the target: regions are drawn by area alone
+    probs = region_sampling_prob([make_region(0, 300.0, 0.0),
+                                  make_region(1, 100.0, 0.0)], "car")
+    assert probs == {0: 0.75, 1: 0.25}
+
+
+def test_only_regions_without_area_raise():
+    for regions in ([], [make_region(0, 0.0, 0.5), make_region(1, 0.0, 0.0)]):
+        with pytest.raises(ValueError, match="no region holds any area"):
+            region_sampling_prob(regions, "car")
+    # a region without area takes nothing, whatever its prior, and the
+    # products left are all zero
+    probs = region_sampling_prob([make_region(0, 0.0, 0.9),
+                                  make_region(1, 5.0, 0.0)], "car")
+    assert probs == {0: 0.0, 1: 1.0}
 
 
 def test_subnormal_prior_is_admissible():
@@ -58,13 +71,13 @@ def test_subnormal_prior_is_admissible():
 @settings(max_examples=200, deadline=None)
 def test_region_probs_normalize(data):
     regions = [make_region(i, a, p) for i, (a, p) in enumerate(data)]
-    if sum(a * p for a, p in data) <= 0:
-        with pytest.raises(ValueError):
-            region_sampling_prob(regions, "car")
-        return
     probs = region_sampling_prob(regions, "car")
     assert abs(sum(probs.values()) - 1.0) <= 1e-9
     assert all(v >= 0 for v in probs.values())
+    if sum(a * p for a, p in data) <= 0:  # every product is zero: area alone
+        total = sum(a for a, _ in data)
+        assert all(probs[i] == pytest.approx(a / total)
+                   for i, (a, _) in enumerate(data))
 
 
 def test_prior_monotonicity():
