@@ -505,11 +505,12 @@ def check_scenario(cfg: ScenarioConfig) -> list[str]:
     s = cfg.scene
     target = cfg.experiment.target
     # placed rectangles, stamped as _label_grid does; a bad width or height
-    # leaves every rectangle outside, and past 2^28 pixels (a 256 MiB grid, and
-    # validate or a noisy trial holds more than one) nothing is stamped
+    # leaves every rectangle outside, and with no pixels (numpy still rejects a
+    # side past its limit) or past 2^28 (a 256 MiB grid) nothing is stamped
     shape = (max(s.height, 0), max(s.width, 0))
     if shape[0] * shape[1] > 2**28:
         errors.append(f"scene: width x height must be <= {2**28}, got {s.width * s.height}")
+    if not 0 < shape[0] * shape[1] <= 2**28:
         shape = (0, 0)
     placed = np.zeros(shape, dtype=bool)
     covered = 0

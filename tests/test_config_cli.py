@@ -686,6 +686,18 @@ def test_huge_panorama_is_one_error_line(size, capsys):
     assert err[0].startswith("error: scene: width x height must be <= 268435456")
 
 
+@pytest.mark.parametrize("height", ["0", "-4"])
+def test_huge_width_without_height_is_error_lines(height, capsys):
+    # no pixels, so no size error, but numpy cannot make even an empty mask
+    # with a side of 10^23
+    assert main(["validate", "--set", "scene.width=100000000000000000000000",
+                 "--set", f"scene.height={height}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error: scene: height must be >= 1, got {height}"
+    assert all(line.startswith("error: ") for line in err)
+    assert not any("width x height" in line for line in err)
+
+
 def test_readme_config_example_loads(tmp_path):
     with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
