@@ -491,6 +491,56 @@ def _blocks(obj, path: str = ""):
                 yield from _blocks(item, f"{sub}[{i}]")
 
 
+def stamp_regions(scene: SceneConfig) -> tuple[np.ndarray, list[str]]:
+    """The (H, W) region-id grid of scene's layout and every layout error:
+    each placed rectangle is stamped in order over the background id n, the
+    region count, and one that overlaps is reported and stamped.  A panorama
+    without pixels or past a bound stamps nothing and checks no overlap."""
+    n, pixels = len(scene.regions), max(scene.width, 0) * max(scene.height, 0)
+    errors = []
+    if pixels == 0:
+        errors.append("scene: the panorama has no pixels")
+    elif pixels > 2**28:  # a 256 MiB grid at one byte per pixel
+        errors.append(f"scene: width x height must be <= {2**28}, "
+                      f"got {scene.width * scene.height}")
+    if n > 32767:  # ids, and the flip offsets segment_panorama draws, are int16
+        errors.append(f"scene: {n} regions, the label grid holds at most 32767")
+    shape = (0, 0) if errors else (scene.height, scene.width)
+    labels = np.full(shape, n, dtype=np.int8 if n <= 127 else
+                     np.int16 if n <= 32767 else np.int32)  # int32 only when empty
+    for i, r in enumerate(scene.regions):
+        x, y, w, h = r.rect
+        if w <= 0 or h <= 0:
+            errors.append(f"scene.region[{i}] ({r.label}): zero-area rect")
+        elif x < 0 or y < 0 or x + w > scene.width or y + h > scene.height:
+            errors.append(f"scene.region[{i}] ({r.label}): rect outside the panorama")
+        elif labels.size:
+            window = labels[y:y + h, x:x + w]
+            if window.min() != n:  # stamped ids are all below the background's
+                errors.append(f"scene.region[{i}] ({r.label}): overlaps an earlier region")
+            window[:] = i
+    return labels, errors
+
+
+def region_parts(scene: SceneConfig) -> list[tuple[str, int, tuple[int, int, int, int]]]:
+    """(label, area, (x0, y0, x1, y1) box) of each rectangle, then of the
+    background when the rectangles, which must not overlap, leave pixels."""
+    parts = [(r.label, w * h, (x, y, x + w, y + h))
+             for r in scene.regions for x, y, w, h in [r.rect]]
+    uncovered = scene.width * scene.height - sum(area for _, area, _ in parts)
+    if uncovered > 0:
+        parts.append((scene.background_label, uncovered,
+                      (0, 0, scene.width, scene.height)))
+    return parts
+
+
+def pin_errors(scene: SceneConfig, labels) -> list[str]:
+    """A line per object group placing objects in a region not in `labels`."""
+    return [f"scene.objects[{i}]: pinned to unknown region {g.region_label!r}"
+            for i, g in enumerate(scene.groups)
+            if g.count > 0 and g.region_label is not None and g.region_label not in labels]
+
+
 def check_scenario(cfg: ScenarioConfig) -> list[str]:
     """Domain checks of every key, then the rules that span several keys."""
     errors: list[str] = []
@@ -504,38 +554,14 @@ def check_scenario(cfg: ScenarioConfig) -> list[str]:
                     break
     s = cfg.scene
     target = cfg.experiment.target
-    # placed rectangles, stamped as _label_grid does; a bad width or height
-    # leaves every rectangle outside, and with no pixels (numpy still rejects a
-    # side past its limit) or past 2^28 (a 256 MiB grid) nothing is stamped
-    shape = (max(s.height, 0), max(s.width, 0))
-    if shape[0] * shape[1] > 2**28:
-        errors.append(f"scene: width x height must be <= {2**28}, got {s.width * s.height}")
-    if not 0 < shape[0] * shape[1] <= 2**28:
-        shape = (0, 0)
-    placed = np.zeros(shape, dtype=bool)
-    covered = 0
-    admissible = False
-    for i, r in enumerate(s.regions):
-        x, y, w, h = r.rect
-        if w <= 0 or h <= 0:
-            errors.append(f"scene.region[{i}] ({r.label}): zero-area rect")
-            continue
-        if x < 0 or y < 0 or x + w > s.width or y + h > s.height:
-            errors.append(f"scene.region[{i}] ({r.label}): rect outside the panorama")
-            continue
-        window = placed[y:y + h, x:x + w]
-        if window.any():
-            errors.append(f"scene.region[{i}] ({r.label}): overlaps an earlier region")
-        window[:] = True
-        covered += w * h
-        admissible |= s.prior(target, r.label) > 0.0
-    if s.width * s.height > covered:  # the background region is not empty
-        admissible |= s.prior(target, s.background_label) > 0.0
+    errors.extend(stamp_regions(s)[1])
+    parts = region_parts(s)
+    errors.extend(pin_errors(s, {label for label, _, _ in parts}))
     for cls, table in s.class_priors.items():
         for label, p in table.items():
             if not 0.0 <= p <= 1.0:
                 errors.append(f"scene.priors {cls}|{label}: {p} outside [0, 1]")
-    if not admissible:
+    if not any(area * s.prior(target, label) > 0.0 for label, area, _ in parts):
         errors.append(f"experiment: no admissible region for target {target!r}: "
                       "every area x prior product is zero")
     if cfg.noise.sigma_min > cfg.noise.sigma_max:

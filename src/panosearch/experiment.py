@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import (METHODS, ConfigError, DetectorPreset, MethodSpec,
-                     ObjectGroupSpec, RegionSpec, ScenarioConfig, SceneConfig)
+                     ObjectGroupSpec, RegionSpec, ScenarioConfig, SceneConfig,
+                     region_parts)
 from .detector import Detection, SyntheticDetector
 from .galvo import capture_view, plan_scan
 from .particles import (ParticleSet, build_proposal, initial_sample,
@@ -392,7 +393,7 @@ def default_scene_variants(base: SceneConfig, count: int) -> list[SceneConfig]:
         rect_h = min(360, cfg.height)
         y = min(y, cfg.height - rect_h)
         rect_w = int(round(frac * cfg.width * cfg.height / rect_h))
-        rect_w = min(rect_w, cfg.width)
+        rect_w = max(1, min(rect_w, cfg.width))
         x = (cfg.width - rect_w) // 2 + 20 * (i // len(_VARIANTS))
         x = min(x, cfg.width - rect_w)
         clear = all(x >= px + pw or px >= x + rect_w or y >= py + ph or py >= y + rect_h
@@ -430,8 +431,7 @@ def deviation_scene(base: SceneConfig, mover_speed: float = 6.0) -> SceneConfig:
     background's one car moves to that region when regions cover it all."""
     cfg = copy.deepcopy(base)
     home = cfg.regions[0].label if cfg.regions else cfg.background_label
-    covered = sum(w * h for _, _, w, h in (r.rect for r in cfg.regions))
-    outlier_home = cfg.background_label if covered < cfg.width * cfg.height else home
+    outlier_home = home if len(region_parts(cfg)) == len(cfg.regions) else cfg.background_label
     cfg.groups = [
         ObjectGroupSpec(class_name="car", count=2, size=(120.0, 60.0),
                         speed=0.0, region_label=home),

@@ -78,27 +78,23 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
     Only objects whose center x lies within the view's half-width plus the
     widest object half-width (and a 1 px margin) of the gaze are tested,
     found by bisecting the scene's band index; a view whose band holds no
-    object returns at once, and a non-finite gaze tests every object.
+    object returns at once.  A NaN gaze bisects to the whole band and an
+    infinite one to none of it.
     """
     dpp = scene.deg_per_px
     half_w_deg = width * alpha / 2.0
     gx, gy = scene.galvo_to_pano(theta_h, theta_v)
     reach = half_w_deg / dpp + scene.max_half_w + 1.0
-    lo_x, hi_x = gx - reach, gx + reach
+    band = scene.band_x
+    lo, hi = bisect_left(band, gx - reach), bisect_right(band, gx + reach)
+    if lo == hi:
+        return View(theta_h, theta_v, width, height, ())
     objects = scene.objects
-    if math.isfinite(lo_x) and math.isfinite(hi_x):
-        band = scene.band_x
-        lo, hi = bisect_left(band, lo_x), bisect_right(band, hi_x)
-        if lo == hi:
-            return View(theta_h, theta_v, width, height, ())
-        # detect draws the RNG in view.visible order: restore scene order
-        candidates = sorted(scene.band_order[lo:hi])
-    else:
-        candidates = range(len(objects))
     magnification = dpp / alpha
     half_h_deg = height * alpha / 2.0
     visible = []
-    for i in candidates:
+    # detect draws the RNG in view.visible order: restore scene order
+    for i in sorted(scene.band_order[lo:hi]):
         obj = objects[i]
         (c_x, c_y), (w, h) = obj.center, obj.size
         # the band already bounds x, so most candidates fail on y

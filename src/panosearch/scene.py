@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ConfigError, SceneConfig
+from .config import (ConfigError, SceneConfig, pin_errors, region_parts,
+                     stamp_regions)
 
 
 @dataclass(frozen=True)
@@ -99,38 +100,30 @@ class SceneMap:
 def build_scene(config: SceneConfig, seed) -> SceneMap:
     """Construct a world from a scene config, deterministically for (config, seed).
 
-    Region rectangles are stamped in declaration order and must not overlap;
-    pixels claimed by no rectangle form the background region (dropped when
-    empty).  Objects are placed in regions drawn by region_sampling_prob,
-    or uniformly inside a pinned region.
+    Regions are those of region_parts: the rectangles, which must not
+    overlap, then the background when they leave pixels.  Objects are placed
+    in regions drawn by region_sampling_prob, or uniformly inside a pinned
+    region.  A bad layout or pin raises ConfigError with the lines that
+    check_scenario reports for it.
     """
     rng = np.random.default_rng(seed)
-    width, height = config.width, config.height
     labels = _label_grid(config)
-    parts = [(spec.label, w * h, (x, y, x + w, y + h))
-             for spec in config.regions for x, y, w, h in [spec.rect]]
-    # rectangles do not overlap, so the background is what their areas leave
-    uncovered = width * height - sum(area for _, area, _ in parts)
-    if uncovered > 0:
-        parts.append((config.background_label, uncovered, (0, 0, width, height)))
+    parts = region_parts(config)
     regions = [Region(id=idx, label=label, area_px=float(area),
                       class_prior={cls: config.prior(cls, label)
                                    for cls in config.class_priors})
                for idx, (label, area, _) in enumerate(parts)]
     bboxes = [box for _, _, box in parts]
-
-    label_to_region = {}
-    for region in regions:
-        label_to_region.setdefault(region.label, region)
+    label_to_region = {r.label: r for r in reversed(regions)}  # first wins
+    errors = pin_errors(config, label_to_region)
+    if errors:
+        raise ConfigError("\n".join(errors))
 
     objects: list[GtObject] = []
     obj_id = 0
     for group in config.groups:
         if group.region_label is not None:
             region = label_to_region.get(group.region_label)
-            if region is None and group.count:  # an empty group places nothing
-                raise ConfigError(f"object group pinned to unknown region "
-                                  f"{group.region_label!r}")
         else:
             weights = list(region_sampling_prob(regions, group.class_name).values())
         for _ in range(group.count):
@@ -150,7 +143,7 @@ def build_scene(config: SceneConfig, seed) -> SceneMap:
             ))
             obj_id += 1
 
-    return SceneMap(width=width, height=height, labels=labels,
+    return SceneMap(width=config.width, height=config.height, labels=labels,
                     regions=tuple(regions), objects=tuple(objects),
                     deg_per_px=config.deg_per_px,
                     region_bboxes=tuple(bboxes))
@@ -161,31 +154,16 @@ _GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _label_grid(config: SceneConfig) -> np.ndarray:
-    """The (H, W) region-id grid of config's panorama size and region
-    rectangles, validated, stamped once in int8 or int16 and shared."""
-    width, height = config.width, config.height
-    key = (width, height, tuple(tuple(spec.rect) for spec in config.regions))
+    """The read-only region-id grid of config's layout, stamped once by
+    stamp_regions and shared; raises ConfigError with its layout errors."""
+    key = (config.width, config.height, tuple(tuple(r.rect) for r in config.regions))
     labels = _GRIDS.get(key)
-    if labels is not None:
-        return labels
-    if width <= 0 or height <= 0:
-        raise ConfigError("panorama dimensions must be positive")
-    n = len(config.regions)
-    if n > 32767:  # ids, and the flip offsets segment_panorama draws, are int16
-        raise ConfigError(f"{n} regions: the label grid holds at most 32767")
-    labels = np.full((height, width), n, dtype=np.int8 if n <= 127 else np.int16)
-    for idx, spec in enumerate(config.regions):
-        x, y, w, h = spec.rect
-        if w <= 0 or h <= 0:
-            raise ConfigError(f"region {spec.label!r}: zero-area rectangle")
-        if x < 0 or y < 0 or x + w > width or y + h > height:
-            raise ConfigError(f"region {spec.label!r}: rectangle outside the panorama")
-        window = labels[y:y + h, x:x + w]
-        if window.min() != n:  # stamped ids are all below the background's
-            raise ConfigError(f"region {spec.label!r}: overlaps an earlier region")
-        window[:] = idx
-    labels.setflags(write=False)
-    _GRIDS[key] = labels
+    if labels is None:
+        labels, errors = stamp_regions(config)
+        if errors:
+            raise ConfigError("\n".join(errors))
+        labels.setflags(write=False)
+        _GRIDS[key] = labels
     return labels
 
 

@@ -213,6 +213,7 @@ def test_region_errors_match_the_pairwise_overlap_test(rects, width, height):
 
 def test_overlap_check_is_linear_in_the_region_count():
     cfg = default_scenario()
+    cfg.scene.groups = []  # the default groups pin to road, which is gone
     cfg.scene.regions = [RegionSpec(f"r{i}", (i % 1440, i // 1440, 1, 1))
                          for i in range(20000)]
     start = time.perf_counter()
@@ -696,6 +697,45 @@ def test_huge_width_without_height_is_error_lines(height, capsys):
     assert err[0] == f"error: scene: height must be >= 1, got {height}"
     assert all(line.startswith("error: ") for line in err)
     assert not any("width x height" in line for line in err)
+
+
+def test_validate_lists_domain_layout_and_pin_errors_at_once(tmp_path, capsys):
+    path = tmp_path / "three.cfg"
+    path.write_text("scene {\n    region {\n        label = road\n"
+                    "        rect = 0 0 0 10\n    }\n    objects {\n"
+                    "        count = 1\n        region = street\n    }\n}\n")
+    assert main(["validate", "--config", str(path),
+                 "--set", "engine.alpha=0"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: engine: alpha must be in (0, 360], got 0.0",
+        "error: scene.region[0] (road): zero-area rect",
+        "error: scene.objects[0]: pinned to unknown region 'street'"]
+
+
+def test_region_count_past_int16_is_a_check_error():
+    cfg = default_scenario()
+    cfg.scene.width = cfg.scene.height = 256
+    cfg.scene.groups = []
+    cfg.scene.regions = [RegionSpec(f"r{k}", (k % 256, k // 256, 1, 1))
+                         for k in range(32_768)]
+    assert check_scenario(cfg) == [
+        "scene: 32768 regions, the label grid holds at most 32767"]
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_every_study_runs_on_a_one_pixel_road(width, tmp_path):
+    # the curve study's variant rectangle rounds to less than a pixel here
+    path = tmp_path / "pixel.cfg"
+    with open(_tiny_cfg(tmp_path), encoding="utf-8") as fh:
+        path.write_text(f"scene {{\n    width = {width}\n    height = 1\n"
+                        "    region {\n        label = road\n        rect = 0 0 1 1\n"
+                        "    }\n    objects {\n        class = car\n        count = 1\n"
+                        "        size = 1 1\n        region = road\n    }\n"
+                        "    priors {\n        car|road = 0.7\n    }\n}\n" + fh.read())
+    assert main(["validate", "--config", str(path)]) == 0
+    for command in STUDIES:
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / command)]) == 0
 
 
 def test_readme_config_example_loads(tmp_path):

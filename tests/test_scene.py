@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from panosearch.config import (ConfigError, ObjectGroupSpec, RegionSpec,
                                SceneConfig)
 from panosearch.experiment import default_scene_variants
-from panosearch.config import default_scenario
+from panosearch.config import check_scenario, default_scenario
 from panosearch import scene as scene_module
 from panosearch.particles import _disc_draw
 from panosearch.scene import (_label_grid, _reflect, bbox_draw, build_scene,
@@ -455,18 +455,26 @@ def test_grid_is_freed_with_the_last_world_using_it():
     assert grid() is None
 
 
+# explicit ids keep each case's test id stable
 @pytest.mark.parametrize("bad, message", [
-    (RegionSpec("b", (700, 0, 740, 1200)), "'b': overlaps an earlier region"),
-    (RegionSpec("b", (900, 0, 600, 1200)), "'b': rectangle outside the panorama"),
-    (RegionSpec("b", (900, 0, 0, 1200)), "'b': zero-area rectangle"),
+    pytest.param(RegionSpec("b", (700, 0, 740, 1200)),
+                 "scene.region[1] (b): overlaps an earlier region",
+                 id="bad0-'b': overlaps an earlier region"),
+    pytest.param(RegionSpec("b", (900, 0, 600, 1200)),
+                 "scene.region[1] (b): rect outside the panorama",
+                 id="bad1-'b': rectangle outside the panorama"),
+    pytest.param(RegionSpec("b", (900, 0, 0, 1200)),
+                 "scene.region[1] (b): zero-area rect",
+                 id="bad2-'b': zero-area rectangle"),
 ])
 def test_invalid_layouts_still_raise_once_a_valid_one_is_cached(bad, message):
     good = SceneConfig(regions=[RegionSpec("a", (0, 0, 800, 1200))])
     world = build_scene(good, seed=0)
     cfg = SceneConfig(regions=[good.regions[0], bad])
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError) as got:
         build_scene(cfg, seed=0)
-    with pytest.raises(ConfigError, match=message):
+    assert str(got.value) == message
+    with pytest.raises(ConfigError):
         reference_grid(cfg)
     assert build_scene(good, seed=1).labels is world.labels
 
@@ -491,10 +499,14 @@ def test_shared_grid_matches_the_per_world_stamping(cfg):
     held = build_scene(SceneConfig(width=cfg.width, height=cfg.height), seed=0)
     try:
         labels, areas = reference_grid(cfg)
-    except ConfigError as exc:
+    except ConfigError:
+        # build_scene raises every layout line that check_scenario reports
+        full = default_scenario()
+        full.scene = cfg
         with pytest.raises(ConfigError) as got:
             build_scene(cfg, seed=0)
-        assert str(got.value) == str(exc)
+        assert str(got.value).splitlines() == [
+            e for e in check_scenario(full) if e.startswith("scene.region[")]
         return
     scene = build_scene(cfg, seed=0)
     assert np.array_equal(scene.labels, labels)
@@ -527,6 +539,13 @@ def test_grid_is_int8_while_the_background_id_fits(n_regions, dtype):
     assert scene.labels.dtype == dtype
     assert np.array_equal(scene.labels, labels)
     assert [r.area_px for r in scene.regions] == areas
+
+
+@pytest.mark.parametrize("width, height", [(0, 5), (5, -1)])
+def test_a_panorama_without_pixels_is_a_config_error(width, height):
+    cfg = SceneConfig(width=width, height=height, regions=[], groups=[])
+    with pytest.raises(ConfigError, match="^scene: the panorama has no pixels$"):
+        build_scene(cfg, seed=0)
 
 
 def test_region_ids_past_int16_are_a_config_error():
