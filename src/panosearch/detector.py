@@ -94,18 +94,18 @@ class SyntheticDetector:
             out.append(Detection(g_h, g_v, width_px * alpha, height_px * alpha,
                                  min(max(conf, 0.0), 1.0), var_h, var_v,
                                  object_id))
-        if false_positives:
-            for _ in range(int(rng.poisson(cfg.fp_rate))):
-                t_x = rng.uniform(0.0, width - 1.0)
-                t_y = rng.uniform(0.0, height - 1.0)
-                size = rng.uniform(10.0, 40.0)
-                dist_norm = math.hypot(t_x - c_x, t_y - c_y) / half_diag
-                var_h, var_v = _variances(cfg, 0.0, size, size, dist_norm)
-                g_h, g_v, _ = image_to_galvo(theta_h, theta_v, t_x, t_y, alpha,
-                                             width, height, limit)
-                out.append(Detection(
-                    g_h, g_v, size * alpha, size * alpha,
-                    rng.uniform(0.0, cfg.fp_conf_cap), var_h, var_v))
+        k = int(rng.poisson(cfg.fp_rate)) if false_positives else 0
+        # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), so one draw
+        # gives the k false positives' t_x, t_y, size and confidence uniforms
+        for u_x, u_y, u_size, u_conf in (rng.random((k, 4)).tolist() if k else ()):
+            t_x, t_y = (width - 1.0) * u_x, (height - 1.0) * u_y
+            size = 10.0 + 30.0 * u_size
+            dist_norm = math.hypot(t_x - c_x, t_y - c_y) / half_diag
+            var_h, var_v = _variances(cfg, 0.0, size, size, dist_norm)
+            g_h, g_v, _ = image_to_galvo(theta_h, theta_v, t_x, t_y, alpha,
+                                         width, height, limit)
+            out.append(Detection(g_h, g_v, size * alpha, size * alpha,
+                                 cfg.fp_conf_cap * u_conf, var_h, var_v))
         return out
 
     def likelihood(self, view: View, detections) -> float:

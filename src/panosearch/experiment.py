@@ -27,7 +27,7 @@ from .particles import (ParticleSet, build_proposal, initial_sample,
                         update_weights)
 from .ppm import Ppm, allocate_ppm, segment_panorama
 from .refinement import SearchWindow, bounds_iou, box_bounds, nms_merge
-from .scene import SceneMap, build_scene, step_motion
+from .scene import SceneMap, build_scene, left_sum, step_motion
 
 
 # the ablation's "prior disabled" arm: same searching machinery, no map
@@ -139,14 +139,16 @@ def _match_objects(boxes: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """
     if not len(boxes):
         return np.full(len(centers), -1)
-    offset = centers[:, None] - boxes[:, :2]
-    inside = (np.abs(offset) <= boxes[:, 2:] / 2.0).all(axis=-1)
+    off_h = centers[:, 0, None] - boxes[:, 0]
+    off_v = centers[:, 1, None] - boxes[:, 1]
+    inside = ((np.abs(off_h) <= boxes[:, 2] / 2.0)
+              & (np.abs(off_v) <= boxes[:, 3] / 2.0))
     rows, cols = np.nonzero(inside)
     # float_power is libm pow, the same as float ** 2; x * x can differ by
     # an ulp and flip a near-tie
-    square = np.float_power(offset[rows, cols] / boxes[cols, 2:], 2.0)
     score = np.full(inside.shape, np.inf)
-    score[rows, cols] = square[:, 0] + square[:, 1]
+    score[rows, cols] = (np.float_power(off_h[rows, cols] / boxes[cols, 2], 2.0)
+                         + np.float_power(off_v[rows, cols] / boxes[cols, 3], 2.0))
     best = np.argmin(score, axis=1)
     return np.where(inside[np.arange(best.size), best], best, -1)
 
@@ -176,8 +178,8 @@ def average_precision_11pt(records, n_gt: int) -> float:
         if obj is not None and obj not in claimed:
             claimed.add(obj)
         points.append((len(claimed) / k, len(claimed) / n_gt))
-    return sum(max((p for p, rc in points if rc >= level / 10.0), default=0.0)
-               for level in range(11)) / 11.0
+    return left_sum([max((p for p, rc in points if rc >= level / 10.0), default=0.0)
+                     for level in range(11)]) / 11.0
 
 
 def _claim(scene: SceneMap, boxes: np.ndarray, windows: list[SearchWindow],
@@ -552,7 +554,7 @@ def ablation(cfg: ScenarioConfig, n_jobs: int = 1) -> list[dict]:
     rows = []
     for (di, ai), group in zip(cells, run_jobs(jobs, n_jobs)):
         sim_speed = sum(r.views for r in group) / max(
-            sum(r.elapsed_sim_ms for r in group) / 1e3, 1e-9)
+            left_sum([r.elapsed_sim_ms for r in group]) / 1e3, 1e-9)
         rows.append({
             "preset": presets[di].name, "ppm": arms[ai][0], "n_trials": len(group),
             "mean_recall": float(np.mean([r.recall for r in group])),

@@ -41,7 +41,7 @@ def clamp_angle(theta, limit: float = GALVO_LIMIT_DEG):
     """An angle, or an array of them, clamped into [-limit, limit].
 
     NaN and -0.0 pass through unchanged.  A scalar takes the builtins, about
-    10x faster than numpy on one value; voting clamps every window's center.
+    10x faster than numpy on one value; image_to_galvo clamps every detection.
     """
     if isinstance(theta, np.ndarray):
         return np.minimum(np.maximum(theta, -limit), limit)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .galvo import clamp_angle
 from .ppm import Ppm
-from .scene import SceneMap, rejection_sample, sample_region
+from .scene import SceneMap, left_sum, rejection_sample, sample_region
 
 _PRUNE_BLOCK = 32  # ranked particles whose distance rows are computed at once
 
@@ -116,7 +116,7 @@ def _normalized(particles: ParticleSet, error: str) -> ParticleSet:
     """Weights divided by their left-to-right sum, so the result does not
     depend on numpy's summation order; raises ValueError(error) when the
     sum is not positive."""
-    total = sum(particles.weight.tolist())
+    total = left_sum(particles.weight)
     if total <= 0.0:
         raise ValueError(error)
     return replace(particles, weight=particles.weight / total)
@@ -162,7 +162,7 @@ def normalize_weights(particles: ParticleSet) -> ParticleSet:
     error = "particle degeneracy: all weights zero"
     if isinstance(particles, ParticleSet):
         return _normalized(particles, error)
-    total = sum(p.weight for p in particles)
+    total = left_sum([p.weight for p in particles])
     if total <= 0.0:
         raise ValueError(error)
     for p in particles:
@@ -177,14 +177,15 @@ def prune_redundant(particles: ParticleSet, fov_deg: float,
     Greedy by descending weight (ties: lower index first), so the heaviest
     representative of each cluster survives.  Output preserves the input
     order and is never empty.  Distances are computed as arrays, one block
-    of ranks against every later rank at a time.
+    of ranks against every later rank at a time; only a kept particle near
+    another one costs a numpy call.
     """
     n = len(particles)
     if n <= 1:
         return particles
     thr = overlap_frac * fov_deg
     order = np.argsort(-particles.weight, kind="stable")
-    ranked = np.column_stack((particles.theta_h, particles.theta_v))[order]
+    th, tv = particles.theta_h[order], particles.theta_v[order]
     alive = np.ones(n, dtype=bool)
     kept = np.zeros(n, dtype=bool)
     # ranks before `start` are decided by the time its block is reached,
@@ -193,12 +194,16 @@ def prune_redundant(particles: ParticleSet, fov_deg: float,
         stop = min(start + _PRUNE_BLOCK, n)
         if not alive[start:stop].any():
             continue
-        d = ranked[start:] - ranked[start:stop, None]
-        far = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) >= thr * thr
+        d_h = th[start:] - th[start:stop, None]
+        d_v = tv[start:] - tv[start:stop, None]
+        far = d_h * d_h + d_v * d_v >= thr * thr
+        np.fill_diagonal(far, True)  # a particle is not near itself
+        busy = (~far.all(axis=1)).tolist()
         for r in range(start, stop):
             if alive[r]:
                 kept[r] = True
-                alive[start:] &= far[r - start]
+                if busy[r - start]:
+                    alive[start:] &= far[r - start]
     keep = np.zeros(n, dtype=bool)
     keep[order[kept]] = True
     return particles.subset(keep)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SegNoiseConfig
-from .scene import Region, SceneMap, region_sampling_prob
+from .scene import Region, SceneMap, left_sum, region_sampling_prob
 
 _FLIP_CHUNK = 1 << 16  # flip uniforms segment_panorama draws at once (512 KiB)
 
@@ -124,7 +124,7 @@ def apportion(total: int, weights) -> list[int]:
     weights = [max(float(w), 0.0) for w in weights]
     if total <= 0 or not weights:
         return [0] * len(weights)
-    z = sum(weights)
+    z = left_sum(weights)
     if z <= 0.0:
         weights = [1.0] * len(weights)
         z = float(len(weights))
@@ -155,7 +155,7 @@ def refine_allocation(region: Region, x_r: int, dets, f_region: float,
     if not dets:
         return [], x_r
     areas = [math.pi * (r_scale * d.sigma_o) ** 2 for d in dets]
-    total_disc = sum(areas)
+    total_disc = left_sum(areas)
     if total_disc >= region.area_px:
         counts = apportion(x_r, areas)
         return counts, 0

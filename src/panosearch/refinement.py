@@ -10,6 +10,7 @@ shrunken per-axis sampling radius for the next search stage.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .detector import Detection
 from .galvo import clamp_angle
+from .scene import left_sum
 
 VAR_FLOOR = 1e-6  # degrees^2
 _NMS_BLOCK = 32   # selected boxes whose IoU rows nms_merge computes at once
@@ -54,41 +56,49 @@ def bounds_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A disjoint pair, or one whose intersection underflows, is 0 (also a
     zero-area box against itself).
     """
-    overlap = np.maximum(np.minimum(a[..., 2:4], b[..., 2:4])
-                         - np.maximum(a[..., :2], b[..., :2]), 0.0)
-    inter = overlap[..., 0] * overlap[..., 1]
+    over_h = np.maximum(np.minimum(a[..., 2], b[..., 2])
+                        - np.maximum(a[..., 0], b[..., 0]), 0.0)
+    over_v = np.maximum(np.minimum(a[..., 3], b[..., 3])
+                        - np.maximum(a[..., 1], b[..., 1]), 0.0)
+    inter = over_h * over_v
     return np.divide(inter, a[..., 4] + b[..., 4] - inter,
                      out=np.zeros_like(inter), where=inter > 0.0)
 
 
-def _overlap_weight(iou_value: float, sigma_t: float) -> float:
-    miss = 1.0 - iou_value
-    return math.exp(-miss * miss / sigma_t)
+def _overlap_weights(ious, sigma_t: float) -> list[float]:
+    """exp(-(1 - IoU)^2 / sigma_t) per IoU, by math.exp (numpy's exp may
+    differ from it by an ulp)."""
+    miss = 1.0 - np.atleast_1d(ious)
+    return [math.exp(x) for x in (-miss * miss / sigma_t).tolist()]
 
 
 def overlap_prob(b_i: Detection, b_m: Detection, sigma_t: float = 0.025) -> float:
     """exp(-(1 - IoU)^2 / sigma_t); callers only pass overlapping pairs."""
-    return _overlap_weight(iou(b_i, b_m), sigma_t)
+    return _overlap_weights(iou(b_i, b_m), sigma_t)[0]
+
+
+def _vote(theta_h, theta_v, var_h, var_v, p, window=None, count: int = 1):
+    """Precision-weighted center and aggregate radius of each window.
+
+    Member i, with overlap weight p[i], is in window window[i] < count (in
+    the one window, with float results, when `window` is None).  Per axis
+    the center is sum(p * c / var) / sum(p / var) and the radius 1 / sum(p /
+    var), each sum left to right (left_sum).  Variances are floored so a
+    perfect detection cannot zero out the vote.
+    """
+    w_h = p / np.maximum(var_h, VAR_FLOOR)
+    w_v = p / np.maximum(var_v, VAR_FLOOR)
+    num_h, num_v, den_h, den_v = (left_sum(t, window, count) for t in
+                                  (w_h * theta_h, w_v * theta_v, w_h, w_v))
+    return num_h / den_h, num_v / den_v, 1.0 / den_h, 1.0 / den_v
 
 
 def variance_vote(members) -> tuple[float, float, float, float]:
-    """Precision-weighted center and aggregated radius over (detection, p) pairs.
-
-    Per axis the refined coordinate is sum(p * c / var) / sum(p / var) and the
-    new sampling radius is the aggregate 1 / sum(p / var).  Variances are
-    floored so a perfect detection cannot zero out the vote.
-    """
+    """The vote of nms_merge over one window's (detection, p) pairs."""
     if not members:
         raise ValueError("variance_vote needs at least one member")
-    num_h = num_v = den_h = den_v = 0.0
-    for det, p in members:
-        wh = p / max(det.var_h, VAR_FLOOR)
-        wv = p / max(det.var_v, VAR_FLOOR)
-        num_h += wh * det.theta_h
-        num_v += wv * det.theta_v
-        den_h += wh
-        den_v += wv
-    return num_h / den_h, num_v / den_v, 1.0 / den_h, 1.0 / den_v
+    return _vote(*np.array([(d.theta_h, d.theta_v, d.var_h, d.var_v, p)
+                            for d, p in members]).T)
 
 
 def nms_merge(dets, iou_keep: float = 0.5, sigma_t: float = 0.025,
@@ -100,57 +110,58 @@ def nms_merge(dets, iou_keep: float = 0.5, sigma_t: float = 0.025,
     center moves to the members' precision-weighted vote and its radii are
     the vote's aggregate variances; otherwise it stays at the best member,
     whose floored variances are the radii.  IoUs are computed as arrays, one
-    block of ranks against every later rank at a time, so memory stays O(n)
-    for a fixed block size; voting reuses each member's IoU with the best
-    box from the same block.
+    block of ranks against every later untaken rank at a time, so memory
+    stays O(n) for a fixed block size; only a box that merges others costs
+    numpy calls in the walk.  One vote then covers every window.
     """
     if not dets:
         return []
     n = len(dets)
-    cols = np.array([(d.theta_h, d.theta_v, d.width_deg, d.height_deg,
-                      d.confidence) for d in dets])
-    order = np.argsort(-cols[:, 4], kind="stable")  # ties: lower index first
-    bounds = box_bounds(cols[order, :2], cols[order, 2:4])
+    # theta_h, theta_v, width_deg, height_deg, confidence, var_h, var_v
+    table = np.array([d[:7] for d in dets])
+    order = np.argsort(-table[:, 4], kind="stable")  # ties: lower index first
+    ranked = table[order]
+    bounds = box_bounds(ranked[:, :2], ranked[:, 2:4])
+    best_iou = bounds_iou(bounds, bounds)  # each rank's IoU with its window's best
     alive = np.ones(n, dtype=bool)
-    windows: list[SearchWindow] = []
+    groups: list[list[int]] = []  # each window's ranks, best first
     # every rank before `start` is taken by the time its block is reached,
-    # so the block's boxes only need IoUs against ranks >= start
+    # so the block's boxes only need IoUs against the untaken ranks >= start
     for start in range(0, n, _NMS_BLOCK):
-        stop = min(start + _NMS_BLOCK, n)
-        if not alive[start:stop].any():
+        untaken = start + np.flatnonzero(alive[start:])
+        rows = untaken[:np.searchsorted(untaken, start + _NMS_BLOCK)]
+        if not rows.size:
             continue
-        ious = bounds_iou(bounds[start:stop, None], bounds[start:])
+        ious = bounds_iou(bounds[rows, None], bounds[untaken])
         over = ious > iou_keep
-        for p in range(start, stop):
-            if not alive[p]:
-                continue
-            alive[p] = False
-            row = p - start
-            best = dets[order[p]]
-            members = [best]
-            member_ious = [float(ious[row, row])]
-            merge = over[row] & alive[start:]
-            if merge.any():
-                alive[start:] &= ~merge
-                members += [dets[j] for j in order[start:][merge]]
-                member_ious += ious[row, merge].tolist()
-            windows.append(_window(best, members, member_ious, sigma_t, vote,
-                                   limit))
-    return windows
-
-
-def _window(best: Detection, members, member_ious, sigma_t: float,
-            vote: bool, limit: float) -> SearchWindow:
-    """Window around `best`; member_ious[i] is members[i]'s IoU with best."""
+        np.fill_diagonal(over, False)
+        # IoU is symmetric, so a box that overlaps no other untaken one is
+        # never merged either: it is a one-member window, left unmarked
+        busy = over.any(axis=1).tolist()
+        for i, p in enumerate(rows.tolist()):
+            if not busy[i]:
+                groups.append([p])
+            elif alive[p]:
+                alive[p] = False
+                merge = np.flatnonzero(over[i] & alive[untaken])
+                alive[untaken[merge]] = False
+                best_iou[untaken[merge]] = ious[i, merge]
+                groups.append([p, *untaken[merge].tolist()])
     if vote:
-        pairs = [(m, _overlap_weight(v, sigma_t))
-                 for m, v in zip(members, member_ious)]
-        c_h, c_v, r_h, r_v = variance_vote(pairs)
+        m = np.fromiter(itertools.chain.from_iterable(groups), int, n)
+        c_h, c_v, r_h, r_v = _vote(
+            *ranked[m][:, [0, 1, 5, 6]].T,
+            np.array(_overlap_weights(best_iou[m], sigma_t)),
+            np.repeat(np.arange(len(groups)), [len(g) for g in groups]),
+            len(groups))
     else:
-        c_h, c_v = best.theta_h, best.theta_v
-        r_h, r_v = max(best.var_h, VAR_FLOOR), max(best.var_v, VAR_FLOOR)
-    return SearchWindow(
-        center_h=clamp_angle(c_h, limit), center_v=clamp_angle(c_v, limit),
-        radius_h=r_h, radius_v=r_v, confidence=best.confidence,
-        width_deg=best.width_deg, height_deg=best.height_deg,
-        members=tuple(members))
+        heads = ranked[[g[0] for g in groups]]
+        c_h, c_v = heads[:, 0], heads[:, 1]
+        r_h, r_v = np.maximum(heads[:, 5:7], VAR_FLOOR).T
+    ranked_dets = [dets[i] for i in order.tolist()]
+    return [SearchWindow(ch, cv, rh, rv, ms[0].confidence, ms[0].width_deg,
+                         ms[0].height_deg, ms)
+            for ch, cv, rh, rv, ms in zip(
+                clamp_angle(c_h, limit).tolist(), clamp_angle(c_v, limit).tolist(),
+                r_h.tolist(), r_v.tolist(),
+                [tuple([ranked_dets[j] for j in g]) for g in groups])]

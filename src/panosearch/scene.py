@@ -20,6 +20,17 @@ from .config import (ConfigError, SceneConfig, pin_errors, region_parts,
                      stamp_regions)
 
 
+def left_sum(values, groups=None, count: int = 1):
+    """0.0 + v0 + v1 + ... in index order, a float; with `groups`, an array
+    of `count` such sums, value i going to sum groups[i].  (From Python 3.12
+    the builtin sum() compensates, and numpy's reductions add pairwise.)"""
+    values = np.asarray(values, dtype=float)
+    total = np.zeros(count)
+    np.add.at(total, np.zeros(values.size, dtype=int) if groups is None
+              else groups, values)
+    return total[0].item() if groups is None else total
+
+
 @dataclass(frozen=True)
 class Region:
     id: int
@@ -39,7 +50,7 @@ def region_sampling_prob(regions, target: str) -> dict[int, float]:
     weights = [r.area_px * r.prior(target) for r in regions]
     if not any(weights):  # no region can hold the target: fall back to area
         weights = [r.area_px for r in regions]
-    z = sum(weights)
+    z = left_sum(weights)
     if z <= 0.0:
         raise ValueError("no region holds any area")
     return {r.id: w / z for r, w in zip(regions, weights)}

@@ -184,6 +184,7 @@ ORACLE_CONFIGS = {
                                       loc_noise_px=2.0),
     "zero_std": noiseless_cfg(),  # the zero-std branches draw nothing
     "zero_std_with_fp": noiseless_cfg(base_recall=0.7, fp_rate=0.8),
+    "fp_rate_top": DetectorConfig(fp_rate=10.0),  # the top of its domain
 }
 
 
@@ -207,6 +208,21 @@ def test_detect_matches_the_original_code(name, alpha, limit, size):
     view = random_view(views, *size)
     assert repr(detector.detect(view, 3)) == \
         repr(reference_detect(cfg, view, 3, alpha=alpha, limit=limit))
+
+
+@pytest.mark.parametrize("width, height, cap", [(264, 224, 0.3), (1, 48, 0.0)])
+def test_uniform_is_the_affine_map_of_random_detect_uses(width, height, cap):
+    # detect draws each false positive's t_x, t_y, size and confidence as
+    # one row of rng.random((k, 4)); that rests on rng.uniform(lo, hi)
+    # being lo + (hi - lo) * rng.random() on the same double
+    scalar, batched = np.random.default_rng(21), np.random.default_rng(21)
+    ranges = ((0.0, width - 1.0), (0.0, height - 1.0), (10.0, 40.0), (0.0, cap))
+    want = [[scalar.uniform(lo, hi) for lo, hi in ranges] for _ in range(4000)]
+    got = [[(width - 1.0) * u_x, (height - 1.0) * u_y, 10.0 + 30.0 * u_size,
+            cap * u_conf]
+           for u_x, u_y, u_size, u_conf in batched.random((4000, 4)).tolist()]
+    assert got == want
+    assert scalar.bit_generator.state == batched.bit_generator.state
 
 
 # --- likelihood ---------------------------------------------------------------

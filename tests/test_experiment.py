@@ -324,6 +324,35 @@ def test_point_match_scores_only_containing_pairs_at_the_edges():
     assert _match_objects(gt, centers).tolist() == [2, 0, 0, 2, 2, 3, -1]
 
 
+def reference_match_two_axis(boxes, centers):
+    """_match_objects as it took both axes at once, in (W, M, 2) arrays."""
+    if not len(boxes):
+        return np.full(len(centers), -1)
+    offset = centers[:, None] - boxes[:, :2]
+    inside = (np.abs(offset) <= boxes[:, 2:] / 2.0).all(axis=-1)
+    rows, cols = np.nonzero(inside)
+    square = np.float_power(offset[rows, cols] / boxes[cols, 2:], 2.0)
+    score = np.full(inside.shape, np.inf)
+    score[rows, cols] = square[:, 0] + square[:, 1]
+    best = np.argmin(score, axis=1)
+    return np.where(inside[np.arange(best.size), best], best, -1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_point_match_matches_the_two_axis_form(seed):
+    # a coarse grid: zero-width boxes, points on edges and corners, score ties
+    rng = np.random.default_rng([9, seed])
+    n_boxes, n_points = int(rng.integers(0, 30)), int(rng.integers(0, 60))
+    boxes = np.column_stack((rng.integers(-4, 5, (n_boxes, 2)) * 0.5,
+                             rng.choice([0.0, 0.5, 1.0, 2.0], (n_boxes, 2))))
+    points = rng.integers(-10, 11, (n_points, 2)) * 0.25
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 on zero widths
+        got = _match_objects(boxes, points)
+        want = reference_match_two_axis(boxes, points)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
 def test_point_match_score_tie_goes_to_first_object():
     scene = make_scene([((720.0, 600.0), (48.0, 28.0)),
                         ((720.0, 600.0), (48.0, 28.0)),

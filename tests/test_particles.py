@@ -525,6 +525,21 @@ def test_prune_weight_tie_keeps_the_first():
     assert_same_prune(points[::-1], 1.0)
 
 
+@pytest.mark.parametrize("n", [2, 33, 100, 300])
+def test_prune_matches_the_two_column_distances(n):
+    # ref_prune_redundant keeps the (n, 2) block differences the per-axis
+    # arrays replaced; duplicate points, distances on the threshold, weight
+    # ties and overlap_frac = 0 (every particle survives) all occur
+    rng = np.random.default_rng([7, n])
+    pos = rng.integers(-12, 13, (n, 2)) * 0.125
+    for weights in (rng.integers(0, 4, n) / 4.0, rng.uniform(0.0, 1.0, n)):
+        points = [(x, y, w) for (x, y), w in zip(pos.tolist(), weights.tolist())]
+        for overlap_frac in (0.0, 0.5, 1.0):
+            for fov in (0.25, 0.5, 3.0):
+                assert_same_prune(points, fov, overlap_frac)
+    assert len(prune_redundant(indexed(points), 3.0, overlap_frac=0.0)) == n
+
+
 # --- first-pass sets without a map -------------------------------------------------
 
 GRID_SCENE = build_scene(default_scenario().scene, seed=0)

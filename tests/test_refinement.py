@@ -412,3 +412,91 @@ def test_bounds_iou_of_zero_area_boxes_matches_iou():
     want = [[reference_iou(a, b) for b in dets] for a in dets]
     assert got.tolist() == want
     assert [[iou(a, b) for b in dets] for a in dets] == want
+
+
+# --- per-axis IoUs and the grouped vote against their former code -------------------
+
+def reference_bounds_iou(a, b):
+    """bounds_iou as it took both axes at once, from the [..., 2:4] columns."""
+    overlap = np.maximum(np.minimum(a[..., 2:4], b[..., 2:4])
+                         - np.maximum(a[..., :2], b[..., :2]), 0.0)
+    inter = overlap[..., 0] * overlap[..., 1]
+    return np.divide(inter, a[..., 4] + b[..., 4] - inter,
+                     out=np.zeros_like(inter), where=inter > 0.0)
+
+
+def reference_variance_vote(members):
+    """The per-member loop the grouped vote replaced."""
+    num_h = num_v = den_h = den_v = 0.0
+    for det, p in members:
+        wh = p / max(det.var_h, VAR_FLOOR)
+        wv = p / max(det.var_v, VAR_FLOOR)
+        num_h += wh * det.theta_h
+        num_v += wv * det.theta_v
+        den_h += wh
+        den_v += wv
+    return num_h / den_h, num_v / den_v, 1.0 / den_h, 1.0 / den_v
+
+
+def grid_bounds(rng, n):
+    """Boxes on a coarse grid: zero-area, touching and duplicate ones occur."""
+    centers = rng.integers(-6, 7, (n, 2)) * 0.25
+    sizes = rng.choice([0.0, 0.25, 0.5, 1.0, 1.5], (n, 2))
+    return box_bounds(centers, sizes)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40, 120])
+def test_bounds_iou_matches_the_two_axis_form(n):
+    rng = np.random.default_rng(n)
+    b = grid_bounds(rng, n)
+    got = bounds_iou(b[:, None], b)
+    assert got.tobytes() == reference_bounds_iou(b[:, None], b).tobytes()
+    assert bounds_iou(b, b[::-1]).tobytes() == \
+        reference_bounds_iou(b, b[::-1]).tobytes()
+    assert bounds_iou(b[0], b[-1]).shape == ()
+    if n >= 40:  # zero-area, touching (IoU 0 with the edges shared) and partial
+        assert (b[:, 4] == 0.0).any()
+        assert ((got > 0.0) & (got < 1.0)).any()
+        touch = (b[:, None, 2] == b[:, 0]) & (b[:, None, 1] < b[:, 3]) \
+            & (b[:, None, 3] > b[:, 1])
+        assert touch.any() and (got[touch] == 0.0).all()
+
+
+def test_variance_vote_matches_the_member_loop():
+    rng = np.random.default_rng(12)
+    for k in range(600):
+        n = int(rng.integers(1, 12))
+        members = [(box(float(th), float(tv), var_h=float(vh), var_v=float(vv)),
+                    float(p))
+                   for th, tv, vh, vv, p in zip(
+                       rng.normal(0.0, 10.0, n) * 10.0 ** rng.integers(-6, 3, n),
+                       rng.choice([0.0, -0.0, 1.5, -20.0], n),
+                       rng.choice([0.0, 1e-7, 1e-4, 0.3], n),
+                       rng.uniform(0.0, 1e-2, n),
+                       rng.choice([1.0, 0.5, 1e-9, 0.731], n))]
+        got = variance_vote(members)
+        assert all(type(v) is float for v in got)
+        assert repr(got) == repr(reference_variance_vote(members))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
+       sigma_t=st.sampled_from([1e-6, 0.025, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_nms_windows_vote_as_the_member_loop(seed, n, sigma_t):
+    # every window's center and radii are the per-member loop's, run over
+    # its members with their overlap_prob against the window's best box
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-2.0, 2.0, size=(max(1, n // 8), 2))
+    pts = centers[rng.integers(0, len(centers), n)] + rng.normal(0.0, 0.05, (n, 2))
+    dets = [box(float(h), float(v), w=float(w), h=0.1, conf=float(c),
+                var_h=float(vh), var_v=float(vh) / 3.0)
+            for (h, v), w, c, vh in zip(pts, rng.uniform(0.05, 0.3, n),
+                                        rng.choice([0.5, 0.7, 0.9], n),
+                                        rng.choice([0.0, 1e-6, 2e-4], n))]
+    for limit in (20.0, 1.0):
+        for w in nms_merge(dets, sigma_t=sigma_t, limit=limit):
+            best = w.members[0]
+            c_h, c_v, r_h, r_v = reference_variance_vote(
+                [(m, overlap_prob(m, best, sigma_t)) for m in w.members])
+            assert repr((w.center_h, w.center_v, w.radius_h, w.radius_v)) == \
+                repr((clamp_angle(c_h, limit), clamp_angle(c_v, limit), r_h, r_v))
