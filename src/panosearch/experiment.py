@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import (METHODS, ConfigError, DetectorPreset, MethodSpec,
                      ObjectGroupSpec, RegionSpec, ScenarioConfig, SceneConfig,
-                     region_parts)
+                     pin_errors, region_parts)
 from .detector import Detection, SyntheticDetector
 from .galvo import capture_view, plan_scan
 from .particles import (ParticleSet, build_proposal, initial_sample,
@@ -28,14 +28,6 @@ from .particles import (ParticleSet, build_proposal, initial_sample,
 from .ppm import Ppm, allocate_ppm, segment_panorama
 from .refinement import SearchWindow, bounds_iou, box_bounds, nms_merge
 from .scene import SceneMap, build_scene, left_sum, step_motion
-
-
-# the ablation's "prior disabled" arm: same searching machinery, no map
-NO_PPM_SPEC = MethodSpec("uniform", True, True, "proposal")
-
-# the deviation study's no-voting arm: full pipeline, voting alone toggled off
-NO_VOTE_SPEC = MethodSpec("ppm", False, True, "proposal")
-DEVIATION_ITERATIONS = 4  # passes per deviation trial, whatever the config says
 
 
 @dataclass
@@ -387,7 +379,8 @@ _VARIANTS = [(0.18, 380), (0.20, 420), (0.22, 460), (0.24, 400), (0.26, 440)]
 def default_scene_variants(base: SceneConfig, count: int) -> list[SceneConfig]:
     """Deterministic family of scene configs varying the high-prior region,
     each rectangle kept inside the panorama; a variant that would overlap
-    another region keeps the configured rectangle."""
+    another region or leave a pinned group no region keeps the configured
+    rectangle."""
     out = []
     for i in range(count):
         frac, y = _VARIANTS[i % len(_VARIANTS)]
@@ -401,7 +394,10 @@ def default_scene_variants(base: SceneConfig, count: int) -> list[SceneConfig]:
         clear = all(x >= px + pw or px >= x + rect_w or y >= py + ph or py >= y + rect_h
                     for px, py, pw, ph in (r.rect for r in cfg.regions[1:]))
         if cfg.regions and clear:
-            cfg.regions[0] = replace(cfg.regions[0], rect=(x, y, rect_w, rect_h))
+            configured = cfg.regions[0]
+            cfg.regions[0] = replace(configured, rect=(x, y, rect_w, rect_h))
+            if pin_errors(cfg, {label for label, _, _ in region_parts(cfg)}):
+                cfg.regions[0] = configured
         out.append(cfg)
     return out
 
@@ -459,7 +455,6 @@ class TrialJob:
     budget: int
     trial_seed: tuple[int, ...]
     cfg: ScenarioConfig  # also gives the pass count and the detector
-    row: int            # index of the study row the trial counts towards
     spec: MethodSpec | None = None
 
 
@@ -479,60 +474,59 @@ def _run_job(job: TrialJob) -> TrialResult:
                      list(job.trial_seed), job.cfg, spec=job.spec)
 
 
-def run_jobs(jobs: list[TrialJob], n_jobs: int = 1) -> list[list[TrialResult]]:
-    """Execute trial jobs; results grouped by row, each group in job order.
-
-    Rows are numbered from 0 and `pool.map` keeps job order, so the groups
-    do not depend on the worker count.
-    """
+def run_jobs(cells: list[tuple], n_jobs: int = 1) -> list[tuple]:
+    """Run a study's cells, each a (row key, [TrialJob, ...]) pair; return
+    (row key, results in job order) per cell, in cell order.  `pool.map`
+    keeps job order, so the results do not depend on the worker count."""
+    jobs = [job for _, cell_jobs in cells for job in cell_jobs]
+    if not jobs:
+        return []
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_run_job, jobs, chunksize=8))
     else:
         results = [_run_job(j) for j in jobs]
-    groups: list[list[TrialResult]] = [
-        [] for _ in range(max((job.row for job in jobs), default=-1) + 1)]
-    for job, result in zip(jobs, results):
-        groups[job.row].append(result)
-    return groups
+    done = iter(results)
+    return [(key, [next(done) for _ in cell_jobs]) for key, cell_jobs in cells]
 
 
-def _recall_stats(group: list[TrialResult]) -> dict:
+def _stats(group: list[TrialResult]) -> dict:
+    """Trial count, recall mean and spread, and mean AP of a cell's trials."""
     recalls = [r.recall for r in group]
     return {"n_trials": len(group), "mean_recall": float(np.mean(recalls)),
-            "std_recall": float(np.std(recalls))}
+            "std_recall": float(np.std(recalls)),
+            "mean_ap": float(np.mean([r.ap for r in group]))}
 
 
 def recall_curve(scene_cfgs: list[SceneConfig], methods: list[str],
                  budgets: list[int], seeds: int, cfg: ScenarioConfig,
                  n_jobs: int = 1) -> list[dict]:
     """Mean recall per (method, budget) over seeds x scenes."""
-    cells = [(mi, bi) for mi in range(len(methods)) for bi in range(len(budgets))]
-    jobs = [TrialJob(scene_cfg=scene_cfg, scene_seed=(11, si, seed),
-                     method=methods[mi], budget=budgets[bi], cfg=cfg, row=row,
-                     trial_seed=(13, si, seed, mi, budgets[bi]))
-            for row, (mi, bi) in enumerate(cells)
-            for si, scene_cfg in enumerate(scene_cfgs) for seed in range(seeds)]
-    return [{"method": methods[mi], "budget": budgets[bi], **_recall_stats(group),
-             "mean_ap": float(np.mean([r.ap for r in group]))}
-            for (mi, bi), group in zip(cells, run_jobs(jobs, n_jobs))]
+    cells = [((method, budget),
+              [TrialJob(scene_cfg=scene_cfg, scene_seed=(11, si, seed),
+                        method=method, budget=budget, cfg=cfg,
+                        trial_seed=(13, si, seed, mi, budget))
+               for si, scene_cfg in enumerate(scene_cfgs) for seed in range(seeds)])
+             for mi, method in enumerate(methods) for budget in budgets]
+    return [{"method": method, "budget": budget, **_stats(group)}
+            for (method, budget), group in run_jobs(cells, n_jobs)]
 
 
 def proportion_sweep(base_scene: SceneConfig, proportions: list[float],
                      methods: list[str], seeds: int, budget: int,
                      cfg: ScenarioConfig, n_jobs: int = 1) -> list[dict]:
-    """Mean recall per (proportion, method) with common random seeds."""
+    """Mean recall per (proportion, method).  The methods share each seed's
+    world, but each draws its own trial stream."""
     scenes = [proportion_scene(base_scene, p) for p in proportions]
-    cells = [(pi, mi) for pi in range(len(proportions))
-             for mi in range(len(methods))]
-    jobs = [TrialJob(scene_cfg=scenes[pi], scene_seed=(17, seed),
-                     method=methods[mi], budget=budget,
-                     trial_seed=(19, seed, mi), cfg=cfg, row=row)
-            for row, (pi, mi) in enumerate(cells) for seed in range(seeds)]
-    return [{"proportion": proportions[pi], "method": methods[mi],
-             **_recall_stats(group)}
-            for (pi, mi), group in zip(cells, run_jobs(jobs, n_jobs))]
+    cells = [((proportion, method),
+              [TrialJob(scene_cfg=scene, scene_seed=(17, seed), method=method,
+                        budget=budget, trial_seed=(19, seed, mi), cfg=cfg)
+               for seed in range(seeds)])
+             for proportion, scene in zip(proportions, scenes)
+             for mi, method in enumerate(methods)]
+    return [{"proportion": proportion, "method": method, **_stats(group)}
+            for (proportion, method), group in run_jobs(cells, n_jobs)]
 
 
 def ablation(cfg: ScenarioConfig, n_jobs: int = 1) -> list[dict]:
@@ -542,48 +536,46 @@ def ablation(cfg: ScenarioConfig, n_jobs: int = 1) -> list[dict]:
     cfgs = [replace(cfg, detector=replace(cfg.detector, base_recall=p.base_recall,
                                           sigma_base_deg=p.sigma_base_deg))
             for p in presets]
-    arms = (("with", METHODS["ppm_ps"]), ("without", NO_PPM_SPEC))
-    cells = [(di, ai) for di in range(len(presets)) for ai in range(len(arms))]
-    jobs = [TrialJob(scene_cfg=cfg.scene, scene_seed=(23, seed),
-                     method=f"ppm_ps[{arms[ai][0]}]",
-                     budget=cfg.experiment.ablation_budget,
-                     trial_seed=(29, di, ai, seed), cfg=cfgs[di], row=row,
-                     spec=arms[ai][1])
-            for row, (di, ai) in enumerate(cells)
-            for seed in range(cfg.experiment.ablation_seeds)]
-    rows = []
-    for (di, ai), group in zip(cells, run_jobs(jobs, n_jobs)):
-        sim_speed = sum(r.views for r in group) / max(
-            left_sum([r.elapsed_sim_ms for r in group]) / 1e3, 1e-9)
-        rows.append({
-            "preset": presets[di].name, "ppm": arms[ai][0], "n_trials": len(group),
-            "mean_recall": float(np.mean([r.recall for r in group])),
-            "mean_ap": float(np.mean([r.ap for r in group])),
-            "views_per_sim_s": sim_speed,
-        })
-    return rows
+    arms = (("with", METHODS["ppm_ps"]),
+            # the "prior disabled" arm: same searching machinery, no map
+            ("without", MethodSpec("uniform", True, True, "proposal")))
+    cells = [((preset.name, arm),
+              [TrialJob(scene_cfg=cfg.scene, scene_seed=(23, seed),
+                        method=f"ppm_ps[{arm}]", budget=cfg.experiment.ablation_budget,
+                        trial_seed=(29, di, ai, seed), cfg=preset_cfg, spec=spec)
+               for seed in range(cfg.experiment.ablation_seeds)])
+             for di, (preset, preset_cfg) in enumerate(zip(presets, cfgs))
+             for ai, (arm, spec) in enumerate(arms)]
+    return [{"preset": name, "ppm": arm, **_stats(group),
+             "views_per_sim_s": sum(r.views for r in group) / max(
+                 left_sum([r.elapsed_sim_ms for r in group]) / 1e3, 1e-9)}
+            for (name, arm), group in run_jobs(cells, n_jobs)]
 
 
 def deviation_study(scene_cfg: SceneConfig, seeds: int, budget: int,
                     cfg: ScenarioConfig, n_jobs: int = 1) -> list[dict]:
     """Per-target gaze deviation with variance voting on vs off.
 
-    Runs the full iterative pipeline in both arms; only the voting step
-    differs, so deviation deltas isolate the coordinate refinement.
+    Both arms run the full iterative pipeline and differ only in the voting
+    step, but they share just each seed's world: their trial streams differ,
+    so a deviation delta holds trial noise besides the voting's effect.
     """
     cfg = copy.deepcopy(cfg)
     cfg.engine.init_frac = min(cfg.engine.init_frac, 0.5)  # leave room to iterate
-    cfg.engine.iterations = DEVIATION_ITERATIONS
-    arms = (("on", METHODS["ppm_ps"]), ("off", NO_VOTE_SPEC))
-    jobs = [TrialJob(scene_cfg=scene_cfg, scene_seed=(31, seed),
-                     method=f"ppm_ps[vote={arm}]", budget=budget,
-                     trial_seed=(37, vi, seed), cfg=cfg, row=vi, spec=spec)
-            for vi, (arm, spec) in enumerate(arms) for seed in range(seeds)]
+    cfg.engine.iterations = 4  # passes per deviation trial, whatever the config says
+    arms = (("on", METHODS["ppm_ps"]),
+            # the no-voting arm: full pipeline, voting alone toggled off
+            ("off", MethodSpec("ppm", False, True, "proposal")))
+    cells = [(arm, [TrialJob(scene_cfg=scene_cfg, scene_seed=(31, seed),
+                             method=f"ppm_ps[vote={arm}]", budget=budget,
+                             trial_seed=(37, vi, seed), cfg=cfg, spec=spec)
+                    for seed in range(seeds)])
+             for vi, (arm, spec) in enumerate(arms)]
     # objects are placed group by group, and a nonzero speed always gives a
     # nonzero velocity component
     moving = [g.speed != 0.0 for g in scene_cfg.groups for _ in range(g.count)]
     rows = []
-    for (arm, _), group in zip(arms, run_jobs(jobs, n_jobs)):
+    for arm, group in run_jobs(cells, n_jobs):
         finds: list[list] = [[] for _ in moving]  # per target: (find, pre_var)
         for res in group:
             for target, rec in res.found.items():

@@ -738,6 +738,16 @@ def test_every_study_runs_on_a_one_pixel_road(width, tmp_path):
                      "--out", str(tmp_path / command)]) == 0
 
 
+def test_every_study_runs_when_a_variant_would_cover_a_pinned_background(tmp_path):
+    # a curve variant stretched over this 1x5 panorama would leave the
+    # default group pinned to the background no pixel
+    path = os.path.join(DATA, "pin_cover.cfg")
+    assert main(["validate", "--config", path]) == 0
+    for command in STUDIES:
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / command)]) == 0
+
+
 def test_readme_config_example_loads(tmp_path):
     with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()

@@ -442,6 +442,23 @@ def test_proportion_sweep_empty_is_empty(scenario):
     assert proportion_sweep(scenario.scene, [], ["mpf"], 2, 40, scenario) == []
 
 
+def test_run_jobs_returns_each_cells_results_in_job_order(scenario):
+    def job(budget):
+        return experiment.TrialJob(scene_cfg=scenario.scene, scene_seed=(1,),
+                                   method="mpf", budget=budget, trial_seed=(2,),
+                                   cfg=scenario)
+    cells = [("a", [job(3), job(1), job(2)]), ("b", []), (("c", 0), [job(4)])]
+    assert [(key, [r.budget for r in results])
+            for key, results in experiment.run_jobs(cells)] == [
+        ("a", [3, 1, 2]), ("b", []), (("c", 0), [4])]
+    assert experiment.run_jobs([]) == []
+    assert experiment.run_jobs([("a", []), ("b", [])]) == []
+    # so a study with no trials has no rows
+    assert recall_curve([], ["mpf"], [40], 2, scenario) == []
+    assert deviation_study(deviation_scene(scenario.scene), seeds=0, budget=40,
+                           cfg=scenario) == []
+
+
 def test_full_proportion_makes_prior_uninformative(scenario):
     # the high-prior region covering everything levels the playing field
     rows = proportion_sweep(scenario.scene, [1.0], ["ppm_ps", "mpf"], 40, 300,
