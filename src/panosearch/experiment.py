@@ -464,12 +464,12 @@ _WORLDS: dict = {}
 def _run_job(job: TrialJob) -> TrialResult:
     # the repr names every field, so two different worlds never share a key
     key = (repr(job.scene_cfg), job.scene_seed)
-    scene = _WORLDS.get(key)
+    scene = _WORLDS.pop(key, None)
     if scene is None:
         scene = build_scene(job.scene_cfg, list(job.scene_seed))
-        if len(_WORLDS) > 256:
-            _WORLDS.clear()
-        _WORLDS[key] = scene
+        if len(_WORLDS) > 256:  # evict the least recently used world
+            del _WORLDS[next(iter(_WORLDS))]
+    _WORLDS[key] = scene  # re-inserted last: the dict runs oldest use first
     return run_trial(scene, job.method, job.budget, job.cfg.engine.iterations,
                      list(job.trial_seed), job.cfg, spec=job.spec)
 

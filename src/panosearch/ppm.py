@@ -17,8 +17,6 @@ import numpy as np
 from .config import SegNoiseConfig
 from .scene import Region, SceneMap, left_sum, region_sampling_prob
 
-_FLIP_CHUNK = 1 << 16  # flip uniforms segment_panorama draws at once (512 KiB)
-
 
 @dataclass(frozen=True)
 class PanoDetection:
@@ -54,6 +52,7 @@ def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
 
     Returns (label_grid, detections).  With all-zero noise the grid is the
     ground-truth partition and detections sit exactly on object centers.
+    Label noise draws flip gaps (_flip_positions), id offsets, then normals.
     Confidence falls with occlusion and rises with object size; the
     uncertainty scalar is clamp(1 - confidence, sigma_min, sigma_max).
     """
@@ -62,23 +61,14 @@ def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
     if noise.label_flip > 0.0 and n_regions > 1:
         grid = scene.labels.copy()
         flat = grid.reshape(-1)
-        # the doubles of one rng.random(grid.shape) call, in order, drawn
-        # through one reused buffer instead of a full-panorama array; the
-        # flip positions are kept once, per chunk, and the buffer is freed
-        # before the offsets are drawn
-        buf = np.empty(_FLIP_CHUNK)
-        hits = [np.flatnonzero(rng.random(out=buf[:flat.size - start])
-                               < noise.label_flip) + start
-                for start in range(0, flat.size, _FLIP_CHUNK)]
-        del buf
-        # int16 (an int8 draw is another stream); int32 sums cannot wrap
-        offsets = rng.integers(1, n_regions, size=sum(h.size for h in hits),
-                               dtype=np.int16)
-        done = 0
-        for flip in hits:
-            flat[flip] = np.add(flat[flip], offsets[done:done + flip.size],
-                                dtype=np.int32) % n_regions
-            done += flip.size
+        at = _flip_positions(flat.size, noise.label_flip, rng)
+        # int16 (an int8 draw is another stream); int32 sums cannot wrap,
+        # and 16 Ki flips at a time keep their temporaries small
+        offsets = rng.integers(1, n_regions, size=at.size, dtype=np.int16)
+        for lo in range(0, at.size, 1 << 14):
+            hit = at[lo:lo + (1 << 14)]
+            flat[hit] = np.add(flat[hit], offsets[lo:lo + hit.size],
+                               dtype=np.int32) % n_regions
         grid.setflags(write=False)
     else:
         grid = scene.labels
@@ -101,6 +91,26 @@ def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
         detections.append(PanoDetection(object_id=obj.id, center=(cx, cy),
                                         confidence=confidence, sigma_o=sigma_o))
     return grid, detections
+
+
+def _flip_positions(n: int, p: float, rng, batch: int = 0) -> np.ndarray:
+    """Ascending positions of the successes among n Bernoulli(p) trials.
+
+    Draws the gaps, geometric(p), in batches of int(n p + 6 sqrt(n p)) + 16
+    (six SE past the mean count) while the last position is short of n - 1;
+    the batch size is part of the stream.  At p >= 1 nothing is drawn.
+    """
+    if p >= 1.0:
+        return np.arange(n)
+    batch = batch or int(n * p + 6.0 * math.sqrt(n * p)) + 16
+    parts, last = [], -1
+    while last < n - 1:
+        pos = rng.geometric(p, size=batch)
+        np.minimum(pos, n + 1, out=pos)  # p < ~1e-17 gives gaps near INT64_MAX
+        pos[0] += last
+        parts.append(pos[:np.searchsorted(np.cumsum(pos, out=pos), n)])
+        last = int(pos[-1])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def subregion_share(s_ro: float, s_rm: float, f_region: float) -> float:

@@ -442,6 +442,33 @@ def test_proportion_sweep_empty_is_empty(scenario):
     assert proportion_sweep(scenario.scene, [], ["mpf"], 2, 40, scenario) == []
 
 
+def test_world_cache_evicts_the_least_recently_used_world(scenario,
+                                                          monkeypatch):
+    # sweep order: per proportion, three method cells share 100 seed worlds,
+    # 300 worlds in all; clearing the whole cache past 256 worlds builds some
+    # of the third proportion's worlds again, evicting the oldest does not
+    builds = []
+
+    def counting_build(scene_cfg, seed):
+        builds.append((scene_cfg.width, tuple(seed)))
+        return scene_cfg.width
+
+    monkeypatch.setattr(experiment, "_WORLDS", {})
+    monkeypatch.setattr(experiment, "build_scene", counting_build)
+    monkeypatch.setattr(experiment, "run_trial",
+                        lambda scene, *args, **kwargs: scene)
+    tiny = [dataclasses.replace(scenario.scene, width=w) for w in (10, 11, 12)]
+    cells = [((w, method),
+              [experiment.TrialJob(scene_cfg=scene_cfg, scene_seed=(17, seed),
+                                   method=method, budget=1, trial_seed=(seed,),
+                                   cfg=scenario) for seed in range(100)])
+             for w, scene_cfg in enumerate(tiny) for method in ("a", "b", "c")]
+    results = experiment.run_jobs(cells)
+    assert [r for _, rs in results for r in rs] == [10] * 300 + [11] * 300 + [12] * 300
+    assert len(builds) == len(set(builds)) == 300
+    assert len(experiment._WORLDS) == 257
+
+
 def test_run_jobs_returns_each_cells_results_in_job_order(scenario):
     def job(budget):
         return experiment.TrialJob(scene_cfg=scenario.scene, scene_seed=(1,),

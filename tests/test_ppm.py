@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from panosearch.config import (ObjectGroupSpec, RegionSpec, SceneConfig,
                                SegNoiseConfig, default_scenario)
-from panosearch.ppm import (_FLIP_CHUNK, _measure_regions, allocate_ppm,
+from panosearch.ppm import (_flip_positions, _measure_regions, allocate_ppm,
                             apportion, build_ppm, refine_allocation,
                             region_sampling_prob, segment_panorama,
                             subregion_share)
@@ -212,13 +213,33 @@ def test_label_flip_noise_changes_grid_but_not_partition_size():
     assert grid.shape == scene.labels.shape
 
 
+def reference_flip_mask(n, label_flip, rng, batch):
+    """The flip draw written plainly: one scalar geometric gap at a time, in
+    batches of `batch`, until a batch ends at or past the last pixel.
+    Python ints, so no gap needs clamping."""
+    flip = np.zeros(n, dtype=bool)
+    if label_flip >= 1.0:
+        flip[:] = True
+        return flip
+    pos = -1
+    while pos < n - 1:
+        for _ in range(batch):
+            pos += rng.geometric(label_flip)
+            if pos < n:
+                flip[pos] = True
+    return flip
+
+
 def reference_noisy_grid(scene, label_flip, seed):
-    """The original label flip: the boolean mask indexes the grid twice.
-    Its sums are exact, wherever int16 ids would wrap."""
+    """The gap rule's flips through a boolean mask that indexes the grid
+    twice, in batches of int(n p + 6 sqrt(n p)) + 16 gaps.  Its sums are
+    exact, wherever int16 ids would wrap."""
     rng = np.random.default_rng(seed)
     n_regions = len(scene.regions)
     grid = scene.labels.copy()
-    flip = rng.random(grid.shape) < label_flip
+    n = grid.size
+    batch = int(n * label_flip + 6 * math.sqrt(n * label_flip)) + 16
+    flip = reference_flip_mask(n, label_flip, rng, batch).reshape(grid.shape)
     offsets = rng.integers(1, n_regions, size=int(flip.sum()), dtype=np.int16)
     grid[flip] = (grid[flip].astype(np.int64) + offsets) % n_regions
     return grid, rng
@@ -248,10 +269,12 @@ def test_label_flip_matches_boolean_mask_reference(label_flip, seed,
     check_label_flip_against_reference(cfg, label_flip, seed)
 
 
-# panoramas of under one flip chunk, of exactly two chunks and of two chunks
-# plus one pixel, with the road region on their right quarter
-@pytest.mark.parametrize("size", [(300, 200), (2 * _FLIP_CHUNK // 256, 256),
-                                  (2 * _FLIP_CHUNK + 1, 1)],
+# panoramas of 60,000 pixels, of 2^17 and of 2^17 + 1 (the ids count chunks
+# of 2^16 pixels), with the road region on their right quarter; at
+# label_flip 1.0 every pixel flips, so the last two fill whole 16 Ki-flip
+# apply chunks and then one flip more
+@pytest.mark.parametrize("size", [(300, 200), (2 * 2**16 // 256, 256),
+                                  (2 * 2**16 + 1, 1)],
                          ids=["under_one_chunk", "two_chunks",
                               "two_chunks_and_1px"])
 @pytest.mark.parametrize("label_flip,seed", [(0.05, 1), (0.3, 7), (1.0, 2)])
@@ -278,6 +301,79 @@ def test_label_flip_of_ids_past_16383_does_not_wrap():
     check_label_flip_against_reference(cfg, 0.3, 3)
 
 
+@pytest.mark.parametrize("n,label_flip", [(1, 0.5), (50, 0.3), (1000, 0.05),
+                                          (10**6, 0.001)])
+def test_flip_gaps_come_in_one_batch_of_the_pinned_size(n, label_flip):
+    # the batch size is part of the stream: one batch of
+    # int(n p + 6 sqrt(n p)) + 16 gaps and nothing more
+    gen, ref = np.random.default_rng(5), np.random.default_rng(5)
+    _flip_positions(n, label_flip, gen)
+    ref.geometric(label_flip,
+                  size=int(n * label_flip + 6 * math.sqrt(n * label_flip)) + 16)
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 40])
+@pytest.mark.parametrize("n,label_flip,seed", [(1, 0.5, 0), (97, 0.05, 1),
+                                               (500, 0.3, 2), (500, 0.9, 3)])
+def test_flip_positions_past_a_short_batch(batch, n, label_flip, seed):
+    # small batches force a second and later batch, each starting at the
+    # last position of the one before
+    gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    at = _flip_positions(n, label_flip, gen, batch=batch)
+    assert at.dtype == np.int64
+    assert np.array_equal(at, np.flatnonzero(
+        reference_flip_mask(n, label_flip, ref, batch)))
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("label_flip", [0.001, 0.05, 0.3, 0.5, 0.9])
+def test_flip_fraction_is_within_five_standard_errors(label_flip):
+    # p >= 1/3 switches numpy to its other geometric algorithm
+    n = 10**6
+    at = _flip_positions(n, label_flip, np.random.default_rng(11))
+    assert np.all(np.diff(at) > 0) and 0 <= at[0] and at[-1] < n
+    se = math.sqrt(n * label_flip * (1 - label_flip))
+    assert abs(at.size - n * label_flip) <= 5 * se
+
+
+@pytest.mark.parametrize("label_flip", [0.05, 0.5])
+def test_every_pixel_flips_with_probability_p(label_flip):
+    # an off-by-one in the gaps shows at the first or last pixel of a 7x3
+    # panorama, whose frequency would fall to 0 or rise past p
+    cfg = SceneConfig(width=7, height=3, groups=[],
+                      regions=[RegionSpec("road", (0, 0, 3, 3))])
+    scene = build_scene(cfg, seed=0)
+    noise = SegNoiseConfig(label_flip=label_flip)
+    seeds = 4000
+    flips = sum((segment_panorama(scene, noise, seed)[0] != scene.labels)
+                .astype(int) for seed in range(seeds))
+    se = math.sqrt(label_flip * (1 - label_flip) / seeds)
+    assert np.all(np.abs(flips / seeds - label_flip) <= 5 * se)
+
+
+def test_label_flip_of_one_flips_every_pixel_drawing_no_gap():
+    # the offsets are the only draws: the default noise draws no normals
+    scene = build_scene(default_scenario().scene, seed=2)
+    gen, ref = np.random.default_rng(4), np.random.default_rng(4)
+    grid, _ = segment_panorama(scene, SegNoiseConfig(label_flip=1.0), gen)
+    assert np.all(grid != scene.labels)
+    ref.integers(1, len(scene.regions), size=grid.size, dtype=np.int16)
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("label_flip", [1e-12, 1e-300, 5e-324])
+def test_vanishing_label_flip_flips_nothing_without_overflow(label_flip):
+    # below p ~ 1e-17 numpy's gaps come near or at INT64_MAX: summed
+    # unclamped, they wrap to negative positions and the draw never ends
+    scene = build_scene(default_scenario().scene, seed=2)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        grid, _ = segment_panorama(scene, SegNoiseConfig(label_flip=label_flip), 1)
+        assert np.array_equal(grid, scene.labels)
+        assert _flip_positions(3, label_flip, np.random.default_rng(0)).size == 0
+
+
 def traced_peak(call):
     """call()'s result and the peak of numpy and Python memory it traced."""
     tracemalloc.start()
@@ -291,8 +387,9 @@ def traced_peak(call):
 @pytest.mark.parametrize("label_flip", [0.05, 1.0])
 def test_label_flip_peak_memory_is_the_grid_and_the_flips(label_flip):
     # the noisy grid, 8 + 2 bytes of position and offset per flipped pixel
-    # and the 512 KiB draw buffer: at 0.05 that is under the grid + 2 MiB,
-    # where a full-panorama array of uniforms alone would be 13 MiB
+    # and the temporaries of one 16 Ki apply chunk: at 0.05 that is under
+    # the grid + 2 MiB, where a full-panorama array of uniforms alone would
+    # be 13 MiB
     scene = build_scene(default_scenario().scene, seed=2)
     noise = SegNoiseConfig(label_flip=label_flip)
     (grid, _), peak = traced_peak(lambda: segment_panorama(scene, noise, 1))
