@@ -185,8 +185,10 @@ def _claim(scene: SceneMap, boxes: np.ndarray, windows: list[SearchWindow],
     """
     centers = np.array([(w.center_h, w.center_v) for w in windows]).reshape(-1, 2)
     matches = _match_objects(boxes, centers)
+    # Python scalars: the same float subtractions, without numpy's per-item cost
+    rows = boxes.tolist()
     claimed: set[int] = set()
-    for w, j in zip(windows, matches):
+    for w, j in zip(windows, matches.tolist()):
         if j < 0 or j in claimed:
             continue
         claimed.add(j)
@@ -196,14 +198,14 @@ def _claim(scene: SceneMap, boxes: np.ndarray, windows: list[SearchWindow],
             continue
         found[oid] = FoundObject(
             stage=stage if old is None else old.stage,
-            err_x_px=float(w.center_h - boxes[j, 0]) / alpha,
-            err_y_px=float(w.center_v - boxes[j, 1]) / alpha,
+            err_x_px=float(w.center_h - rows[j][0]) / alpha,
+            err_y_px=float(w.center_v - rows[j][1]) / alpha,
             post_var=(w.radius_h + w.radius_v) / 2.0,
             confidence=w.confidence)
     if ap_records is not None:
         sizes = np.array([(w.width_deg, w.height_deg) for w in windows]).reshape(-1, 2)
-        ap_records.extend((w.confidence, None if j < 0 else int(j)) for w, j
-                          in zip(windows, _ap_matches(boxes, centers, sizes)))
+        ap_records.extend((w.confidence, None if j < 0 else j) for w, j
+                          in zip(windows, _ap_matches(boxes, centers, sizes).tolist()))
     return matches
 
 

@@ -52,7 +52,8 @@ def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
 
     Returns (label_grid, detections).  With all-zero noise the grid is the
     ground-truth partition and detections sit exactly on object centers.
-    Label noise draws flip gaps (_flip_positions), id offsets, then normals.
+    Label noise draws flip gaps (_flip_positions; none at label_flip >= 1,
+    where every pixel flips), id offsets, then normals.
     Confidence falls with occlusion and rises with object size; the
     uncertainty scalar is clamp(1 - confidence, sigma_min, sigma_max).
     """
@@ -61,14 +62,17 @@ def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
     if noise.label_flip > 0.0 and n_regions > 1:
         grid = scene.labels.copy()
         flat = grid.reshape(-1)
-        at = _flip_positions(flat.size, noise.label_flip, rng)
+        # at p >= 1 every pixel flips, so the chunks are plain slices
+        at = (None if noise.label_flip >= 1.0
+              else _flip_positions(flat.size, noise.label_flip, rng))
+        count = flat.size if at is None else at.size
         # int16 (an int8 draw is another stream); int32 sums cannot wrap,
         # and 16 Ki flips at a time keep their temporaries small
-        offsets = rng.integers(1, n_regions, size=at.size, dtype=np.int16)
-        for lo in range(0, at.size, 1 << 14):
-            hit = at[lo:lo + (1 << 14)]
-            flat[hit] = np.add(flat[hit], offsets[lo:lo + hit.size],
-                               dtype=np.int32) % n_regions
+        offsets = rng.integers(1, n_regions, size=count, dtype=np.int16)
+        for lo in range(0, count, 1 << 14):
+            hi = lo + (1 << 14)
+            hit = slice(lo, hi) if at is None else at[lo:hi]
+            flat[hit] = np.add(flat[hit], offsets[lo:hi], dtype=np.int32) % n_regions
         grid.setflags(write=False)
     else:
         grid = scene.labels
@@ -94,22 +98,31 @@ def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
 
 
 def _flip_positions(n: int, p: float, rng, batch: int = 0) -> np.ndarray:
-    """Ascending positions of the successes among n Bernoulli(p) trials.
+    """Ascending positions of the successes among n Bernoulli(p) trials, 0 < p < 1.
 
-    Draws the gaps, geometric(p), in batches of int(n p + 6 sqrt(n p)) + 16
-    (six SE past the mean count) while the last position is short of n - 1;
-    the batch size is part of the stream.  At p >= 1 nothing is drawn.
+    Draws the gaps, geometric(p), by inverting exponentials: ceil(E / s) with
+    s = -log1p(-p), in batches of int(n p + 6 sqrt(n p)) + 16 (six SE past
+    the mean count) while the last position is short of n - 1; the batch
+    size is part of the stream.  Below p = 1/3 each gap equals numpy's
+    geometric(p), which inverts the same way; from 1/3 numpy searches
+    sequentially, so the gaps there follow the same law on another stream.
     """
-    if p >= 1.0:
-        return np.arange(n)
+    s = -math.log1p(-p)
     batch = batch or int(n * p + 6.0 * math.sqrt(n * p)) + 16
-    parts, last = [], -1
+    parts, last = [], -1.0
     while last < n - 1:
-        pos = rng.geometric(p, size=batch)
-        np.minimum(pos, n + 1, out=pos)  # p < ~1e-17 gives gaps near INT64_MAX
+        pos = rng.standard_exponential(batch)
+        # a gap past n + 1 lands past the last pixel all the same; clamping E
+        # first keeps E / s finite down to p = 5e-324
+        np.minimum(pos, (n + 1) * s, out=pos)
+        pos /= s
+        np.minimum(np.ceil(pos, out=pos), n + 1, out=pos)
         pos[0] += last
-        parts.append(pos[:np.searchsorted(np.cumsum(pos, out=pos), n)])
-        last = int(pos[-1])
+        kept = pos[:np.searchsorted(np.cumsum(pos, out=pos), n)]
+        last = float(pos[-1])
+        # whole floats under n, cast to int64 in place: no second copy
+        parts.append(kept.view(np.int64))
+        parts[-1][...] = kept
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 

@@ -213,10 +213,19 @@ def test_label_flip_noise_changes_grid_but_not_partition_size():
     assert grid.shape == scene.labels.shape
 
 
+def reference_gap(rng, p):
+    """One geometric(p) gap: numpy's own below p = 1/3, where numpy inverts an
+    exponential; from 1/3, where numpy searches sequentially instead, the
+    inversion ceil(E / -log1p(-p)) written plainly."""
+    if p < 1 / 3:
+        return rng.geometric(p)
+    return math.ceil(rng.standard_exponential() / -math.log1p(-p))
+
+
 def reference_flip_mask(n, label_flip, rng, batch):
-    """The flip draw written plainly: one scalar geometric gap at a time, in
-    batches of `batch`, until a batch ends at or past the last pixel.
-    Python ints, so no gap needs clamping."""
+    """The flip draw written plainly: one scalar gap at a time, in batches of
+    `batch`, until a batch ends at or past the last pixel.  Python ints, so
+    no gap needs clamping."""
     flip = np.zeros(n, dtype=bool)
     if label_flip >= 1.0:
         flip[:] = True
@@ -224,7 +233,7 @@ def reference_flip_mask(n, label_flip, rng, batch):
     pos = -1
     while pos < n - 1:
         for _ in range(batch):
-            pos += rng.geometric(label_flip)
+            pos += reference_gap(rng, label_flip)
             if pos < n:
                 flip[pos] = True
     return flip
@@ -308,8 +317,28 @@ def test_flip_gaps_come_in_one_batch_of_the_pinned_size(n, label_flip):
     # int(n p + 6 sqrt(n p)) + 16 gaps and nothing more
     gen, ref = np.random.default_rng(5), np.random.default_rng(5)
     _flip_positions(n, label_flip, gen)
-    ref.geometric(label_flip,
-                  size=int(n * label_flip + 6 * math.sqrt(n * label_flip)) + 16)
+    batch = int(n * label_flip + 6 * math.sqrt(n * label_flip)) + 16
+    for _ in range(batch):
+        reference_gap(ref, label_flip)
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("label_flip", [1e-9, 1e-3, 0.05, 0.3])
+def test_flip_gaps_below_a_third_are_numpys_geometric(label_flip):
+    # below p = 1/3 numpy's geometric inverts an exponential as the sampler
+    # does, so no result drawn with it moves; n = 1.2e5 / p spreads about
+    # 120,000 gaps over four batches of 2^15
+    n, batch = int(1.2e5 / label_flip), 2**15
+    gen, ref = np.random.default_rng(8), np.random.default_rng(8)
+    at = _flip_positions(n, label_flip, gen, batch=batch)
+    want, pos = [], -1
+    while pos < n - 1:
+        for gap in ref.geometric(label_flip, size=batch).tolist():
+            pos += gap
+            if pos < n:
+                want.append(pos)
+    assert len(want) >= 10**5
+    assert at.tolist() == want
     assert gen.bit_generator.state == ref.bit_generator.state
 
 
@@ -395,6 +424,16 @@ def test_label_flip_peak_memory_is_the_grid_and_the_flips(label_flip):
     (grid, _), peak = traced_peak(lambda: segment_panorama(scene, noise, 1))
     flipped = np.count_nonzero(grid != scene.labels)
     assert peak <= grid.nbytes + 10 * flipped + 2**20
+
+
+def test_label_flip_of_one_peak_memory_is_the_grid_and_the_offsets():
+    # every pixel flips, so the offsets apply over slices: no position
+    # array, only the int16 offsets and one 16 Ki chunk's int32 temporaries
+    # (128 KiB) beside the noisy grid
+    scene = build_scene(default_scenario().scene, seed=2)
+    noise = SegNoiseConfig(label_flip=1.0)
+    (grid, _), peak = traced_peak(lambda: segment_panorama(scene, noise, 1))
+    assert peak <= grid.nbytes + 2 * grid.size + 2**18
 
 
 def test_noisy_allocation_peak_memory_is_one_panorama_mask():
