@@ -21,7 +21,7 @@ from .config import (METHODS, ConfigError, DetectorPreset, MethodSpec,
                      ObjectGroupSpec, RegionSpec, ScenarioConfig, SceneConfig,
                      pin_errors, region_parts)
 from .detector import Detection, SyntheticDetector
-from .galvo import capture_view, plan_scan
+from .galvo import capture_view, plan_scan, view_candidates
 from .particles import (ParticleSet, build_proposal, initial_sample,
                         normalize_weights, prune_redundant, sample_next,
                         update_weights)
@@ -301,9 +301,11 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
         # sees every view
         detect, likelihood = detector.detect, detector.likelihood
         view_w, view_h, alpha = eng.view_w, eng.view_h, eng.alpha
+        among = view_candidates(scene, particles.theta_h, particles.theta_v,
+                                view_w, view_h, alpha)
         for idx in order:
             view = capture_view(scene, theta_h[idx], theta_v[idx], view_w,
-                                view_h, alpha)
+                                view_h, alpha, among[idx])
             dets = detect(view, rng)
             likes[idx] = likelihood(view, dets)
             if trace is not None:

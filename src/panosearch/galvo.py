@@ -10,7 +10,7 @@ its view count alone.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -66,7 +66,8 @@ def image_to_galvo(theta_h: float, theta_v: float, t_x: float, t_y: float,
 
 
 def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
-                 width: int = 264, height: int = 224, alpha: float = 0.002) -> View:
+                 width: int = 264, height: int = 224, alpha: float = 0.002,
+                 among=None) -> View:
     """Simulate the search camera at a mirror pose.
 
     Includes every object whose angular footprint intersects the view
@@ -75,42 +76,54 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
     Sizes scale by the optics' magnification (panorama scale / alpha), as
     positions do, which makes gaze refinement via image_to_galvo exact.
 
-    Only objects whose center x lies within the view's half-width plus the
-    widest object half-width (and a 1 px margin) of the gaze are tested,
-    found by bisecting the scene's band index; a view whose band holds no
-    object returns at once.  A NaN gaze bisects to the whole band and an
-    infinite one to none of it.
+    `among` (indices in scene order; None for all) limits this test, which
+    alone decides visibility.  A NaN axis rejects nothing, an infinite one all.
     """
-    dpp = scene.deg_per_px
-    half_w_deg = width * alpha / 2.0
-    gx, gy = scene.galvo_to_pano(theta_h, theta_v)
-    reach = half_w_deg / dpp + scene.max_half_w + 1.0
-    band = scene.band_x
-    lo, hi = bisect_left(band, gx - reach), bisect_right(band, gx + reach)
-    if lo == hi:
+    if among is not None and not among:
         return View(theta_h, theta_v, width, height, ())
-    objects = scene.objects
+    objects = scene.objects if among is None else [scene.objects[i] for i in among]
+    dpp = scene.deg_per_px
     magnification = dpp / alpha
-    half_h_deg = height * alpha / 2.0
+    half_w_deg, half_h_deg = width * alpha / 2.0, height * alpha / 2.0
+    gx, gy = scene.galvo_to_pano(theta_h, theta_v)
     visible = []
-    # detect draws the RNG in view.visible order: restore scene order
-    for i in sorted(scene.band_order[lo:hi]):
-        obj = objects[i]
+    for obj in objects:
         (c_x, c_y), (w, h) = obj.center, obj.size
-        # the band already bounds x, so most candidates fail on y
         dv = (c_y - gy) * dpp
         if abs(dv) > half_h_deg + h * dpp / 2.0:
             continue
         dh = (c_x - gx) * dpp
         if abs(dh) > half_w_deg + w * dpp / 2.0:
             continue
-        x_px = width / 2.0 + dh / alpha
-        y_px = height / 2.0 + dv / alpha
-        x_px = min(max(x_px, 0.0), width - 1.0)
-        y_px = min(max(y_px, 0.0), height - 1.0)
+        x_px = min(max(width / 2.0 + dh / alpha, 0.0), width - 1.0)
+        y_px = min(max(height / 2.0 + dv / alpha, 0.0), height - 1.0)
         visible.append(VisibleObject(obj.id, x_px, y_px, w * magnification,
                                      h * magnification, obj.occlusion))
     return View(theta_h, theta_v, width, height, tuple(visible))
+
+
+def view_candidates(scene: SceneMap, theta_h, theta_v, width: int = 264,
+                    height: int = 224, alpha: float = 0.002) -> list[tuple]:
+    """Per gaze, the indices of the objects capture_view sees, in scene order:
+    its float tests over blocks of 2^16 gaze x object pairs, or of one gaze."""
+    out, objects, dpp = [()] * len(theta_h), scene.objects, scene.deg_per_px
+    if not objects:
+        return out
+    c_x, c_y, w, h = np.array([(*o.center, *o.size) for o in objects]).T[..., None]
+    step = max(1, 2 ** 16 // len(objects))
+    with np.errstate(over="ignore"):  # what overflows is infinite in floats too
+        reach_h = width * alpha / 2.0 + w * dpp / 2.0
+        reach_v = height * alpha / 2.0 + h * dpp / 2.0
+        gx, gy = scene.galvo_to_pano(*np.array([theta_h, theta_v], dtype=float))
+        for lo in range(0, len(out), step):
+            dv, dh = (c_y - gy[lo:lo + step]) * dpp, (c_x - gx[lo:lo + step]) * dpp
+            views, ids = np.nonzero(~((abs(dv) > reach_v) | (abs(dh) > reach_h)).T)
+            seen = {}  # the pairs come gaze by gaze, objects in scene order
+            for v, i in zip((views + lo).tolist(), ids.tolist()):
+                seen.setdefault(v, []).append(i)
+            for v, run in seen.items():
+                out[v] = tuple(run)
+    return out
 
 
 # below this magnitude no coordinate difference squared, nor a sum of two,

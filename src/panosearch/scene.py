@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class GtObject:
 
 @dataclass(frozen=True)
 class SceneMap:
-    """Immutable world snapshot.
+    """Immutable world snapshot; capture_view's `among` indexes `objects`.
 
     `labels` is read-only and shared: every live world with the same width,
     height and region rectangles, and every motion snapshot of it, holds
@@ -83,21 +83,6 @@ class SceneMap:
     objects: tuple[GtObject, ...]
     deg_per_px: float
     region_bboxes: tuple[tuple[int, int, int, int], ...]  # (x0, y0, x1, y1) exclusive
-    # derived horizontal index for capture_view, rebuilt with every snapshot:
-    # object indices ordered by center x, those centers, the widest half-width
-    band_order: list[int] = field(init=False, compare=False, repr=False)
-    band_x: list[float] = field(init=False, compare=False, repr=False)
-    max_half_w: float = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        order = sorted(range(len(self.objects)),
-                       key=lambda i: self.objects[i].center[0])
-        object.__setattr__(self, "band_order", order)
-        object.__setattr__(self, "band_x",
-                           [self.objects[i].center[0] for i in order])
-        object.__setattr__(self, "max_half_w",
-                           max((obj.size[0] / 2.0 for obj in self.objects),
-                               default=0.0))
 
     def pano_to_galvo(self, x: float, y: float) -> tuple[float, float]:
         return ((x - self.width / 2.0) * self.deg_per_px,

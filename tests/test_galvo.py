@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +14,7 @@ from panosearch import experiment
 from panosearch.experiment import TrialTrace, _grid_particles, run_trial
 from panosearch.galvo import (GALVO_LIMIT_DEG, View, VisibleObject,
                               capture_view, clamp_angle, image_to_galvo,
-                              plan_scan)
+                              plan_scan, view_candidates)
 from panosearch.scene import GtObject, build_scene, step_motion
 
 
@@ -111,7 +113,7 @@ def test_apparent_size_uses_optics_consistent_magnification():
     assert view.visible[0].height_px == pytest.approx(28.0 * mag)
 
 
-# --- band-indexed capture against the full object scan -------------------------
+# --- one broadcast per pass, then capture among its sets, against the full scan
 
 def reference_capture_view(scene, theta_h, theta_v, width=264, height=224,
                            alpha=0.002):
@@ -143,7 +145,7 @@ def reference_capture_view(scene, theta_h, theta_v, width=264, height=224,
                 visible=tuple(visible))
 
 
-# 1024 px over 32 degrees and alpha 2^-9 keep every band and visibility edge
+# 1024 px over 32 degrees and alpha 2^-9 keep every reach and visibility edge
 # exactly representable; the default 1440 px / 40 degrees scale does not
 DYADIC = dict(width=1024, height=512, span_deg=32.0)
 DYADIC_ALPHA = 2.0 ** -9
@@ -158,10 +160,28 @@ def scene_of(objects, **dims):
         for i, (c, s) in enumerate(objects)))
 
 
+def assert_same_pass(scene, gazes, **kw):
+    """Every gaze of one pass, captured over all objects and over its
+    view_candidates set, is the full scan's capture; each set is exactly the
+    objects that capture keeps, so the scalar test rejects none of them."""
+    theta_h, theta_v = np.array(gazes, dtype=float).reshape(-1, 2).T
+    among = view_candidates(scene, theta_h, theta_v, **kw)
+    assert len(among) == len(gazes)
+    for (th, tv), ids in zip(gazes, among):
+        want = reference_capture_view(scene, th, tv, **kw)
+        got = capture_view(scene, th, tv, among=ids, **kw)
+        # float repr round-trips; nan != nan
+        assert repr(got) == repr(capture_view(scene, th, tv, **kw)) == repr(want)
+        assert type(ids) is tuple and list(ids) == sorted(ids)
+        assert [scene.objects[i].id for i in ids] == [v.object_id
+                                                      for v in want.visible]
+        # only the objects named are tested
+        assert repr(capture_view(scene, th, tv, among=ids[1:], **kw).visible) \
+            == repr(want.visible[1:])
+
+
 def assert_same_capture(scene, theta_h, theta_v, **kw):
-    got = capture_view(scene, theta_h, theta_v, **kw)
-    want = reference_capture_view(scene, theta_h, theta_v, **kw)
-    assert repr(got) == repr(want)  # float repr round-trips; nan != nan
+    assert_same_pass(scene, [(theta_h, theta_v)], **kw)
 
 
 quarter_px = st.integers(-160, 160).map(lambda k: k * 0.25)
@@ -178,7 +198,7 @@ edge_objects = st.lists(
 @settings(max_examples=300, deadline=None)
 def test_capture_matches_full_scan_near_the_gaze(objects, gaze, alpha, view):
     # objects and gaze share a quarter-pixel grid around the panorama center,
-    # so centers land exactly on band and visibility edges and several
+    # so centers land exactly on reach and visibility edges and several
     # overlapping objects are seen in an order unlike their x order
     cx, cy = DYADIC["width"] / 2.0, DYADIC["height"] / 2.0
     scene = scene_of([((cx + x, cy + y), s) for (x, y), s in objects])
@@ -189,14 +209,15 @@ def test_capture_matches_full_scan_near_the_gaze(objects, gaze, alpha, view):
 
 def edge_scene():
     # scene order differs from x order; the widest object (120 px) sits
-    # exactly on the visibility edge, a narrow one exactly on the band edge
+    # exactly on the visibility edge, a narrow one exactly on the edge of the
+    # view's half-width plus the widest half-width and 1 px
     dpp = DYADIC["span_deg"] / DYADIC["width"]
     reach = 264 * DYADIC_ALPHA / 2.0 / dpp       # 8.25 px
     gx, gy = 500.0, 200.0
     objects = [
         ((gx + 3.0, gy), (16.0, 8.0)),
         ((gx + reach + 60.0, gy), (120.0, 60.0)),      # visible edge, widest
-        ((gx - reach - 60.0 - 1.0, gy), (4.0, 4.0)),   # band edge, not visible
+        ((gx - reach - 60.0 - 1.0, gy), (4.0, 4.0)),   # that edge, not visible
         ((gx - reach - 2.0, gy + 1.0), (4.0, 4.0)),    # visible edge
         ((gx - 1.0, gy - 2.0), (48.0, 28.0)),
         ((gx - reach - 2.0 - 2.0 ** -20, gy), (4.0, 4.0)),  # just outside
@@ -212,12 +233,14 @@ def test_capture_matches_full_scan_at_band_edges(dx):
     if dx == 0.0:
         assert [v.object_id for v in view.visible] == [0, 1, 3, 4]
     assert view == reference_capture_view(scene, th, tv, alpha=DYADIC_ALPHA)
+    assert_same_capture(scene, th, tv, alpha=DYADIC_ALPHA)
 
 
 EXTREME_POSES = [
     (20.0, 0.0), (-20.0, 0.0), (0.0, 20.0), (-20.0, -20.0), (20.0, 20.0),
     (math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan),
-    (math.inf, 0.0), (-math.inf, 0.0), (0.0, math.inf), (1e300, 0.0)]
+    (math.inf, 0.0), (-math.inf, 0.0), (0.0, math.inf), (1e300, 0.0),
+    (0.0, -1e308), (math.nan, 1e308), (-math.inf, math.nan)]
 
 
 def test_capture_matches_full_scan_at_extreme_poses():
@@ -230,29 +253,36 @@ def test_capture_matches_full_scan_at_extreme_poses():
     dims = dict(width=w, height=h, span_deg=40.0)
     scene = scene_of([(c, (48.0, 28.0)) for c in reversed(spots)], **dims)
     empty = scene_of([], **dims)
-    assert empty.max_half_w == 0.0 and empty.band_x == []
+    assert view_candidates(empty, *np.array(EXTREME_POSES).T) == \
+        [()] * len(EXTREME_POSES)
+    assert_same_pass(scene, EXTREME_POSES)
+    assert_same_pass(empty, EXTREME_POSES)
     for pose in EXTREME_POSES:
-        assert_same_capture(scene, *pose)
-        assert_same_capture(empty, *pose)
         assert capture_view(empty, *pose).visible == ()
     assert len(capture_view(scene, math.nan, math.nan).visible) == len(spots)
 
 
 def test_capture_matches_full_scan_when_the_band_is_empty():
-    # gazes whose x band holds no object center take the early return: far
-    # from every object, level in y with one, or just past a band edge
+    # gazes with no object center within the view's half-width plus the
+    # widest half-width and 1 px in x see nothing and get an empty set, on
+    # which capture_view returns at once: far from every object, level in y
+    # with one, or just past that reach
     w, h = 1440, 1200
     dims = dict(width=w, height=h, span_deg=40.0)
     scene = scene_of([((200.0, 600.0), (48.0, 28.0)),
                       ((1300.0, 100.0), (120.0, 60.0))], **dims)
-    reach = 264 * 0.002 / 2.0 / scene.deg_per_px + scene.max_half_w + 1.0
-    gazes = [(700.0, 600.0), (720.0, 100.0), (200.0 + reach + 0.5, 600.0),
+    reach = (264 * 0.002 / 2.0 / scene.deg_per_px
+             + max(o.size[0] for o in scene.objects) / 2.0 + 1.0)
+    spots = [(700.0, 600.0), (720.0, 100.0), (200.0 + reach + 0.5, 600.0),
              (1300.0 - reach - 0.5, 100.0), (w - 1.0, h - 1.0)]
-    for x, y in gazes:
-        assert all(abs(bx - x) > reach for bx in scene.band_x)
-        th, tv = scene.pano_to_galvo(x, y)
+    gazes = [scene.pano_to_galvo(x, y) for x, y in spots]
+    for x, _ in spots:
+        assert all(abs(o.center[0] - x) > reach for o in scene.objects)
+    assert view_candidates(scene, *np.array(gazes).T) == [()] * len(gazes)
+    for th, tv in gazes:
         assert capture_view(scene, th, tv).visible == ()
-        assert_same_capture(scene, th, tv)
+        assert capture_view(scene, th, tv, among=()).visible == ()
+    assert_same_pass(scene, gazes)
     assert_same_capture(scene, 0.0, 0.0, width=1, height=1, alpha=1e-6)
 
 
@@ -260,21 +290,92 @@ def test_capture_matches_full_scan_when_the_band_is_empty():
 @settings(max_examples=40, deadline=None)
 def test_capture_matches_full_scan_after_motion(seed, steps):
     # many fast objects crowded into one small region, so they overtake each
-    # other and several share a view; step_motion must rebuild the band index
+    # other and several share a view; each snapshot's pass must see its own
+    # moved objects
+    scene = crowd_scene(seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        scene = step_motion(scene, 1)
+        spots = rng.uniform((580, 480), (860, 720), size=(25, 2))
+        assert_same_pass(scene, [scene.pano_to_galvo(x, y)
+                                 for x, y in spots.tolist()])
+
+
+def crowd_scene(seed):
+    # 33 objects, several sharing a view, in one small region
     cfg = SceneConfig(
         regions=[RegionSpec("road", (600, 500, 240, 200))],
         class_priors={"car": {"road": 1.0, "field": 0.0}},
         groups=[ObjectGroupSpec(count=30, size=(48.0, 28.0), speed=9.0),
                 ObjectGroupSpec(count=3, size=(120.0, 60.0), speed=4.0)])
-    scene = build_scene(cfg, seed=seed)
-    rng = np.random.default_rng(seed)
-    for _ in range(steps):
-        scene = step_motion(scene, 1)
-        assert scene.band_x == sorted(o.center[0] for o in scene.objects)
-        for _ in range(25):
-            x, y = rng.uniform((580, 480), (860, 720))
-            th, tv = scene.pano_to_galvo(x, y)
-            assert_same_capture(scene, th, tv)
+    return build_scene(cfg, seed=seed)
+
+
+def test_capture_matches_full_scan_across_broadcast_blocks():
+    # 2,100 gazes x 33 objects is past 2^16 pairs, so the pass broadcasts in
+    # blocks of 1,985 gazes; gazes seeing objects fall on both sides
+    scene = crowd_scene(3)
+    rng = np.random.default_rng(3)
+    spots = rng.uniform((580, 480), (860, 720), size=(2100, 2))
+    gazes = [scene.pano_to_galvo(x, y) for x, y in spots.tolist()]
+    block = 2 ** 16 // len(scene.objects)
+    assert len(gazes) * len(scene.objects) > 2 ** 16 and block < len(gazes)
+    among = view_candidates(scene, *np.array(gazes).T)
+    assert any(among[:block]) and any(among[block:])
+    assert_same_pass(scene, gazes)
+
+
+OVERFLOW_GAZES = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e308,
+                  -1e308, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("dims,one_nan", [
+    # only the middle object is level with the gaze's other axis
+    (dict(width=1440, height=1200, span_deg=40.0), (1,)),
+    # every object fills the view
+    (dict(width=2, height=2, span_deg=360.0), (0, 1, 2))],
+    ids=["default-scale", "180-deg-per-px"])
+def test_view_candidates_warn_on_no_extreme_gaze(dims, one_nan):
+    # every pairing of NaN, infinite and huge axes: past 1e308 / deg_per_px
+    # the pixel coordinate overflows to inf, and at 180 deg/px so does the
+    # angle difference; neither may warn, and each set is the scalar code's:
+    # every object for NaN on both axes, the other axis tested for NaN on
+    # one, none for an infinite axis
+    w, h = dims["width"], dims["height"]
+    scene = scene_of([((0.0, 0.0), (4.0, 2.0)), ((w / 2.0, h / 2.0), (1.0, 1.0)),
+                      ((w - 1.0, h - 1.0), (48.0, 28.0))], **dims)
+    gazes = [(a, b) for a in OVERFLOW_GAZES for b in OVERFLOW_GAZES]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        among = view_candidates(scene, *np.array(gazes).T)
+        assert_same_pass(scene, gazes)
+    for (th, tv), ids in zip(gazes, among):
+        if math.isinf(th) or math.isinf(tv):
+            assert ids == ()
+        elif math.isnan(th) and math.isnan(tv):
+            assert ids == (0, 1, 2)
+    assert among[gazes.index((math.nan, 0.0))] == \
+        among[gazes.index((0.0, math.nan))] == one_nan
+
+
+def test_view_candidates_peak_memory_is_one_block():
+    # 2,048 gazes x 4,096 objects broadcast at once would need 64 MiB per
+    # float temporary; in blocks of 2^16 pairs the pass stays under 4 MiB
+    rng = np.random.default_rng(5)
+    dims = dict(width=1440, height=1200, span_deg=40.0)
+    centers = rng.uniform((0.0, 0.0), (1440.0, 1200.0), size=(4096, 2))
+    scene = scene_of([(c, (48.0, 28.0)) for c in map(tuple, centers.tolist())],
+                     **dims)
+    theta_h, theta_v = rng.uniform(-GALVO_LIMIT_DEG, GALVO_LIMIT_DEG,
+                                   size=(2, 2048))
+    tracemalloc.start()
+    try:
+        among = view_candidates(scene, theta_h, theta_v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(among) == 2048 and any(among)
+    assert peak < 4 * 2 ** 20
 
 
 # --- plan_scan --------------------------------------------------------------

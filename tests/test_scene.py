@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from panosearch.config import (ConfigError, ObjectGroupSpec, RegionSpec,
                                SceneConfig)
 from panosearch.experiment import default_scene_variants
+from panosearch.galvo import capture_view, view_candidates
 from panosearch.config import check_scenario, default_scenario
 from panosearch import scene as scene_module
 from panosearch.particles import _disc_draw
@@ -143,8 +144,15 @@ def test_step_motion_matches_reference():
     for dt in (1, 3, 0.5, 7):
         scene, want = step_motion(scene, dt), reference_step_motion(want, dt)
         assert scene.objects == want.objects
-        assert scene.band_order == want.band_order
-        assert scene.band_x == want.band_x
+        # a pass over the snapshot sees what a full scan of the reference
+        # sees, from a gaze at each object and at the panorama center
+        gazes = [want.pano_to_galvo(*o.center) for o in want.objects] + [(0.0, 0.0)]
+        among = view_candidates(scene, *np.array(gazes).T)
+        for (th, tv), ids in zip(gazes, among):
+            got = capture_view(scene, th, tv, among=ids)
+            assert got == capture_view(want, th, tv)
+            assert [scene.objects[i].id for i in ids] == \
+                [v.object_id for v in got.visible]
 
 
 def test_label_grid_lookup():
