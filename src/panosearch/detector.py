@@ -31,21 +31,18 @@ class Detection(NamedTuple):
     object_id: int | None = None  # simulator truth tag; None for false positives
 
 
-def _variances(cfg: DetectorConfig, occlusion: float, width_px: float,
-               height_px: float, dist_norm: float) -> tuple[float, float]:
-    """Per-axis variance: grows with occlusion and border distance, shrinks with size."""
-    base = cfg.sigma_base_deg ** 2
-    common = (1.0 + cfg.k_occ * occlusion) * (1.0 + cfg.k_ctr * dist_norm)
-    var_h = base * common * (cfg.size_ref_px / max(width_px, 1.0))
-    var_v = base * common * (cfg.size_ref_px / max(height_px, 1.0))
-    return var_h, var_v
-
-
-def detection_probability(cfg: DetectorConfig, occlusion: float, width_px: float,
-                          height_px: float, dist_norm: float) -> float:
+def _model(cfg: DetectorConfig, occlusion: float, width_px: float,
+           height_px: float, dist_norm: float) -> tuple[float, float, float]:
+    """(detection probability, var_h, var_v) of an object in a view: both
+    variances (degrees^2) grow with occlusion and border distance and shrink
+    with size, as the probability falls with the one and rises with the other."""
     size_factor = min(1.0, math.sqrt(width_px * height_px) / cfg.size_ref_px)
     center_factor = max(0.0, 1.0 - cfg.center_falloff * dist_norm)
-    return cfg.base_recall * (1.0 - occlusion) * size_factor * center_factor
+    base = cfg.sigma_base_deg ** 2
+    common = (1.0 + cfg.k_occ * occlusion) * (1.0 + cfg.k_ctr * dist_norm)
+    return (cfg.base_recall * (1.0 - occlusion) * size_factor * center_factor,
+            base * common * (cfg.size_ref_px / max(width_px, 1.0)),
+            base * common * (cfg.size_ref_px / max(height_px, 1.0)))
 
 
 class SyntheticDetector:
@@ -78,17 +75,19 @@ class SyntheticDetector:
         half_diag = 0.5 * math.hypot(width, height)
         for object_id, x_px, y_px, width_px, height_px, occlusion in visible:
             dist_norm = math.hypot(x_px - c_x, y_px - c_y) / half_diag
-            d = detection_probability(cfg, occlusion, width_px, height_px,
-                                      dist_norm)
+            d, var_h, var_v = _model(cfg, occlusion, width_px, height_px,
+                                     dist_norm)
             if rng.random() >= d:
                 continue
-            var_h, var_v = _variances(cfg, occlusion, width_px, height_px,
-                                      dist_norm)
             std_x = cfg.loc_noise_px + math.sqrt(var_h) / alpha * cfg.loc_noise_scale
             std_y = cfg.loc_noise_px + math.sqrt(var_v) / alpha * cfg.loc_noise_scale
-            t_x = x_px + (rng.normal(0.0, std_x) if std_x > 0 else 0.0)
-            t_y = y_px + (rng.normal(0.0, std_y) if std_y > 0 else 0.0)
-            conf = d + (rng.normal(0.0, cfg.conf_noise) if cfg.conf_noise > 0 else 0.0)
+            # rng.normal(0.0, s) is 0.0 + s * z on the same standard normal
+            # z, so one call draws the k <= 3 nonzero-std noises in order
+            z = iter(rng.standard_normal(
+                (std_x > 0) + (std_y > 0) + (cfg.conf_noise > 0)).tolist())
+            t_x = x_px + (0.0 + std_x * next(z) if std_x > 0 else 0.0)
+            t_y = y_px + (0.0 + std_y * next(z) if std_y > 0 else 0.0)
+            conf = d + (0.0 + cfg.conf_noise * next(z) if cfg.conf_noise > 0 else 0.0)
             g_h, g_v, _ = image_to_galvo(theta_h, theta_v, t_x, t_y, alpha,
                                          width, height, limit)
             out.append(Detection(g_h, g_v, width_px * alpha, height_px * alpha,
@@ -101,7 +100,7 @@ class SyntheticDetector:
             t_x, t_y = (width - 1.0) * u_x, (height - 1.0) * u_y
             size = 10.0 + 30.0 * u_size
             dist_norm = math.hypot(t_x - c_x, t_y - c_y) / half_diag
-            var_h, var_v = _variances(cfg, 0.0, size, size, dist_norm)
+            _, var_h, var_v = _model(cfg, 0.0, size, size, dist_norm)
             g_h, g_v, _ = image_to_galvo(theta_h, theta_v, t_x, t_y, alpha,
                                          width, height, limit)
             out.append(Detection(g_h, g_v, size * alpha, size * alpha,

@@ -115,12 +115,8 @@ def _grid_particles(scene: SceneMap, count: int, sigma0: float,
 
 def _object_boxes(scene: SceneMap) -> np.ndarray:
     """(M, 4) rows center_h, center_v, width_deg, height_deg of the objects."""
-    centers = np.array([obj.center for obj in scene.objects],
-                       dtype=float).reshape(-1, 2)
-    sizes = np.array([obj.size for obj in scene.objects],
-                     dtype=float).reshape(-1, 2)
-    return np.column_stack((*scene.pano_to_galvo(centers[:, 0], centers[:, 1]),
-                            sizes * scene.deg_per_px))
+    return np.column_stack((*scene.pano_to_galvo(*scene.centers.T),
+                            scene.sizes * scene.deg_per_px))
 
 
 def _match_objects(boxes: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -192,7 +188,7 @@ def _claim(scene: SceneMap, boxes: np.ndarray, windows: list[SearchWindow],
         if j < 0 or j in claimed:
             continue
         claimed.add(j)
-        oid = scene.objects[j].id
+        oid = scene.ids[j]
         old = found.get(oid)
         if old is not None and w.confidence < old.confidence:
             continue
@@ -232,7 +228,7 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
                                  floor=eng.likelihood_floor)
     pose = (0.0, 0.0)  # the last gaze
 
-    n_objects = len(scene.objects)
+    n_objects = len(scene.ids)
     found: dict[int, FoundObject] = {}
     pre_vars: dict[int, float] = {}
     ap_records: list[tuple[float, int | None]] = []
@@ -257,7 +253,7 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
         for w, j in zip(windows, _claim(scene, boxes, windows, 0, found,
                                         eng.alpha, ap_records)):
             if j >= 0:
-                pre_vars.setdefault(scene.objects[j].id, w.radius_h)
+                pre_vars.setdefault(scene.ids[j], w.radius_h)
 
     proposal = None
     last_round = len(rounds) - 1

@@ -41,7 +41,7 @@ def clamp_angle(theta, limit: float = GALVO_LIMIT_DEG):
     """An angle, or an array of them, clamped into [-limit, limit].
 
     NaN and -0.0 pass through unchanged.  A scalar takes the builtins, about
-    10x faster than numpy on one value; image_to_galvo clamps every detection.
+    10x faster than numpy on one value.
     """
     if isinstance(theta, np.ndarray):
         return np.minimum(np.maximum(theta, -limit), limit)
@@ -60,8 +60,8 @@ def image_to_galvo(theta_h: float, theta_v: float, t_x: float, t_y: float,
     """
     g_h = theta_h + alpha * (t_x - width / 2.0)
     g_v = theta_v + alpha * (t_y - height / 2.0)
-    c_h = clamp_angle(g_h, limit)
-    c_v = clamp_angle(g_v, limit)
+    c_h = min(max(g_h, -limit), limit)  # clamp_angle's scalar path, inline:
+    c_v = min(max(g_v, -limit), limit)  # every detection passes here
     return c_h, c_v, (c_h != g_h or c_v != g_v)
 
 
@@ -81,14 +81,14 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
     """
     if among is not None and not among:
         return View(theta_h, theta_v, width, height, ())
-    objects = scene.objects if among is None else [scene.objects[i] for i in among]
+    rows = scene.capture_rows
+    rows = rows if among is None else [rows[i] for i in among]
     dpp = scene.deg_per_px
     magnification = dpp / alpha
     half_w_deg, half_h_deg = width * alpha / 2.0, height * alpha / 2.0
     gx, gy = scene.galvo_to_pano(theta_h, theta_v)
     visible = []
-    for obj in objects:
-        (c_x, c_y), (w, h) = obj.center, obj.size
+    for object_id, c_x, c_y, w, h, occlusion in rows:
         dv = (c_y - gy) * dpp
         if abs(dv) > half_h_deg + h * dpp / 2.0:
             continue
@@ -97,8 +97,8 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
             continue
         x_px = min(max(width / 2.0 + dh / alpha, 0.0), width - 1.0)
         y_px = min(max(height / 2.0 + dv / alpha, 0.0), height - 1.0)
-        visible.append(VisibleObject(obj.id, x_px, y_px, w * magnification,
-                                     h * magnification, obj.occlusion))
+        visible.append(VisibleObject(object_id, x_px, y_px, w * magnification,
+                                     h * magnification, occlusion))
     return View(theta_h, theta_v, width, height, tuple(visible))
 
 
@@ -106,11 +106,11 @@ def view_candidates(scene: SceneMap, theta_h, theta_v, width: int = 264,
                     height: int = 224, alpha: float = 0.002) -> list[tuple]:
     """Per gaze, the indices of the objects capture_view sees, in scene order:
     its float tests over blocks of 2^16 gaze x object pairs, or of one gaze."""
-    out, objects, dpp = [()] * len(theta_h), scene.objects, scene.deg_per_px
-    if not objects:
+    out, dpp = [()] * len(theta_h), scene.deg_per_px
+    if not scene.ids:
         return out
-    c_x, c_y, w, h = np.array([(*o.center, *o.size) for o in objects]).T[..., None]
-    step = max(1, 2 ** 16 // len(objects))
+    c_x, c_y, w, h = np.hstack((scene.centers, scene.sizes)).T[..., None]
+    step = max(1, 2 ** 16 // len(scene.ids))
     with np.errstate(over="ignore"):  # what overflows is infinite in floats too
         reach_h = width * alpha / 2.0 + w * dpp / 2.0
         reach_v = height * alpha / 2.0 + h * dpp / 2.0

@@ -78,21 +78,22 @@ def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
         grid = scene.labels
 
     detections = []
-    for obj in scene.objects:
-        if not obj.pano_detectable:
+    for oid, occlusion, size, (cx, cy), detectable in zip(
+            scene.ids, scene.occlusion.tolist(), scene.sizes.tolist(),
+            scene.centers.tolist(), scene.pano_detectable.tolist()):
+        if not detectable:
             continue
-        raw = (1.0 - obj.occlusion) * min(1.0, max(obj.size) / noise.size_ref_px)
+        raw = (1.0 - occlusion) * min(1.0, max(size) / noise.size_ref_px)
         if noise.conf_std > 0.0:
             raw += rng.normal(0.0, noise.conf_std)
         confidence = min(max(raw, noise.conf_floor), 1.0)
-        cx, cy = obj.center
         if noise.center_std_px > 0.0:
             cx += rng.normal(0.0, noise.center_std_px)
             cy += rng.normal(0.0, noise.center_std_px)
         cx = min(max(cx, 0.0), scene.width - 1.0)
         cy = min(max(cy, 0.0), scene.height - 1.0)
         sigma_o = min(max(1.0 - confidence, noise.sigma_min), noise.sigma_max)
-        detections.append(PanoDetection(object_id=obj.id, center=(cx, cy),
+        detections.append(PanoDetection(object_id=oid, center=(cx, cy),
                                         confidence=confidence, sigma_o=sigma_o))
     return grid, detections
 

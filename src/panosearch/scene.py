@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class GtObject:
 
 @dataclass(frozen=True)
 class SceneMap:
-    """Immutable world snapshot; capture_view's `among` indexes `objects`.
+    """Immutable world snapshot; capture_view's `among` indexes the object columns.
 
     `labels` is read-only and shared: every live world with the same width,
     height and region rectangles, and every motion snapshot of it, holds
@@ -80,9 +81,29 @@ class SceneMap:
     height: int
     labels: np.ndarray                     # (H, W) int8 region ids (int16 past 127)
     regions: tuple[Region, ...]
-    objects: tuple[GtObject, ...]
     deg_per_px: float
     region_bboxes: tuple[tuple[int, int, int, int], ...]  # (x0, y0, x1, y1) exclusive
+    ids: tuple[int, ...]
+    class_names: tuple[str, ...]
+    centers: np.ndarray                    # (M, 2) float64 panoramic px
+    sizes: np.ndarray                      # (M, 2) float64 (w, h) px
+    velocities: np.ndarray                 # (M, 2) float64 px per motion step
+    occlusion: np.ndarray                  # (M,) float64
+    pano_detectable: np.ndarray            # (M,) bool
+
+    @property
+    def objects(self) -> tuple[GtObject, ...]:
+        """The objects as GtObjects, built anew on every access."""
+        return tuple(map(GtObject, self.ids, self.class_names,
+                         *(map(tuple, a.tolist()) for a in
+                           (self.centers, self.sizes, self.velocities)),
+                         self.occlusion.tolist(), self.pano_detectable.tolist()))
+
+    @cached_property
+    def capture_rows(self) -> list[tuple]:
+        """(id, c_x, c_y, w, h, occlusion) per object, as Python scalars."""
+        return list(zip(self.ids, *self.centers.T.tolist(),
+                        *self.sizes.T.tolist(), self.occlusion.tolist()))
 
     def pano_to_galvo(self, x: float, y: float) -> tuple[float, float]:
         return ((x - self.width / 2.0) * self.deg_per_px,
@@ -91,6 +112,19 @@ class SceneMap:
     def galvo_to_pano(self, theta_h: float, theta_v: float) -> tuple[float, float]:
         return (self.width / 2.0 + theta_h / self.deg_per_px,
                 self.height / 2.0 + theta_v / self.deg_per_px)
+
+
+def object_columns(rows) -> dict:
+    """SceneMap's object columns, for replace() or SceneMap(), from rows in
+    GtObject's field order (id, class_name, center, size, ...)."""
+    ids, names, centers, sizes, velocities, occlusion, flags = (
+        tuple(zip(*rows)) or ((),) * 7)
+    return dict(ids=ids, class_names=names,
+                centers=np.array(centers, dtype=float).reshape(-1, 2),
+                sizes=np.array(sizes, dtype=float).reshape(-1, 2),
+                velocities=np.array(velocities, dtype=float).reshape(-1, 2),
+                occlusion=np.array(occlusion, dtype=float),
+                pano_detectable=np.array(flags, dtype=bool))
 
 
 def build_scene(config: SceneConfig, seed) -> SceneMap:
@@ -115,8 +149,7 @@ def build_scene(config: SceneConfig, seed) -> SceneMap:
     if errors:
         raise ConfigError("\n".join(errors))
 
-    objects: list[GtObject] = []
-    obj_id = 0
+    rows = []
     for group in config.groups:
         if group.region_label is not None:
             region = label_to_region.get(group.region_label)
@@ -127,22 +160,17 @@ def build_scene(config: SceneConfig, seed) -> SceneMap:
                 region = regions[int(rng.choice(len(regions), p=weights))]
             xs, ys = sample_region(rng, labels, region.id, bboxes[region.id], 1,
                                    max_rounds=64)
-            center = (float(xs[0]), float(ys[0]))
             angle = rng.uniform(0.0, 2.0 * math.pi)
-            velocity = (group.speed * math.cos(angle), group.speed * math.sin(angle))
             w, h = group.size
-            objects.append(GtObject(
-                id=obj_id, class_name=group.class_name, center=center,
-                size=(float(w), float(h)), velocity=velocity,
-                occlusion=float(group.occlusion),
-                pano_detectable=max(w, h) >= config.pano_detect_threshold,
-            ))
-            obj_id += 1
+            rows.append((len(rows), group.class_name, (xs[0], ys[0]), (w, h),
+                         (group.speed * math.cos(angle),
+                          group.speed * math.sin(angle)),
+                         group.occlusion,
+                         max(w, h) >= config.pano_detect_threshold))
 
     return SceneMap(width=config.width, height=config.height, labels=labels,
-                    regions=tuple(regions), objects=tuple(objects),
-                    deg_per_px=config.deg_per_px,
-                    region_bboxes=tuple(bboxes))
+                    regions=tuple(regions), deg_per_px=config.deg_per_px,
+                    region_bboxes=tuple(bboxes), **object_columns(rows))
 
 
 # one read-only grid per layout, alive while some world holds it
@@ -213,34 +241,19 @@ def sample_region(rng: np.random.Generator, labels: np.ndarray, region_id: int,
     return xs, ys
 
 
-def _reflect(pos: float, lo: float, hi: float) -> tuple[float, float]:
-    """Fold pos into [lo, hi] by mirror reflection; returns (pos, direction)."""
-    span = hi - lo
-    if span <= 0:
-        return lo, 1.0
-    t = (pos - lo) % (2.0 * span)
-    if t <= span:
-        return lo + t, 1.0
-    return hi - (t - span), -1.0
-
-
 def step_motion(scene: SceneMap, dt: float) -> SceneMap:
-    """Advance object centers by velocity * dt with border reflection.
-
-    The label grid and regions are untouched; object count is conserved.
-    """
+    """Advance object centers by velocity * dt with border reflection, all
+    in one expression; a 1-pixel axis stays at 0, a non-finite position
+    becomes NaN.  The label grid and regions are untouched; object count is
+    conserved."""
     if dt < 0:
         raise ValueError("dt must be >= 0")
     if dt == 0:
         return scene
-    hi_x, hi_y = scene.width - 1.0, scene.height - 1.0
-    moved = []
-    for obj in scene.objects:
-        x, dir_x = _reflect(obj.center[0] + obj.velocity[0] * dt, 0.0, hi_x)
-        y, dir_y = _reflect(obj.center[1] + obj.velocity[1] * dt, 0.0, hi_y)
-        moved.append(GtObject(
-            id=obj.id, class_name=obj.class_name, center=(x, y),
-            size=obj.size,
-            velocity=(obj.velocity[0] * dir_x, obj.velocity[1] * dir_y),
-            occlusion=obj.occlusion, pano_detectable=obj.pano_detectable))
-    return replace(scene, objects=tuple(moved))
+    hi = np.array([scene.width - 1.0, scene.height - 1.0])
+    with np.errstate(all="ignore"):  # silent, as float overflow and inf % x are
+        t = np.remainder(scene.centers + scene.velocities * dt, 2.0 * hi)
+        back = ~(t <= hi) & (hi > 0)  # past the far border, or NaN
+        centers = np.where(back, hi - (t - hi), np.where(hi > 0, t, 0.0))
+    return replace(scene, centers=centers,
+                   velocities=np.where(back, -scene.velocities, scene.velocities))

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panosearch.config import DetectorConfig
-from panosearch.detector import (Detection, SyntheticDetector, _variances,
-                                 detection_probability)
+from panosearch.detector import Detection, SyntheticDetector, _model
 from panosearch.galvo import View, VisibleObject, image_to_galvo
 
 
@@ -69,7 +68,7 @@ def test_detection_probability_calibration():
                         height_px=20.0, occlusion=0.25)
     view = make_view([vis])
     dist_norm = math.hypot(100.0 - 132.0, 80.0 - 112.0) / (0.5 * math.hypot(264, 224))
-    expected = detection_probability(cfg, 0.25, 30.0, 20.0, dist_norm)
+    expected = _model(cfg, 0.25, 30.0, 20.0, dist_norm)[0]
     rng = np.random.default_rng(42)
     detector = SyntheticDetector(cfg)
     hits = sum(1 for _ in range(10_000) if detector.detect(view, rng))
@@ -95,12 +94,11 @@ def test_false_positive_rate_and_confidence_cap():
 @settings(max_examples=300, deadline=None)
 def test_variance_monotonicity_over_random_configs(occ, size, dist, sigma_base,
                                                    k_occ, k_ctr):
-    from panosearch.detector import _variances
     cfg = DetectorConfig(sigma_base_deg=sigma_base, k_occ=k_occ, k_ctr=k_ctr)
-    var = _variances(cfg, occ, size, size, dist)[0]
-    assert _variances(cfg, min(occ + 0.1, 1.0), size, size, dist)[0] >= var
-    assert _variances(cfg, occ, size + 10.0, size + 10.0, dist)[0] <= var
-    assert _variances(cfg, occ, size, size, min(dist + 0.1, 1.0))[0] >= var
+    var = _model(cfg, occ, size, size, dist)[1]
+    assert _model(cfg, min(occ + 0.1, 1.0), size, size, dist)[1] >= var
+    assert _model(cfg, occ, size + 10.0, size + 10.0, dist)[1] <= var
+    assert _model(cfg, occ, size, size, min(dist + 0.1, 1.0))[1] >= var
 
 
 def test_detect_deterministic_given_seed():
@@ -111,6 +109,20 @@ def test_detect_deterministic_given_seed():
 
 
 # --- detect against the original per-object code ------------------------------
+
+def detection_probability(cfg, occlusion, width_px, height_px, dist_norm):
+    size_factor = min(1.0, math.sqrt(width_px * height_px) / cfg.size_ref_px)
+    center_factor = max(0.0, 1.0 - cfg.center_falloff * dist_norm)
+    return cfg.base_recall * (1.0 - occlusion) * size_factor * center_factor
+
+
+def _variances(cfg, occlusion, width_px, height_px, dist_norm):
+    base = cfg.sigma_base_deg ** 2
+    common = (1.0 + cfg.k_occ * occlusion) * (1.0 + cfg.k_ctr * dist_norm)
+    var_h = base * common * (cfg.size_ref_px / max(width_px, 1.0))
+    var_v = base * common * (cfg.size_ref_px / max(height_px, 1.0))
+    return var_h, var_v
+
 
 def reference_detect(cfg, view, seed, alpha=0.002, limit=20.0):
     """The original detect: every per-view constant recomputed per object."""
@@ -185,6 +197,9 @@ ORACLE_CONFIGS = {
     "zero_std": noiseless_cfg(),  # the zero-std branches draw nothing
     "zero_std_with_fp": noiseless_cfg(base_recall=0.7, fp_rate=0.8),
     "fp_rate_top": DetectorConfig(fp_rate=10.0),  # the top of its domain
+    # both variances underflow to 0 and loc_noise_px is 0, so a detection
+    # draws the confidence noise alone
+    "confidence_noise_only": DetectorConfig(sigma_base_deg=1e-200),
 }
 
 
@@ -222,6 +237,22 @@ def test_uniform_is_the_affine_map_of_random_detect_uses(width, height, cap):
             cap * u_conf]
            for u_x, u_y, u_size, u_conf in batched.random((4000, 4)).tolist()]
     assert got == want
+    assert scalar.bit_generator.state == batched.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_normal_is_the_scaled_standard_normal_detect_uses(k):
+    # detect draws a detection's k nonzero-std noises as one
+    # rng.standard_normal(k) call; that rests on rng.normal(0.0, s) being
+    # 0.0 + s * z on the same standard normal z
+    scales = [10.0 ** e for e in range(-300, 301, 25)] + [0.37, 2.5e-7]
+    scalar, batched = np.random.default_rng(23), np.random.default_rng(23)
+    for i in range(0, 3 * len(scales), k):
+        ss = [scales[(i + j) % len(scales)] for j in range(k)]
+        want = [scalar.normal(0.0, s) for s in ss]
+        got = [0.0 + s * z for s, z in
+               zip(ss, batched.standard_normal(k).tolist())]
+        assert repr(got) == repr(want)
     assert scalar.bit_generator.state == batched.bit_generator.state
 
 

@@ -19,7 +19,7 @@ from panosearch.experiment import (FoundObject, TrialTrace, _ap_matches, _claim,
                                    deviation_study, proportion_sweep,
                                    recall_curve, run_trial)
 from panosearch.refinement import SearchWindow
-from panosearch.scene import GtObject, SceneMap, build_scene
+from panosearch.scene import SceneMap, build_scene, object_columns
 
 
 @pytest.fixture(scope="module")
@@ -237,12 +237,10 @@ def reference_ap_match(scene, center_h, center_v, width_deg, height_deg,
 
 
 def make_scene(objects, deg_per_px=1.0 / 32.0):
-    gts = tuple(GtObject(id=i, class_name="car", center=c, size=sz,
-                         velocity=(0.0, 0.0), occlusion=0.0, pano_detectable=False)
-                for i, (c, sz) in enumerate(objects))
     return SceneMap(width=1440, height=1200, labels=np.zeros((1, 1), np.int16),
-                    regions=(), objects=gts, deg_per_px=deg_per_px,
-                    region_bboxes=())
+                    regions=(), deg_per_px=deg_per_px, region_bboxes=(),
+                    **object_columns((i, "car", c, sz, (0.0, 0.0), 0.0, False)
+                                     for i, (c, sz) in enumerate(objects)))
 
 
 def batched_matches(scene, boxes):

@@ -15,16 +15,14 @@ from panosearch.experiment import TrialTrace, _grid_particles, run_trial
 from panosearch.galvo import (GALVO_LIMIT_DEG, View, VisibleObject,
                               capture_view, clamp_angle, image_to_galvo,
                               plan_scan, view_candidates)
-from panosearch.scene import GtObject, build_scene, step_motion
+from panosearch.scene import build_scene, object_columns, step_motion
 
 
 def scene_with(center=(720.0, 600.0), size=(48.0, 28.0)):
     cfg = SceneConfig(regions=[], class_priors={"car": {"field": 1.0}},
                       groups=[ObjectGroupSpec(count=1, size=size)])
     scene = build_scene(cfg, seed=0)
-    from dataclasses import replace
-    obj = replace(scene.objects[0], center=center)
-    return replace(scene, objects=(obj,))
+    return replace(scene, centers=np.array([center], dtype=float))
 
 
 # --- image_to_galvo ---------------------------------------------------------
@@ -154,9 +152,8 @@ DYADIC_ALPHA = 2.0 ** -9
 def scene_of(objects, **dims):
     cfg = SceneConfig(regions=[], class_priors={"car": {"field": 1.0}},
                       **(dims or DYADIC))
-    return replace(build_scene(cfg, seed=0), objects=tuple(
-        GtObject(id=i, class_name="car", center=c, size=s, velocity=(0.0, 0.0),
-                 occlusion=0.25, pano_detectable=False)
+    return replace(build_scene(cfg, seed=0), **object_columns(
+        (i, "car", c, s, (0.0, 0.0), 0.25, False)
         for i, (c, s) in enumerate(objects)))
 
 

@@ -2,7 +2,9 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,13 +13,15 @@ from hypothesis import strategies as st
 
 from panosearch.config import (ConfigError, ObjectGroupSpec, RegionSpec,
                                SceneConfig)
-from panosearch.experiment import default_scene_variants
+from panosearch.experiment import default_scene_variants, run_trial
 from panosearch.galvo import capture_view, view_candidates
 from panosearch.config import check_scenario, default_scenario
 from panosearch import scene as scene_module
 from panosearch.particles import _disc_draw
-from panosearch.scene import (_label_grid, _reflect, bbox_draw, build_scene,
-                              rejection_sample, sample_region, step_motion)
+from panosearch.ppm import segment_panorama
+from panosearch.scene import (GtObject, _label_grid, bbox_draw, build_scene,
+                              object_columns, rejection_sample, sample_region,
+                              step_motion)
 
 
 def single_region_config(groups=None):
@@ -85,10 +89,15 @@ def test_step_motion_zero_dt_is_identity():
     assert step_motion(scene, 0) is scene
 
 
+def with_objects(scene, objects):
+    """The scene holding `objects` (GtObjects) as its object columns."""
+    return dataclasses.replace(
+        scene, **object_columns(map(dataclasses.astuple, objects)))
+
+
 def _with_object(scene, center, velocity):
-    from dataclasses import replace
-    obj = replace(scene.objects[0], center=center, velocity=velocity)
-    return replace(scene, objects=(obj,))
+    obj = dataclasses.replace(scene.objects[0], center=center, velocity=velocity)
+    return with_objects(scene, [obj])
 
 
 def test_step_motion_hand_case():
@@ -120,6 +129,17 @@ def test_step_motion_conserves_objects_and_bounds():
         assert 0 <= obj.center[1] < scene.height
 
 
+def _reflect(pos: float, lo: float, hi: float) -> tuple[float, float]:
+    """Fold pos into [lo, hi] by mirror reflection; returns (pos, direction)."""
+    span = hi - lo
+    if span <= 0:
+        return lo, 1.0
+    t = (pos - lo) % (2.0 * span)
+    if t <= span:
+        return lo + t, 1.0
+    return hi - (t - span), -1.0
+
+
 def reference_step_motion(scene, dt):
     """The original step: every object rebuilt with dataclasses.replace."""
     from dataclasses import replace
@@ -131,7 +151,7 @@ def reference_step_motion(scene, dt):
         moved.append(replace(obj, center=(x, y),
                              velocity=(obj.velocity[0] * dir_x,
                                        obj.velocity[1] * dir_y)))
-    return replace(scene, objects=tuple(moved))
+    return with_objects(scene, moved)
 
 
 def test_step_motion_matches_reference():
@@ -153,6 +173,58 @@ def test_step_motion_matches_reference():
             assert got == capture_view(want, th, tv)
             assert [scene.objects[i].id for i in ids] == \
                 [v.object_id for v in got.visible]
+
+
+# speeds from rest to the largest finite double, signed zeros included; at
+# 1e308 a step overflows to inf, which folds to NaN as float % does
+EDGE_SPEEDS = (0.0, 0.5, 1.0, 37.0, 1e6, 1e154, 1e300, 1e308)
+
+
+@pytest.mark.parametrize("width, height", [(1, 48), (48, 1), (1, 1), (97, 31)])
+def test_step_motion_matches_the_loop_at_its_edges(width, height):
+    # 1-pixel axes have a zero span: the loop pins them at 0 where
+    # np.remainder(x, 0.0) would warn and give NaN
+    cfg = SceneConfig(width=width, height=height, regions=[],
+                      class_priors={"car": {"field": 1.0}})
+    corners = [(0.0, 0.0), (-0.0, -0.0), (width - 1.0, height - 1.0),
+               ((width - 1.0) / 2.0, (height - 1.0) / 3.0)]
+    velocities = [(sx * a, sy * b) for a, b in product(EDGE_SPEEDS, repeat=2)
+                  for sx, sy in ((1.0, -1.0), (-1.0, 1.0))]
+    scene = want = with_objects(build_scene(cfg, seed=0), [
+        GtObject(i, "car", c, (4.0, 2.0), v, 0.25, False)
+        for i, (c, v) in enumerate(product(corners, velocities))])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for dt in (1, 3, 0.5, 7):
+            scene, want = step_motion(scene, dt), reference_step_motion(want, dt)
+            # repr tells -0.0 from 0.0 and matches nan with nan
+            assert repr(scene.objects) == repr(want.objects)
+            assert scene.centers.dtype == scene.velocities.dtype == float
+
+
+def test_ids_and_floats_stay_python_scalars():
+    # repr(np.int64(3)) is "np.int64(3)" under numpy 2: a numpy key or field
+    # would change every repr-based digest of the results
+    cfg = default_scenario()
+    scene = build_scene(cfg.scene, seed=4)
+    for world in (scene, step_motion(scene, 1)):
+        for obj in world.objects:
+            assert type(obj.id) is int and type(obj.class_name) is str
+            assert type(obj.occlusion) is float
+            assert type(obj.pano_detectable) is bool
+            for pair in (obj.center, obj.size, obj.velocity):
+                assert type(pair) is tuple
+                assert [type(v) for v in pair] == [float, float]
+        for center in world.centers.tolist():
+            gaze = world.pano_to_galvo(*center)
+            for vis in capture_view(world, *gaze).visible:
+                assert type(vis.object_id) is int
+                assert [type(v) for v in vis[1:]] == [float] * 5
+    _, dets = segment_panorama(scene, cfg.noise, 0)
+    assert dets and {type(d.object_id) for d in dets} == {int}
+    result = run_trial(scene, "ppm_ps", 120, 2, seed=1, cfg=cfg)
+    assert result.found and result.pre_vars
+    assert {type(k) for k in (*result.found, *result.pre_vars)} == {int}
 
 
 def test_label_grid_lookup():
