@@ -3,8 +3,10 @@
 A detector turns a captured view into detections carrying a confidence and
 per-axis localization variances, and reduces a view's detections to a single
 likelihood scalar for particle weighting.  A trial builds its
-`SyntheticDetector` from the config and calls only its
-``detect(view, rng) -> list[Detection]`` and ``likelihood(view, dets)``.
+`SyntheticDetector` from the config and, per view, calls its
+``detect(view, rng) -> list[Detection]`` once and ``likelihood(view, dets)``
+only on a non-empty list; a view without detections keeps the floor.  A view
+with nothing visible draws only its false-positive count.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ def _model(cfg: DetectorConfig, occlusion: float, width_px: float,
             base * common * (cfg.size_ref_px / max(height_px, 1.0)))
 
 
+def _frame(width: int, height: int) -> tuple[float, float, float]:
+    """A view's center (c_x, c_y) and half diagonal, in view pixels."""
+    return width / 2.0, height / 2.0, 0.5 * math.hypot(width, height)
+
+
 class SyntheticDetector:
     """The synthetic detector bound to a config, as a trial calls it."""
 
@@ -68,11 +75,8 @@ class SyntheticDetector:
         rng = np.random.default_rng(seed)
         theta_h, theta_v, width, height, visible = view
         out: list[Detection] = []
-        false_positives = cfg.fp_rate > 0.0
-        if not (visible or false_positives):
-            return out
-        c_x, c_y = width / 2.0, height / 2.0
-        half_diag = 0.5 * math.hypot(width, height)
+        if visible:
+            c_x, c_y, half_diag = _frame(width, height)
         for object_id, x_px, y_px, width_px, height_px, occlusion in visible:
             dist_norm = math.hypot(x_px - c_x, y_px - c_y) / half_diag
             d, var_h, var_v = _model(cfg, occlusion, width_px, height_px,
@@ -93,10 +97,16 @@ class SyntheticDetector:
             out.append(Detection(g_h, g_v, width_px * alpha, height_px * alpha,
                                  min(max(conf, 0.0), 1.0), var_h, var_v,
                                  object_id))
-        k = int(rng.poisson(cfg.fp_rate)) if false_positives else 0
+        # a view with nothing visible draws this count and, when it is 0
+        # (always at fp_rate 0), nothing else: most views are empty
+        k = rng.poisson(cfg.fp_rate) if cfg.fp_rate > 0.0 else 0
+        if not k:
+            return out
+        if not visible:
+            c_x, c_y, half_diag = _frame(width, height)
         # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), so one draw
         # gives the k false positives' t_x, t_y, size and confidence uniforms
-        for u_x, u_y, u_size, u_conf in (rng.random((k, 4)).tolist() if k else ()):
+        for u_x, u_y, u_size, u_conf in rng.random((k, 4)).tolist():
             t_x, t_y = (width - 1.0) * u_x, (height - 1.0) * u_y
             size = 10.0 + 30.0 * u_size
             dist_norm = math.hypot(t_x - c_x, t_y - c_y) / half_diag

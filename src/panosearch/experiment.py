@@ -303,7 +303,6 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
             view = capture_view(scene, theta_h[idx], theta_v[idx], view_w,
                                 view_h, alpha, among[idx])
             dets = detect(view, rng)
-            likes[idx] = likelihood(view, dets)
             if trace is not None:
                 seq = len(trace.scan)
                 trace.scan.append((
@@ -311,6 +310,8 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
                     (seq + 1) * (eng.step_response_ms + eng.dwell_ms),
                     len(view.visible)))
             if dets:
+                # without detections a view keeps the floor `likes` starts at
+                likes[idx] = likelihood(view, dets)
                 round_dets += dets
                 best = None
                 for d in dets:

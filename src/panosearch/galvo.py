@@ -37,6 +37,13 @@ class View(NamedTuple):
     visible: tuple[VisibleObject, ...]
 
 
+# tuple.__new__(View, fields) builds the same tuple as View(*fields) without
+# the namedtuple's Python-level __new__ frame: about 270 against 590 ns on a
+# shared 2-vCPU VM, most of an empty view's capture, and 94% of the curve
+# study's views are empty
+_new = tuple.__new__
+
+
 def clamp_angle(theta, limit: float = GALVO_LIMIT_DEG):
     """An angle, or an array of them, clamped into [-limit, limit].
 
@@ -80,7 +87,7 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
     alone decides visibility.  A NaN axis rejects nothing, an infinite one all.
     """
     if among is not None and not among:
-        return View(theta_h, theta_v, width, height, ())
+        return _new(View, (theta_h, theta_v, width, height, ()))
     rows = scene.capture_rows
     rows = rows if among is None else [rows[i] for i in among]
     dpp = scene.deg_per_px
@@ -97,9 +104,10 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
             continue
         x_px = min(max(width / 2.0 + dh / alpha, 0.0), width - 1.0)
         y_px = min(max(height / 2.0 + dv / alpha, 0.0), height - 1.0)
-        visible.append(VisibleObject(object_id, x_px, y_px, w * magnification,
-                                     h * magnification, occlusion))
-    return View(theta_h, theta_v, width, height, tuple(visible))
+        visible.append(_new(VisibleObject, (object_id, x_px, y_px,
+                                            w * magnification,
+                                            h * magnification, occlusion)))
+    return _new(View, (theta_h, theta_v, width, height, tuple(visible)))
 
 
 def view_candidates(scene: SceneMap, theta_h, theta_v, width: int = 264,

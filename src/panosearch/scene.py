@@ -116,9 +116,17 @@ class SceneMap:
 
 def object_columns(rows) -> dict:
     """SceneMap's object columns, for replace() or SceneMap(), from rows in
-    GtObject's field order (id, class_name, center, size, ...)."""
+    GtObject's field order (id, class_name, center, size, ...).
+
+    Trials index an object's columns by its id, so each row's id must be its
+    position; ValueError names the first row whose id is not.
+    """
     ids, names, centers, sizes, velocities, occlusion, flags = (
         tuple(zip(*rows)) or ((),) * 7)
+    for row, object_id in enumerate(ids):
+        if object_id != row:
+            raise ValueError(f"object row {row} has id {object_id!r}; "
+                             "an object's id must be its row")
     return dict(ids=ids, class_names=names,
                 centers=np.array(centers, dtype=float).reshape(-1, 2),
                 sizes=np.array(sizes, dtype=float).reshape(-1, 2),

@@ -218,7 +218,8 @@ def test_detect_matches_the_original_code(name, alpha, limit, size):
         got = detector.detect(view, got_rng)
         want = reference_detect(cfg, view, want_rng, alpha=alpha, limit=limit)
         assert repr(got) == repr(want)
-    assert got_rng.random() == want_rng.random()  # the same draws were taken
+    # the same draws were taken, empty views' early returns included
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
     # an integer seed makes a fresh generator on both sides
     view = random_view(views, *size)
     assert repr(detector.detect(view, 3)) == \
@@ -317,3 +318,38 @@ def test_stub_detector_runs_in_the_engine():
     assert result.views == 60
     # the panorama bootstrap alone accounts for 3 of 9 objects
     assert result.recall >= 3 / 9
+
+
+@pytest.mark.parametrize("fp_rate", [0.0, 0.5])
+def test_trial_asks_likelihood_only_of_views_with_detections(monkeypatch,
+                                                             fp_rate):
+    from dataclasses import replace
+
+    from panosearch.config import default_scenario
+    from panosearch.experiment import run_trial
+    from panosearch.scene import build_scene
+    import panosearch.experiment as exp
+
+    cfg = default_scenario()
+    cfg = replace(cfg, detector=replace(cfg.detector, fp_rate=fp_rate))
+    scene = build_scene(cfg.scene, seed=1)
+    detected, asked = [], []
+
+    class CountingDetector(SyntheticDetector):
+        def detect(self, view, seed):
+            dets = super().detect(view, seed)
+            detected.append((view, dets))
+            return dets
+
+        def likelihood(self, view, detections):
+            asked.append((view, detections))
+            return super().likelihood(view, detections)
+
+    want = run_trial(scene, "ppm_ps", 120, 3, seed=3, cfg=cfg)
+    monkeypatch.setattr(exp, "SyntheticDetector", CountingDetector)
+    got = run_trial(scene, "ppm_ps", 120, 3, seed=3, cfg=cfg)
+    assert len(detected) == got.views == 120  # one detect per view
+    # one likelihood per view that detected something, in scan order
+    assert [(v, d) for v, d in detected if d] == asked
+    assert all(d for _, d in asked) and 0 < len(asked) < 120
+    assert replace(got, wall_ms=0.0) == replace(want, wall_ms=0.0)

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panosearch import experiment
-from panosearch.config import (ConfigError, ObjectGroupSpec, RegionSpec,
-                               SceneConfig, SegNoiseConfig, default_scenario)
+from panosearch.config import (METHODS, ConfigError, ObjectGroupSpec,
+                               RegionSpec, SceneConfig, SegNoiseConfig,
+                               default_scenario)
 from panosearch.detector import Detection
 from panosearch.experiment import (FoundObject, TrialTrace, _ap_matches, _claim,
                                    _match_objects, _object_boxes, _split_budget,
@@ -80,6 +81,25 @@ def test_run_trial_deterministic(scenario):
     assert a.ap == b.ap
     assert a.found == b.found
     assert a.elapsed_sim_ms == b.elapsed_sim_ms
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_tracing_leaves_the_trial_unchanged(scenario, method):
+    # noisy labels and frequent false positives over three passes: every
+    # trace branch of the scan loop runs, and none may draw or decide
+    cfg = dataclasses.replace(
+        scenario, noise=dataclasses.replace(scenario.noise, label_flip=0.05),
+        detector=dataclasses.replace(scenario.detector, fp_rate=0.5))
+    for world_seed, seed in ((1, 3), (2, 8), (5, 0)):
+        scene = build_scene(cfg.scene, seed=world_seed)
+        trace = TrialTrace()
+        traced = run_trial(scene, method, 150, 3, seed=seed, cfg=cfg, trace=trace)
+        plain = run_trial(scene, method, 150, 3, seed=seed, cfg=cfg)
+        assert len(trace.scan) == len(trace.particles) == 150
+        assert trace.detections
+        # wall_ms is the one field that is timing, not a result
+        assert dataclasses.replace(traced, wall_ms=0.0) == \
+            dataclasses.replace(plain, wall_ms=0.0)
 
 
 def test_confidence_ties_keep_the_first_detection(scenario, monkeypatch):

@@ -227,6 +227,19 @@ def test_ids_and_floats_stay_python_scalars():
     assert {type(k) for k in (*result.found, *result.pre_vars)} == {int}
 
 
+@pytest.mark.parametrize("ids, row", [((0, 2, 1), 1), ((100, 101, 102), 0)])
+def test_object_ids_must_be_their_rows(ids, row):
+    # a ppm_ps trial indexes the object columns by id: the default world at
+    # seed 7 with its ids shifted by 100 used to fail there with IndexError
+    scene = build_scene(default_scenario().scene, seed=7)
+    rows = [dataclasses.replace(obj, id=i) for obj, i
+            in zip(scene.objects, ids + tuple(range(len(ids), len(scene.ids))))]
+    with pytest.raises(ValueError, match=f"object row {row} has id {ids[row]}"):
+        object_columns(map(dataclasses.astuple, rows))
+    assert object_columns(map(dataclasses.astuple, scene.objects))["ids"] == \
+        tuple(range(len(scene.ids)))
+
+
 def test_label_grid_lookup():
     cfg = SceneConfig(regions=[RegionSpec("left", (0, 0, 720, 1200)),
                                RegionSpec("right", (720, 0, 720, 1200))])
