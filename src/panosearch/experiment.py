@@ -1,11 +1,13 @@
 """Search trials, baselines, and the comparative studies.
 
-A trial spends a total view budget over one or more scan passes.  The first
-pass places particles from the configured prior (probability map, region
-probabilities, uniform, or a fixed grid); subsequent passes resample from the
-weighted proposal mixture.  Detections from each pass merge into search
-windows which are matched against ground truth for recall, average precision,
-and gaze-deviation metrics.
+A trial spends a total view budget over one or more scan passes, each a
+record that four stages fill: draw places particles from the configured prior
+(probability map, region probabilities, uniform, or a fixed grid) or from the
+last pass's weighted proposal mixture; scan captures and detects once per
+particle; merge folds the detections into search windows, matched against
+ground truth for recall, average precision, and gaze-deviation metrics;
+refine reweights the particles into the next proposal.  The trace is filled
+in one place, from each pass record.
 """
 
 from __future__ import annotations
@@ -170,8 +172,8 @@ def average_precision_11pt(records, n_gt: int) -> float:
                      for level in range(11)]) / 11.0
 
 
-def _claim(scene: SceneMap, boxes: np.ndarray, windows: list[SearchWindow],
-           stage: int, found: dict[int, FoundObject], alpha: float,
+def _claim(boxes: np.ndarray, windows: list[SearchWindow], stage: int,
+           found: dict[int, FoundObject], alpha: float,
            ap_records: list | None = None) -> np.ndarray:
     """One stage's windows, in confidence order, claim the objects whose boxes
     hold their centers: the first match per object wins the stage, and a find
@@ -188,11 +190,10 @@ def _claim(scene: SceneMap, boxes: np.ndarray, windows: list[SearchWindow],
         if j < 0 or j in claimed:
             continue
         claimed.add(j)
-        oid = scene.ids[j]
-        old = found.get(oid)
+        old = found.get(j)
         if old is not None and w.confidence < old.confidence:
             continue
-        found[oid] = FoundObject(
+        found[j] = FoundObject(
             stage=stage if old is None else old.stage,
             err_x_px=float(w.center_h - rows[j][0]) / alpha,
             err_y_px=float(w.center_v - rows[j][1]) / alpha,
@@ -203,6 +204,123 @@ def _claim(scene: SceneMap, boxes: np.ndarray, windows: list[SearchWindow],
         ap_records.extend((w.confidence, None if j < 0 else j) for w, j
                           in zip(windows, _ap_matches(boxes, centers, sizes).tolist()))
     return matches
+
+
+@dataclass
+class _Pass:
+    """One scan pass as draw, scan and merge fill it; `hits` holds a (particle
+    index, detections, likelihood) triple per detecting view, in tour order."""
+
+    stage: int
+    particles: ParticleSet
+    ppm: Ppm | None = None
+    order: list[int] = field(default_factory=list)
+    among: list[tuple] = field(default_factory=list)
+    hits: list[tuple[int, list[Detection], float]] = field(default_factory=list)
+    windows: list[SearchWindow] = field(default_factory=list)
+
+
+def _log_pass(trace: TrialTrace, rec: _Pass, view_ms: float) -> None:
+    """Add one scan pass's rows to the trace; `view_ms` is one view's time."""
+    if trace.ppm is None:
+        trace.ppm = rec.ppm
+    p, stage = rec.particles, rec.stage
+    theta_h, theta_v = p.theta_h.tolist(), p.theta_v.tolist()
+    trace.particles.extend(zip([stage] * len(p), theta_h, theta_v,
+                               p.weight.tolist(), p.sigma.tolist()))
+    trace.scan.extend((seq, theta_h[idx], theta_v[idx], (seq + 1) * view_ms,
+                       len(rec.among[idx]))
+                      for seq, idx in enumerate(rec.order, start=len(trace.scan)))
+    trace.detections.extend((stage, idx, d.theta_h, d.theta_v, d.confidence,
+                             d.var_h, d.var_v)
+                            for idx, dets, _ in rec.hits for d in dets)
+    trace.windows.extend((stage, wi, w.center_h, w.center_v, w.radius_h,
+                          w.radius_v, len(w.members))
+                         for wi, w in enumerate(rec.windows))
+
+
+def _draw(stage: int, n: int, spec: MethodSpec, scene: SceneMap, prior,
+          proposal: ParticleSet | None, rng, cfg: ScenarioConfig) -> _Pass:
+    """A pass of `n` particles from the last pass's proposal, else from the
+    method's prior; ppm and region allocate a map from `prior`'s grid and finds."""
+    eng = cfg.engine
+    limit = eng.galvo_limit_deg
+    if proposal is not None:
+        return _Pass(stage, sample_next(proposal, n, rng, limit=limit))
+    if spec.init in ("ppm", "region"):
+        ppm = allocate_ppm(scene, *prior, cfg.experiment.target, n,
+                           r_scale=eng.subregion_scale)
+        return _Pass(stage, initial_sample(ppm, scene, rng, sigma0=eng.sigma0_deg,
+                                           limit=limit), ppm)
+    if spec.init == "grid":
+        return _Pass(stage, _grid_particles(scene, n, eng.sigma0_deg, limit))
+    return _Pass(stage, _uniform_particles(scene, n, rng, eng.sigma0_deg, limit))
+
+
+def _scan(rec: _Pass, scene: SceneMap, pose: tuple[float, float], detector,
+          rng, eng) -> tuple[float, float]:
+    """One capture and one detect call per particle along a tour from `pose`,
+    and a likelihood per view that detects; returns the last gaze."""
+    p = rec.particles
+    rec.order = plan_scan(pose, np.column_stack((p.theta_h, p.theta_v)))
+    theta_h, theta_v = p.theta_h.tolist(), p.theta_v.tolist()
+    view_w, view_h, alpha = eng.view_w, eng.view_h, eng.alpha
+    rec.among = among = view_candidates(scene, p.theta_h, p.theta_v, view_w,
+                                        view_h, alpha)
+    # capture_view stays a module-global lookup, so a wrapper bound here
+    # sees every view
+    detect, likelihood = detector.detect, detector.likelihood
+    for idx in rec.order:
+        view = capture_view(scene, theta_h[idx], theta_v[idx], view_w, view_h,
+                            alpha, among[idx])
+        dets = detect(view, rng)
+        if dets:
+            rec.hits.append((idx, dets, likelihood(view, dets)))
+    last = rec.order[-1]
+    return theta_h[last], theta_v[last]
+
+
+def _merge(rec: _Pass, scene: SceneMap, spec: MethodSpec, eng, found: dict,
+           pre_vars: dict, ap_records: list | None) -> None:
+    """Merge the pass's detections into search windows that claim objects; an
+    object's first detection of the trial gives its pre-refinement variance."""
+    dets = [d for _, view_dets, _ in rec.hits for d in view_dets]
+    for d in dets:
+        if d.object_id is not None:
+            pre_vars.setdefault(d.object_id, (d.var_h + d.var_v) / 2.0)
+    rec.windows = nms_merge(dets, iou_keep=eng.iou_keep, sigma_t=eng.sigma_t,
+                            vote=spec.voting, limit=eng.galvo_limit_deg)
+    _claim(_object_boxes(scene), rec.windows, rec.stage, found, eng.alpha,
+           ap_records)
+
+
+def _refine(rec: _Pass, spec: MethodSpec, eng) -> ParticleSet | None:
+    """The next pass's proposal, or None when no weight survives and the
+    next pass reseeds from the prior."""
+    # coordinate refinement: a detecting particle re-centers on the search
+    # window its best detection merged into, so the next pass gazes at the
+    # refined coordinates instead of the old offset
+    window_center = {id(m): (w.center_h, w.center_v)
+                     for w in rec.windows for m in w.members}
+    p = rec.particles
+    theta_h, theta_v, sigmas = p.theta_h.tolist(), p.theta_v.tolist(), p.sigma.tolist()
+    # without detections a view keeps the likelihood floor
+    likes = [eng.likelihood_floor] * len(p)
+    for idx, dets, like in rec.hits:
+        likes[idx] = like
+        best = max(dets, key=lambda d: d.confidence)  # the first of equals
+        theta_h[idx], theta_v[idx] = window_center[id(best)]
+        if spec.adaptive_sigma:
+            sigma = math.sqrt((best.var_h + best.var_v) / 2.0)
+            sigmas[idx] = min(max(sigma, eng.sigma_min_deg), eng.sigma_max_deg)
+    particles = update_weights(ParticleSet(np.array(theta_h), np.array(theta_v),
+                                           p.weight, np.array(sigmas)), likes)
+    try:
+        particles = normalize_weights(particles)
+    except ValueError:
+        return None
+    return build_proposal(prune_redundant(particles, eng.fov_deg,
+                                          overlap_frac=eng.overlap_frac))
 
 
 def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
@@ -221,143 +339,49 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
                               f"{sorted(METHODS)}")
     t_start = time.perf_counter()
     eng = cfg.engine
-    target = cfg.experiment.target
     rng = np.random.default_rng(seed)
-    limit = eng.galvo_limit_deg
-    detector = SyntheticDetector(cfg.detector, alpha=eng.alpha, limit=limit,
-                                 floor=eng.likelihood_floor)
-    pose = (0.0, 0.0)  # the last gaze
-
-    n_objects = len(scene.ids)
+    detector = SyntheticDetector(cfg.detector, alpha=eng.alpha,
+                                 limit=eng.galvo_limit_deg, floor=eng.likelihood_floor)
+    n_objects = len(scene.centers)
     found: dict[int, FoundObject] = {}
     pre_vars: dict[int, float] = {}
     ap_records: list[tuple[float, int | None]] = []
-    views = 0
-
     rounds = _split_budget(budget, 1 if spec.resample == "none" else iters,
                            eng.init_frac)
 
+    prior = None
     if spec.init in ("ppm", "region"):
         grid, dets_pano = segment_panorama(scene, cfg.noise, rng)
-        dets_pano_alloc = [] if spec.init == "region" else dets_pano
-
-    boxes = _object_boxes(scene)
+        prior = (grid, [] if spec.init == "region" else dets_pano)
     if spec.init == "ppm":
         # the wide camera's detections are stage-0 windows: both radii are
         # the sub-region prior variance, the extent is the object's box
+        boxes = _object_boxes(scene)
         windows = []
         for det in dets_pano:
             var = (eng.subregion_scale * det.sigma_o * scene.deg_per_px) ** 2
             windows.append(SearchWindow(*scene.pano_to_galvo(*det.center), var, var,
                                         det.confidence, *boxes[det.object_id, 2:], ()))
-        for w, j in zip(windows, _claim(scene, boxes, windows, 0, found,
-                                        eng.alpha, ap_records)):
+        matches = _claim(boxes, windows, 0, found, eng.alpha, ap_records)
+        for w, j in zip(windows, matches.tolist()):
             if j >= 0:
-                pre_vars.setdefault(scene.ids[j], w.radius_h)
+                pre_vars.setdefault(j, w.radius_h)
 
+    pose = (0.0, 0.0)  # the last gaze
     proposal = None
-    last_round = len(rounds) - 1
     for k, n_k in enumerate(rounds):
         if k > 0:
             scene = step_motion(scene, 1)
-            boxes = _object_boxes(scene)
-        stage = k + 1
-
-        if k == 0 or spec.resample != "proposal" or proposal is None:
-            if spec.init in ("ppm", "region"):
-                ppm = allocate_ppm(scene, grid, dets_pano_alloc, target, n_k,
-                                   r_scale=eng.subregion_scale)
-                if trace is not None and trace.ppm is None:
-                    trace.ppm = ppm
-                particles = initial_sample(ppm, scene, rng,
-                                           sigma0=eng.sigma0_deg, limit=limit)
-            elif spec.init == "grid":
-                particles = _grid_particles(scene, n_k, eng.sigma0_deg, limit)
-            else:
-                particles = _uniform_particles(scene, n_k, rng,
-                                               eng.sigma0_deg, limit)
-        else:
-            particles = sample_next(proposal, n_k, rng, limit=limit)
-
-        order = plan_scan(pose, np.column_stack((particles.theta_h, particles.theta_v)))
-        # adaptive sigma and coordinate refinement write into these lists
-        theta_h = particles.theta_h.tolist()
-        theta_v = particles.theta_v.tolist()
-        sigmas = particles.sigma.tolist()
-        pose = (theta_h[order[-1]], theta_v[order[-1]])
-        views += n_k
+        last = k == len(rounds) - 1
+        rec = _draw(k + 1, n_k, spec, scene, prior, proposal, rng, cfg)
+        pose = _scan(rec, scene, pose, detector, rng, eng)
+        _merge(rec, scene, spec, eng, found, pre_vars, ap_records if last else None)
         if trace is not None:
-            trace.particles.extend(zip([stage] * n_k, theta_h, theta_v,
-                                       particles.weight.tolist(), sigmas))
+            _log_pass(trace, rec, eng.step_response_ms + eng.dwell_ms)
+        if spec.resample == "proposal" and not last:
+            proposal = _refine(rec, spec, eng)
 
-        likes = [eng.likelihood_floor] * n_k
-        round_dets: list[Detection] = []
-        best_for: dict[int, Detection] = {}  # particle index -> its best detection
-        # capture_view stays a module-global lookup, so a wrapper bound here
-        # sees every view
-        detect, likelihood = detector.detect, detector.likelihood
-        view_w, view_h, alpha = eng.view_w, eng.view_h, eng.alpha
-        among = view_candidates(scene, particles.theta_h, particles.theta_v,
-                                view_w, view_h, alpha)
-        for idx in order:
-            view = capture_view(scene, theta_h[idx], theta_v[idx], view_w,
-                                view_h, alpha, among[idx])
-            dets = detect(view, rng)
-            if trace is not None:
-                seq = len(trace.scan)
-                trace.scan.append((
-                    seq, theta_h[idx], theta_v[idx],
-                    (seq + 1) * (eng.step_response_ms + eng.dwell_ms),
-                    len(view.visible)))
-            if dets:
-                # without detections a view keeps the floor `likes` starts at
-                likes[idx] = likelihood(view, dets)
-                round_dets += dets
-                best = None
-                for d in dets:
-                    if trace is not None:
-                        trace.detections.append((stage, idx, d.theta_h, d.theta_v,
-                                                 d.confidence, d.var_h, d.var_v))
-                    if d.object_id is not None:
-                        pre_vars.setdefault(d.object_id, (d.var_h + d.var_v) / 2.0)
-                    if best is None or d.confidence > best.confidence:
-                        best = d
-                best_for[idx] = best
-                if spec.adaptive_sigma:
-                    sigma = math.sqrt((best.var_h + best.var_v) / 2.0)
-                    sigmas[idx] = min(max(sigma, eng.sigma_min_deg), eng.sigma_max_deg)
-
-        windows = nms_merge(round_dets, iou_keep=eng.iou_keep,
-                            sigma_t=eng.sigma_t, vote=spec.voting, limit=limit)
-        if trace is not None:
-            trace.windows.extend((stage, wi, w.center_h, w.center_v, w.radius_h,
-                                  w.radius_v, len(w.members))
-                                 for wi, w in enumerate(windows))
-        _claim(scene, boxes, windows, stage, found, eng.alpha,
-               ap_records if k == last_round else None)
-
-        if spec.resample == "proposal" and k < last_round:
-            # coordinate refinement: a detecting particle re-centers on the
-            # search window its best detection merged into, so the next pass
-            # gazes at the refined coordinates instead of the old offset
-            window_center: dict[int, tuple[float, float]] = {}
-            for w in windows:
-                for m in w.members:
-                    window_center[id(m)] = (w.center_h, w.center_v)
-            for idx, best in best_for.items():
-                theta_h[idx], theta_v[idx] = window_center[id(best)]
-            particles = update_weights(
-                ParticleSet(np.array(theta_h), np.array(theta_v),
-                            particles.weight, np.array(sigmas)), likes)
-            try:
-                particles = normalize_weights(particles)
-            except ValueError:
-                proposal = None  # degenerate set: reseed from the prior next pass
-                continue
-            particles = prune_redundant(particles, eng.fov_deg,
-                                        overlap_frac=eng.overlap_frac)
-            proposal = build_proposal(particles)
-
+    views = sum(rounds)
     elapsed = views * eng.step_response_ms + views * eng.dwell_ms  # a move per view
     vacuous = n_objects == 0
     recall = 1.0 if vacuous else len(found) / n_objects

@@ -115,10 +115,10 @@ def view_candidates(scene: SceneMap, theta_h, theta_v, width: int = 264,
     """Per gaze, the indices of the objects capture_view sees, in scene order:
     its float tests over blocks of 2^16 gaze x object pairs, or of one gaze."""
     out, dpp = [()] * len(theta_h), scene.deg_per_px
-    if not scene.ids:
+    if not len(scene.centers):
         return out
     c_x, c_y, w, h = np.hstack((scene.centers, scene.sizes)).T[..., None]
-    step = max(1, 2 ** 16 // len(scene.ids))
+    step = max(1, 2 ** 16 // len(scene.centers))
     with np.errstate(over="ignore"):  # what overflows is infinite in floats too
         reach_h = width * alpha / 2.0 + w * dpp / 2.0
         reach_v = height * alpha / 2.0 + h * dpp / 2.0

@@ -78,9 +78,9 @@ def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
         grid = scene.labels
 
     detections = []
-    for oid, occlusion, size, (cx, cy), detectable in zip(
-            scene.ids, scene.occlusion.tolist(), scene.sizes.tolist(),
-            scene.centers.tolist(), scene.pano_detectable.tolist()):
+    for oid, (occlusion, size, (cx, cy), detectable) in enumerate(zip(
+            scene.occlusion.tolist(), scene.sizes.tolist(),
+            scene.centers.tolist(), scene.pano_detectable.tolist())):
         if not detectable:
             continue
         raw = (1.0 - occlusion) * min(1.0, max(size) / noise.size_ref_px)

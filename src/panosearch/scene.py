@@ -70,7 +70,7 @@ class GtObject:
 
 @dataclass(frozen=True)
 class SceneMap:
-    """Immutable world snapshot; capture_view's `among` indexes the object columns.
+    """Immutable world snapshot; an object's id is its row, which `among` indexes.
 
     `labels` is read-only and shared: every live world with the same width,
     height and region rectangles, and every motion snapshot of it, holds
@@ -83,7 +83,6 @@ class SceneMap:
     regions: tuple[Region, ...]
     deg_per_px: float
     region_bboxes: tuple[tuple[int, int, int, int], ...]  # (x0, y0, x1, y1) exclusive
-    ids: tuple[int, ...]
     class_names: tuple[str, ...]
     centers: np.ndarray                    # (M, 2) float64 panoramic px
     sizes: np.ndarray                      # (M, 2) float64 (w, h) px
@@ -94,7 +93,7 @@ class SceneMap:
     @property
     def objects(self) -> tuple[GtObject, ...]:
         """The objects as GtObjects, built anew on every access."""
-        return tuple(map(GtObject, self.ids, self.class_names,
+        return tuple(map(GtObject, range(len(self.class_names)), self.class_names,
                          *(map(tuple, a.tolist()) for a in
                            (self.centers, self.sizes, self.velocities)),
                          self.occlusion.tolist(), self.pano_detectable.tolist()))
@@ -102,7 +101,7 @@ class SceneMap:
     @cached_property
     def capture_rows(self) -> list[tuple]:
         """(id, c_x, c_y, w, h, occlusion) per object, as Python scalars."""
-        return list(zip(self.ids, *self.centers.T.tolist(),
+        return list(zip(range(len(self.class_names)), *self.centers.T.tolist(),
                         *self.sizes.T.tolist(), self.occlusion.tolist()))
 
     def pano_to_galvo(self, x: float, y: float) -> tuple[float, float]:
@@ -118,8 +117,8 @@ def object_columns(rows) -> dict:
     """SceneMap's object columns, for replace() or SceneMap(), from rows in
     GtObject's field order (id, class_name, center, size, ...).
 
-    Trials index an object's columns by its id, so each row's id must be its
-    position; ValueError names the first row whose id is not.
+    The columns hold no id, since an object's id is its row, so each row's
+    id must be its position; ValueError names the first row whose id is not.
     """
     ids, names, centers, sizes, velocities, occlusion, flags = (
         tuple(zip(*rows)) or ((),) * 7)
@@ -127,7 +126,7 @@ def object_columns(rows) -> dict:
         if object_id != row:
             raise ValueError(f"object row {row} has id {object_id!r}; "
                              "an object's id must be its row")
-    return dict(ids=ids, class_names=names,
+    return dict(class_names=names,
                 centers=np.array(centers, dtype=float).reshape(-1, 2),
                 sizes=np.array(sizes, dtype=float).reshape(-1, 2),
                 velocities=np.array(velocities, dtype=float).reshape(-1, 2),

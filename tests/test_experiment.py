@@ -19,8 +19,10 @@ from panosearch.experiment import (FoundObject, TrialTrace, _ap_matches, _claim,
                                    default_scene_variants, deviation_scene,
                                    deviation_study, proportion_sweep,
                                    recall_curve, run_trial)
+from panosearch.galvo import capture_view
 from panosearch.refinement import SearchWindow
-from panosearch.scene import SceneMap, build_scene, object_columns
+from panosearch.scene import (SceneMap, build_scene, object_columns,
+                              step_motion)
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +87,8 @@ def test_run_trial_deterministic(scenario):
 
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_tracing_leaves_the_trial_unchanged(scenario, method):
-    # noisy labels and frequent false positives over three passes: every
-    # trace branch of the scan loop runs, and none may draw or decide
+    # noisy labels and frequent false positives over three passes: the trace
+    # logs every pass's record, and logging may neither draw nor decide
     cfg = dataclasses.replace(
         scenario, noise=dataclasses.replace(scenario.noise, label_flip=0.05),
         detector=dataclasses.replace(scenario.detector, fp_rate=0.5))
@@ -100,6 +102,34 @@ def test_tracing_leaves_the_trial_unchanged(scenario, method):
         # wall_ms is the one field that is timing, not a result
         assert dataclasses.replace(traced, wall_ms=0.0) == \
             dataclasses.replace(plain, wall_ms=0.0)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_dump_logs_agree(scenario, method):
+    # every pass's logs come from its one record: its windows hold its
+    # detections, which name its particles, and each scan row counts what
+    # capture_view sees at that gaze on the pass's moved world
+    cfg = dataclasses.replace(
+        scenario, noise=dataclasses.replace(scenario.noise, label_flip=0.05),
+        detector=dataclasses.replace(scenario.detector, fp_rate=0.5))
+    eng = cfg.engine
+    worlds = [build_scene(cfg.scene, seed=1)]
+    trace = TrialTrace()
+    run_trial(worlds[0], method, 150, 3, seed=3, cfg=cfg, trace=trace)
+    stages = [row[0] for row in trace.particles]
+    assert stages == sorted(stages) and len(trace.scan) == len(stages) == 150
+    assert trace.detections and trace.windows
+    for stage in set(stages):
+        dets = [row for row in trace.detections if row[0] == stage]
+        assert sum(row[6] for row in trace.windows if row[0] == stage) == len(dets)
+        assert all(0 <= row[1] < stages.count(stage) for row in dets)
+    while len(worlds) < stages[-1]:
+        worlds.append(step_motion(worlds[-1], 1))
+    n_visible = [row[4] for row in trace.scan]
+    assert any(n_visible)
+    assert n_visible == [len(capture_view(worlds[stage - 1], th, tv, eng.view_w,
+                                          eng.view_h, eng.alpha).visible)
+                         for stage, (_, th, tv, *_) in zip(stages, trace.scan)]
 
 
 def test_confidence_ties_keep_the_first_detection(scenario, monkeypatch):
@@ -616,8 +646,8 @@ def window(h, v, confidence, radius=0.01, size=(2.0, 2.0)):
 
 
 def claim(windows, stage, found, ap_records=None):
-    return _claim(CLAIM_SCENE, _object_boxes(CLAIM_SCENE), windows, stage,
-                  found, 0.5, ap_records).tolist()
+    return _claim(_object_boxes(CLAIM_SCENE), windows, stage, found, 0.5,
+                  ap_records).tolist()
 
 
 def test_claim_first_match_per_object_wins_the_stage():

@@ -233,11 +233,14 @@ def test_object_ids_must_be_their_rows(ids, row):
     # seed 7 with its ids shifted by 100 used to fail there with IndexError
     scene = build_scene(default_scenario().scene, seed=7)
     rows = [dataclasses.replace(obj, id=i) for obj, i
-            in zip(scene.objects, ids + tuple(range(len(ids), len(scene.ids))))]
+            in zip(scene.objects, ids + tuple(range(len(ids), len(scene.centers))))]
     with pytest.raises(ValueError, match=f"object row {row} has id {ids[row]}"):
         object_columns(map(dataclasses.astuple, rows))
-    assert object_columns(map(dataclasses.astuple, scene.objects))["ids"] == \
-        tuple(range(len(scene.ids)))
+    # the columns keep no id: a world's objects take their rows as ids
+    columns = object_columns(map(dataclasses.astuple, scene.objects))
+    assert "ids" not in columns
+    assert dataclasses.replace(scene, **columns).objects == scene.objects
+    assert [obj.id for obj in scene.objects] == list(range(len(scene.centers)))
 
 
 def test_label_grid_lookup():
