@@ -3,10 +3,11 @@
 A detector turns a captured view into detections carrying a confidence and
 per-axis localization variances, and reduces a view's detections to a single
 likelihood scalar for particle weighting.  A trial builds its
-`SyntheticDetector` from the config and, per view, calls its
-``detect(view, rng) -> list[Detection]`` once and ``likelihood(view, dets)``
-only on a non-empty list; a view without detections keeps the floor.  A view
-with nothing visible draws only its false-positive count.
+`SyntheticDetector` from the config and, per scan pass, calls its
+``detect_pass(views, rng)`` once, with the draws of one ``detect(view, rng)``
+per view, and ``likelihood(view, dets)`` only on the views it returns with
+detections; a view without detections keeps the floor.  A run of views with
+nothing visible draws its false-positive counts in one batch.
 """
 
 from __future__ import annotations
@@ -100,13 +101,20 @@ class SyntheticDetector:
         # a view with nothing visible draws this count and, when it is 0
         # (always at fp_rate 0), nothing else: most views are empty
         k = rng.poisson(cfg.fp_rate) if cfg.fp_rate > 0.0 else 0
-        if not k:
-            return out
-        if not visible:
-            c_x, c_y, half_diag = _frame(width, height)
-        # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), so one draw
-        # gives the k false positives' t_x, t_y, size and confidence uniforms
-        for u_x, u_y, u_size, u_conf in rng.random((k, 4)).tolist():
+        if k:
+            # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), so one
+            # draw gives the k false positives' uniforms
+            out += self._false_positives(view, rng.random((k, 4)).tolist())
+        return out
+
+    def _false_positives(self, view: View, rows) -> list[Detection]:
+        """One false positive per row of 4 uniforms: its t_x, t_y, size and
+        confidence."""
+        cfg, alpha, limit = self.cfg, self.alpha, self.limit
+        theta_h, theta_v, width, height, _ = view
+        c_x, c_y, half_diag = _frame(width, height)
+        out = []
+        for u_x, u_y, u_size, u_conf in rows:
             t_x, t_y = (width - 1.0) * u_x, (height - 1.0) * u_y
             size = 10.0 + 30.0 * u_size
             dist_norm = math.hypot(t_x - c_x, t_y - c_y) / half_diag
@@ -115,6 +123,58 @@ class SyntheticDetector:
                                          width, height, limit)
             out.append(Detection(g_h, g_v, size * alpha, size * alpha,
                                  cfg.fp_conf_cap * u_conf, var_h, var_v))
+        return out
+
+    def detect_pass(self, views, rng) -> list[tuple[int, list[Detection]]]:
+        """`(position, detections)` per view of a pass that detects, in view
+        order, with the draws, detections and generator end state of
+        ``[detect(v, rng) for v in views]``.
+
+        Below fp_rate 10 numpy's Poisson sampler multiplies uniform doubles
+        until the product falls to e^-fp_rate, so a count of 0 is one double
+        at most e^-fp_rate: a run of views with nothing visible draws its
+        doubles in one call (none at fp_rate 0), and the other views go
+        through `detect`.  From 10 on the sampler is PTRS rejection, and
+        every view goes through `detect`.
+        """
+        fp_rate, out, start = self.cfg.fp_rate, [], 0
+        ptrs = fp_rate >= 10.0
+        for i in [i for i, v in enumerate(views) if v.visible or ptrs] + [len(views)]:
+            if fp_rate > 0.0 and i > start:
+                out += self._empty_run(views, start, i, rng)
+            if i < len(views) and (dets := self.detect(views[i], rng)):
+                out.append((i, dets))
+            start = i + 1
+        return out
+
+    def _empty_run(self, views, start: int, stop: int, rng) -> list:
+        """The false positives of views[start:stop], none with anything
+        visible.  Every view draws at least one double, so a draw takes the
+        doubles needed now plus one per later view, never one more."""
+        e_neg = math.exp(-self.cfg.fp_rate)
+        buf = rng.random(stop - start).tolist()
+        if max(buf) <= e_neg:
+            return []
+        out, pos = [], 0
+        for i in range(start, stop):
+            later = stop - 1 - i
+            k, prod = 0, 1.0
+            while True:  # numpy's multiplication loop, over the buffer
+                if pos == len(buf):
+                    buf, pos = rng.random(1 + later).tolist(), 0
+                prod *= buf[pos]
+                pos += 1
+                if prod <= e_neg:
+                    break
+                k += 1
+            if k:
+                if pos + 4 * k > len(buf):
+                    buf, pos = buf[pos:] + rng.random(
+                        pos + 4 * k - len(buf) + later).tolist(), 0
+                flat = iter(buf[pos:pos + 4 * k])
+                pos += 4 * k
+                out.append((i, self._false_positives(views[i],
+                                                     zip(flat, flat, flat, flat))))
         return out
 
     def likelihood(self, view: View, detections) -> float:

@@ -3,10 +3,11 @@
 A trial spends a total view budget over one or more scan passes, each a
 record that four stages fill: draw places particles from the configured prior
 (probability map, region probabilities, uniform, or a fixed grid) or from the
-last pass's weighted proposal mixture; scan captures and detects once per
-particle; merge folds the detections into search windows, matched against
-ground truth for recall, average precision, and gaze-deviation metrics;
-refine reweights the particles into the next proposal.  The trace is filled
+last pass's weighted proposal mixture; scan captures a view per particle
+and detects the pass's views in one call; merge folds the detections into
+search windows, matched against ground truth for recall, average precision,
+and gaze-deviation metrics; refine reweights the particles into the next
+proposal.  The trace is filled
 in one place, from each pass record.
 """
 
@@ -209,7 +210,8 @@ def _claim(boxes: np.ndarray, windows: list[SearchWindow], stage: int,
 @dataclass
 class _Pass:
     """One scan pass as draw, scan and merge fill it; `hits` holds a (particle
-    index, detections, likelihood) triple per detecting view, in tour order."""
+    index, detections, likelihood) triple per view that `detect_pass` returned,
+    in tour order."""
 
     stage: int
     particles: ParticleSet
@@ -259,8 +261,9 @@ def _draw(stage: int, n: int, spec: MethodSpec, scene: SceneMap, prior,
 
 def _scan(rec: _Pass, scene: SceneMap, pose: tuple[float, float], detector,
           rng, eng) -> tuple[float, float]:
-    """One capture and one detect call per particle along a tour from `pose`,
-    and a likelihood per view that detects; returns the last gaze."""
+    """One capture per particle along a tour from `pose`, one `detect_pass`
+    over the views in tour order, and a likelihood per view that detects;
+    returns the last gaze."""
     p = rec.particles
     rec.order = plan_scan(pose, np.column_stack((p.theta_h, p.theta_v)))
     theta_h, theta_v = p.theta_h.tolist(), p.theta_v.tolist()
@@ -269,13 +272,10 @@ def _scan(rec: _Pass, scene: SceneMap, pose: tuple[float, float], detector,
                                         view_h, alpha)
     # capture_view stays a module-global lookup, so a wrapper bound here
     # sees every view
-    detect, likelihood = detector.detect, detector.likelihood
-    for idx in rec.order:
-        view = capture_view(scene, theta_h[idx], theta_v[idx], view_w, view_h,
-                            alpha, among[idx])
-        dets = detect(view, rng)
-        if dets:
-            rec.hits.append((idx, dets, likelihood(view, dets)))
+    views = [capture_view(scene, theta_h[idx], theta_v[idx], view_w, view_h,
+                          alpha, among[idx]) for idx in rec.order]
+    rec.hits = [(rec.order[pos], dets, detector.likelihood(views[pos], dets))
+                for pos, dets in detector.detect_pass(views, rng)]
     last = rec.order[-1]
     return theta_h[last], theta_v[last]
 

@@ -257,6 +257,75 @@ def test_normal_is_the_scaled_standard_normal_detect_uses(k):
     assert scalar.bit_generator.state == batched.bit_generator.state
 
 
+# --- detect_pass against per-view detect ---------------------------------------
+
+def per_view_pass(detector, views, rng):
+    """The reference detect_pass: one detect call per view, in view order."""
+    return [(i, dets) for i, view in enumerate(views)
+            if (dets := detector.detect(view, rng))]
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.5, 1.0, 3.0, 9.99])
+def test_poisson_below_10_is_the_multiplication_loop_detect_pass_replays(lam):
+    # detect_pass replays numpy's Poisson sampler below rate 10 over uniform
+    # doubles: the count is the number of running products of doubles that
+    # stay above e^-lam, so a count of 0 takes one double at most e^-lam
+    for seed in range(200):
+        scalar, doubles = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [scalar.poisson(lam) for _ in range(5)]
+        got = []
+        for _ in range(5):
+            k, prod = 0, doubles.random()
+            while prod > math.exp(-lam):
+                k, prod = k + 1, prod * doubles.random()
+            got.append(k)
+        assert got == want
+        assert scalar.bit_generator.state == doubles.bit_generator.state
+
+
+def visible_view(rng):
+    while not (view := random_view(rng, 264, 224)).visible:
+        pass
+    return view
+
+
+# each pattern lists its views: e for one with nothing visible, v for one
+# with something visible
+PASS_PATTERNS = {
+    "no_views": "",
+    "all_empty": "e" * 60,
+    "all_visible": "v" * 20,
+    "alternating": "ev" * 60,
+    "empty_runs_at_both_ends": "e" * 25 + "vevve" + "e" * 25,
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(PASS_PATTERNS))
+@pytest.mark.parametrize("fp_rate", [0.0, 1e-300, 0.01, 0.5, 3.0, 9.999, 10.0,
+                                     40.0])
+def test_detect_pass_takes_the_draws_of_per_view_detect(pattern, fp_rate):
+    # a config past fp_rate's domain still runs: from 10 on numpy draws a
+    # count by rejection, and every view goes through detect
+    detector = SyntheticDetector(DetectorConfig(fp_rate=fp_rate, conf_noise=0.1))
+    false_positives = 0
+    for seed in range(12):
+        views_rng = np.random.default_rng([7, seed])
+        views = [visible_view(views_rng) if c == "v"
+                 else View(*random_view(views_rng, 264, 224)[:4], visible=())
+                 for c in PASS_PATTERNS[pattern]]
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = detector.detect_pass(views, got_rng)
+        want = per_view_pass(detector, views, want_rng)
+        assert repr(got) == repr(want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        false_positives += sum(len(dets) for i, dets in got
+                               if not views[i].visible)
+    if fp_rate < 0.01:  # e^-1e-300 is 1.0, so every count is 0
+        assert false_positives == 0
+    elif "e" in PASS_PATTERNS[pattern]:  # empty views' counts were replayed
+        assert false_positives > 0
+
+
 # --- likelihood ---------------------------------------------------------------
 
 def test_likelihood_floor_on_empty():
@@ -286,36 +355,42 @@ class AlwaysDetect:
                           1e-4, 1e-4, object_id=v.object_id)
                 for v in view.visible]
 
+    def detect_pass(self, views, seed):
+        return per_view_pass(self, views, seed)
+
     def likelihood(self, view, detections):
         return 1.0 if detections else 1e-3
 
 
 def test_stub_detector_runs_in_the_engine():
     from panosearch.config import default_scenario
-    from panosearch.experiment import run_trial
+    from panosearch.experiment import TrialTrace, run_trial
     from panosearch.scene import build_scene
     import panosearch.experiment as exp
 
     cfg = default_scenario()
     scene = build_scene(cfg.scene, seed=1)
     real = exp.SyntheticDetector
-    calls = {"n": 0}
+    seen = []
 
     class CountingStub(AlwaysDetect):
         def __init__(self, *a, **kw):
             pass
 
-        def detect(self, view, seed):
-            calls["n"] += 1
-            return AlwaysDetect.detect(self, view, seed)
+        def detect_pass(self, views, seed):
+            seen.extend(views)
+            return AlwaysDetect.detect_pass(self, views, seed)
 
     exp.SyntheticDetector = CountingStub
+    trace = TrialTrace()
     try:
-        result = run_trial(scene, "ppm_ps", 60, 2, seed=3, cfg=cfg)
+        result = run_trial(scene, "ppm_ps", 60, 2, seed=3, cfg=cfg, trace=trace)
     finally:
         exp.SyntheticDetector = real
-    assert calls["n"] == 60  # one detector call per budgeted view
-    assert result.views == 60
+    # every budgeted view reaches the detector once, in scan order
+    assert [(v.theta_h, v.theta_v) for v in seen] == \
+        [(th, tv) for _, th, tv, *_ in trace.scan]
+    assert len(seen) == result.views == 60
     # the panorama bootstrap alone accounts for 3 of 9 objects
     assert result.recall >= 3 / 9
 
@@ -326,20 +401,21 @@ def test_trial_asks_likelihood_only_of_views_with_detections(monkeypatch,
     from dataclasses import replace
 
     from panosearch.config import default_scenario
-    from panosearch.experiment import run_trial
+    from panosearch.experiment import TrialTrace, run_trial
     from panosearch.scene import build_scene
     import panosearch.experiment as exp
 
     cfg = default_scenario()
     cfg = replace(cfg, detector=replace(cfg.detector, fp_rate=fp_rate))
     scene = build_scene(cfg.scene, seed=1)
-    detected, asked = [], []
+    seen, detected, asked = [], [], []
 
     class CountingDetector(SyntheticDetector):
-        def detect(self, view, seed):
-            dets = super().detect(view, seed)
-            detected.append((view, dets))
-            return dets
+        def detect_pass(self, views, rng):
+            hits = super().detect_pass(views, rng)
+            seen.extend(views)
+            detected.extend((views[i], dets) for i, dets in hits)
+            return hits
 
         def likelihood(self, view, detections):
             asked.append((view, detections))
@@ -347,9 +423,13 @@ def test_trial_asks_likelihood_only_of_views_with_detections(monkeypatch,
 
     want = run_trial(scene, "ppm_ps", 120, 3, seed=3, cfg=cfg)
     monkeypatch.setattr(exp, "SyntheticDetector", CountingDetector)
-    got = run_trial(scene, "ppm_ps", 120, 3, seed=3, cfg=cfg)
-    assert len(detected) == got.views == 120  # one detect per view
+    trace = TrialTrace()
+    got = run_trial(scene, "ppm_ps", 120, 3, seed=3, cfg=cfg, trace=trace)
+    # every view reaches the detector once, in scan order
+    assert [(v.theta_h, v.theta_v) for v in seen] == \
+        [(th, tv) for _, th, tv, *_ in trace.scan]
+    assert len(seen) == got.views == 120
     # one likelihood per view that detected something, in scan order
-    assert [(v, d) for v, d in detected if d] == asked
+    assert detected == asked
     assert all(d for _, d in asked) and 0 < len(asked) < 120
     assert replace(got, wall_ms=0.0) == replace(want, wall_ms=0.0)

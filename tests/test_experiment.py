@@ -132,6 +132,12 @@ def test_dump_logs_agree(scenario, method):
                          for stage, (_, th, tv, *_) in zip(stages, trace.scan)]
 
 
+def per_view_pass(detector, views, rng):
+    """The reference detect_pass: one detect call per view, in view order."""
+    return [(i, dets) for i, view in enumerate(views)
+            if (dets := detector.detect(view, rng))]
+
+
 def test_confidence_ties_keep_the_first_detection(scenario, monkeypatch):
     # two boxes of equal confidence per visible object: the first one, with
     # the smaller variances, sets the particle's adaptive sigma
@@ -147,6 +153,9 @@ def test_confidence_ties_keep_the_first_detection(scenario, monkeypatch):
                     for v in view.visible
                     for var in (first_sigma ** 2, second_sigma ** 2)]
 
+        def detect_pass(self, views, seed):
+            return per_view_pass(self, views, seed)
+
         def likelihood(self, view, detections):
             return 1.0 if detections else 1e-3
 
@@ -157,6 +166,33 @@ def test_confidence_ties_keep_the_first_detection(scenario, monkeypatch):
     stage_two = {sigma for stage, *_, sigma in trace.particles if stage == 2}
     assert first_sigma in stage_two
     assert stage_two <= {first_sigma, scenario.engine.sigma0_deg}
+
+
+@pytest.mark.parametrize("fp_rate", [0.0, 0.01, 0.5, 9.99])
+def test_detect_pass_runs_the_trials_of_per_view_detect(scenario, monkeypatch,
+                                                        fp_rate):
+    cfg = dataclasses.replace(scenario, detector=dataclasses.replace(
+        scenario.detector, fp_rate=fp_rate))
+
+    def trials():
+        out = []
+        for seed in (1, 2):
+            scene = build_scene(cfg.scene, seed=seed)
+            for method in METHODS:
+                trace = TrialTrace()
+                res = run_trial(scene, method, 150, 3, seed, cfg, trace=trace)
+                ppm = trace.ppm
+                out.append(repr((dataclasses.replace(res, wall_ms=0.0),
+                                 dataclasses.replace(trace, ppm=None))))
+                out.append(None if ppm is None else (
+                    repr(dataclasses.replace(ppm, label_grid=None)),
+                    ppm.label_grid.tobytes()))
+        return out
+
+    batched = trials()
+    monkeypatch.setattr(experiment.SyntheticDetector, "detect_pass",
+                        per_view_pass)
+    assert trials() == batched
 
 
 def test_budget_split_semantics():
