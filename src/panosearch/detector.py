@@ -17,10 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DetectorConfig
+from .config import DetectorConfig, EngineConfig
 from .galvo import View, image_to_galvo
-
-LIKELIHOOD_FLOOR = 1e-3
 
 
 class Detection(NamedTuple):
@@ -56,8 +54,9 @@ def _frame(width: int, height: int) -> tuple[float, float, float]:
 class SyntheticDetector:
     """The synthetic detector bound to a config, as a trial calls it."""
 
-    def __init__(self, cfg: DetectorConfig, alpha: float = 0.002,
-                 limit: float = 20.0, floor: float = LIKELIHOOD_FLOOR):
+    def __init__(self, cfg: DetectorConfig, alpha: float = EngineConfig.alpha,
+                 limit: float = EngineConfig.galvo_limit_deg,
+                 floor: float = EngineConfig.likelihood_floor):
         self.cfg = cfg
         self.alpha = alpha
         self.limit = limit

@@ -222,15 +222,20 @@ class _Pass:
     windows: list[SearchWindow] = field(default_factory=list)
 
 
-def _log_pass(trace: TrialTrace, rec: _Pass, view_ms: float) -> None:
-    """Add one scan pass's rows to the trace; `view_ms` is one view's time."""
+def _sim_ms(views: int, eng) -> float:
+    """Simulated time of `views` views: a move and a dwell per view."""
+    return views * eng.step_response_ms + views * eng.dwell_ms
+
+
+def _log_pass(trace: TrialTrace, rec: _Pass, eng) -> None:
+    """Add one scan pass's rows to the trace, each scan row timed after its view."""
     if trace.ppm is None:
         trace.ppm = rec.ppm
     p, stage = rec.particles, rec.stage
     theta_h, theta_v = p.theta_h.tolist(), p.theta_v.tolist()
     trace.particles.extend(zip([stage] * len(p), theta_h, theta_v,
                                p.weight.tolist(), p.sigma.tolist()))
-    trace.scan.extend((seq, theta_h[idx], theta_v[idx], (seq + 1) * view_ms,
+    trace.scan.extend((seq, theta_h[idx], theta_v[idx], _sim_ms(seq + 1, eng),
                        len(rec.among[idx]))
                       for seq, idx in enumerate(rec.order, start=len(trace.scan)))
     trace.detections.extend((stage, idx, d.theta_h, d.theta_v, d.confidence,
@@ -280,18 +285,17 @@ def _scan(rec: _Pass, scene: SceneMap, pose: tuple[float, float], detector,
     return theta_h[last], theta_v[last]
 
 
-def _merge(rec: _Pass, scene: SceneMap, spec: MethodSpec, eng, found: dict,
+def _merge(rec: _Pass, boxes: np.ndarray, spec: MethodSpec, eng, found: dict,
            pre_vars: dict, ap_records: list | None) -> None:
-    """Merge the pass's detections into search windows that claim objects; an
-    object's first detection of the trial gives its pre-refinement variance."""
+    """Merge the pass's detections into search windows that claim objects by
+    their `boxes`; an object's first detection gives its pre-refinement variance."""
     dets = [d for _, view_dets, _ in rec.hits for d in view_dets]
     for d in dets:
         if d.object_id is not None:
             pre_vars.setdefault(d.object_id, (d.var_h + d.var_v) / 2.0)
     rec.windows = nms_merge(dets, iou_keep=eng.iou_keep, sigma_t=eng.sigma_t,
                             vote=spec.voting, limit=eng.galvo_limit_deg)
-    _claim(_object_boxes(scene), rec.windows, rec.stage, found, eng.alpha,
-           ap_records)
+    _claim(boxes, rec.windows, rec.stage, found, eng.alpha, ap_records)
 
 
 def _refine(rec: _Pass, spec: MethodSpec, eng) -> ParticleSet | None:
@@ -350,13 +354,13 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
                            eng.init_frac)
 
     prior = None
+    boxes = _object_boxes(scene)  # of each world snapshot, computed once
     if spec.init in ("ppm", "region"):
         grid, dets_pano = segment_panorama(scene, cfg.noise, rng)
         prior = (grid, [] if spec.init == "region" else dets_pano)
     if spec.init == "ppm":
         # the wide camera's detections are stage-0 windows: both radii are
         # the sub-region prior variance, the extent is the object's box
-        boxes = _object_boxes(scene)
         windows = []
         for det in dets_pano:
             var = (eng.subregion_scale * det.sigma_o * scene.deg_per_px) ** 2
@@ -372,24 +376,24 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
     for k, n_k in enumerate(rounds):
         if k > 0:
             scene = step_motion(scene, 1)
+            boxes = _object_boxes(scene)
         last = k == len(rounds) - 1
         rec = _draw(k + 1, n_k, spec, scene, prior, proposal, rng, cfg)
         pose = _scan(rec, scene, pose, detector, rng, eng)
-        _merge(rec, scene, spec, eng, found, pre_vars, ap_records if last else None)
+        _merge(rec, boxes, spec, eng, found, pre_vars, ap_records if last else None)
         if trace is not None:
-            _log_pass(trace, rec, eng.step_response_ms + eng.dwell_ms)
+            _log_pass(trace, rec, eng)
         if spec.resample == "proposal" and not last:
             proposal = _refine(rec, spec, eng)
 
     views = sum(rounds)
-    elapsed = views * eng.step_response_ms + views * eng.dwell_ms  # a move per view
     vacuous = n_objects == 0
     recall = 1.0 if vacuous else len(found) / n_objects
     ap = average_precision_11pt(ap_records, n_objects)
     wall_ms = (time.perf_counter() - t_start) * 1e3
     return TrialResult(method=method, budget=budget,
                        recall=recall, ap=ap, found=found, n_objects=n_objects,
-                       pre_vars=pre_vars, elapsed_sim_ms=elapsed,
+                       pre_vars=pre_vars, elapsed_sim_ms=_sim_ms(views, eng),
                        wall_ms=wall_ms, views=views, moves=views,
                        vacuous=vacuous)
 

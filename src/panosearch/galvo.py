@@ -2,9 +2,10 @@
 
 The mirror redirects a fixed search camera; a pose is a pair of angles in
 [-limit, +limit] degrees.  Each view pixel subtends `alpha` degrees, so the
-view-to-angle transform is affine around the image center.  Every view costs
-one step response plus one dwell, so the trial's simulated time follows from
-its view count alone.
+view-to-angle transform is affine around the image center.  `view_candidates`
+alone decides what a view sees; `capture_view` places what it names.  Every
+view costs one step response plus one dwell, so the trial's simulated time
+follows from its view count alone.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import EngineConfig
 from .scene import SceneMap
-
-GALVO_LIMIT_DEG = 20.0
 
 
 class VisibleObject(NamedTuple):
@@ -44,20 +44,15 @@ class View(NamedTuple):
 _new = tuple.__new__
 
 
-def clamp_angle(theta, limit: float = GALVO_LIMIT_DEG):
-    """An angle, or an array of them, clamped into [-limit, limit].
-
-    NaN and -0.0 pass through unchanged.  A scalar takes the builtins, about
-    10x faster than numpy on one value.
-    """
-    if isinstance(theta, np.ndarray):
-        return np.minimum(np.maximum(theta, -limit), limit)
-    return min(max(theta, -limit), limit)
+def clamp_angle(theta, limit: float = EngineConfig.galvo_limit_deg):
+    """Angles in an array clamped into [-limit, limit]; NaN and -0.0 pass through."""
+    return np.minimum(np.maximum(theta, -limit), limit)
 
 
 def image_to_galvo(theta_h: float, theta_v: float, t_x: float, t_y: float,
-                   alpha: float = 0.002, width: int = 264, height: int = 224,
-                   limit: float = GALVO_LIMIT_DEG) -> tuple[float, float, bool]:
+                   alpha: float = EngineConfig.alpha, width: int = EngineConfig.view_w,
+                   height: int = EngineConfig.view_h,
+                   limit: float = EngineConfig.galvo_limit_deg) -> tuple[float, float, bool]:
     """Refine a mirror pose toward a view-pixel target.
 
     The target offset from the image center converts to degrees at alpha
@@ -67,41 +62,34 @@ def image_to_galvo(theta_h: float, theta_v: float, t_x: float, t_y: float,
     """
     g_h = theta_h + alpha * (t_x - width / 2.0)
     g_v = theta_v + alpha * (t_y - height / 2.0)
-    c_h = min(max(g_h, -limit), limit)  # clamp_angle's scalar path, inline:
-    c_v = min(max(g_v, -limit), limit)  # every detection passes here
+    c_h = min(max(g_h, -limit), limit)  # the builtins, about 10x faster
+    c_v = min(max(g_v, -limit), limit)  # than clamp_angle on one value
     return c_h, c_v, (c_h != g_h or c_v != g_v)
 
 
 def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
-                 width: int = 264, height: int = 224, alpha: float = 0.002,
-                 among=None) -> View:
+                 width: int = EngineConfig.view_w, height: int = EngineConfig.view_h,
+                 alpha: float = EngineConfig.alpha, among=None) -> View:
     """Simulate the search camera at a mirror pose.
 
-    Includes every object whose angular footprint intersects the view
-    window, in scene order.  Positions are the object centers in view
-    pixels, clipped into the view when only part of the object is visible.
-    Sizes scale by the optics' magnification (panorama scale / alpha), as
+    Places the objects `among` names, indices in scene order as
+    `view_candidates` gives them (None asks it for this gaze), without
+    testing them again.  Positions are the object centers in view pixels,
+    clipped into the view, onto its border for an object not seen.  Sizes
+    scale by the optics' magnification (panorama scale / alpha), as
     positions do, which makes gaze refinement via image_to_galvo exact.
-
-    `among` (indices in scene order; None for all) limits this test, which
-    alone decides visibility.  A NaN axis rejects nothing, an infinite one all.
     """
-    if among is not None and not among:
+    if among is None:
+        (among,) = view_candidates(scene, [theta_h], [theta_v], width, height, alpha)
+    if not among:
         return _new(View, (theta_h, theta_v, width, height, ()))
     rows = scene.capture_rows
-    rows = rows if among is None else [rows[i] for i in among]
     dpp = scene.deg_per_px
     magnification = dpp / alpha
-    half_w_deg, half_h_deg = width * alpha / 2.0, height * alpha / 2.0
     gx, gy = scene.galvo_to_pano(theta_h, theta_v)
     visible = []
-    for object_id, c_x, c_y, w, h, occlusion in rows:
-        dv = (c_y - gy) * dpp
-        if abs(dv) > half_h_deg + h * dpp / 2.0:
-            continue
-        dh = (c_x - gx) * dpp
-        if abs(dh) > half_w_deg + w * dpp / 2.0:
-            continue
+    for object_id, c_x, c_y, w, h, occlusion in [rows[i] for i in among]:
+        dh, dv = (c_x - gx) * dpp, (c_y - gy) * dpp
         x_px = min(max(width / 2.0 + dh / alpha, 0.0), width - 1.0)
         y_px = min(max(height / 2.0 + dv / alpha, 0.0), height - 1.0)
         visible.append(_new(VisibleObject, (object_id, x_px, y_px,
@@ -110,10 +98,12 @@ def capture_view(scene: SceneMap, theta_h: float, theta_v: float,
     return _new(View, (theta_h, theta_v, width, height, tuple(visible)))
 
 
-def view_candidates(scene: SceneMap, theta_h, theta_v, width: int = 264,
-                    height: int = 224, alpha: float = 0.002) -> list[tuple]:
-    """Per gaze, the indices of the objects capture_view sees, in scene order:
-    its float tests over blocks of 2^16 gaze x object pairs, or of one gaze."""
+def view_candidates(scene: SceneMap, theta_h, theta_v,
+                    width: int = EngineConfig.view_w, height: int = EngineConfig.view_h,
+                    alpha: float = EngineConfig.alpha) -> list[tuple]:
+    """Per gaze, the indices of the objects whose angular footprint meets its
+    view window, in scene order, tested over blocks of 2^16 gaze x object
+    pairs, or of one gaze.  A NaN axis rejects nothing, an infinite one all."""
     out, dpp = [()] * len(theta_h), scene.deg_per_px
     if not len(scene.centers):
         return out

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import EngineConfig
 from .galvo import clamp_angle
 from .ppm import Ppm
 from .scene import SceneMap, left_sum, rejection_sample, sample_region
@@ -60,11 +61,12 @@ class Particle:
     theta_h: float
     theta_v: float
     weight: float
-    sigma: float = 1.0  # per-particle sampling std, degrees
+    sigma: float = EngineConfig.sigma0_deg  # per-particle sampling std, degrees
 
 
 def initial_sample(ppm: Ppm, scene: SceneMap, seed,
-                   sigma0: float = 1.0, limit: float = 20.0) -> ParticleSet:
+                   sigma0: float = EngineConfig.sigma0_deg,
+                   limit: float = EngineConfig.galvo_limit_deg) -> ParticleSet:
     """Draw the stage-0 particle set from the probability map.
 
     Remainder counts sample uniformly over their region's pixels; sub-region
@@ -128,7 +130,7 @@ def build_proposal(particles: ParticleSet) -> ParticleSet:
 
 
 def sample_next(proposal: ParticleSet, count: int, seed,
-                limit: float = 20.0) -> ParticleSet:
+                limit: float = EngineConfig.galvo_limit_deg) -> ParticleSet:
     """Draw the next stage's particles from the proposal mixture.
 
     Component choice follows the mix weights, then an isotropic Gaussian
@@ -171,7 +173,7 @@ def normalize_weights(particles: ParticleSet) -> ParticleSet:
 
 
 def prune_redundant(particles: ParticleSet, fov_deg: float,
-                    overlap_frac: float = 0.5) -> ParticleSet:
+                    overlap_frac: float = EngineConfig.overlap_frac) -> ParticleSet:
     """Drop particles whose gaze lies within overlap_frac * fov of a kept one.
 
     Greedy by descending weight (ties: lower index first), so the heaviest

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SegNoiseConfig
+from .config import EngineConfig, SegNoiseConfig
 from .scene import Region, SceneMap, left_sum, region_sampling_prob
 
 
@@ -163,7 +163,8 @@ def apportion(total: int, weights) -> list[int]:
 
 
 def refine_allocation(region: Region, x_r: int, dets, f_region: float,
-                      r_scale: float = 50.0) -> tuple[list[int], int]:
+                      r_scale: float = EngineConfig.subregion_scale
+                      ) -> tuple[list[int], int]:
     """Split a region's x_r particles between detection discs and the remainder.
 
     Each detection o claims a disc of area pi * (r_scale * sigma_o)^2 and
@@ -193,7 +194,7 @@ def refine_allocation(region: Region, x_r: int, dets, f_region: float,
 
 
 def build_ppm(scene: SceneMap, noise: SegNoiseConfig, target: str, n: int,
-              seed, r_scale: float = 50.0) -> Ppm:
+              seed, r_scale: float = EngineConfig.subregion_scale) -> Ppm:
     """Compose segmentation, region probabilities, and per-region refinement.
 
     Allocates exactly n particles: largest-remainder split across regions by
@@ -204,7 +205,7 @@ def build_ppm(scene: SceneMap, noise: SegNoiseConfig, target: str, n: int,
 
 
 def allocate_ppm(scene: SceneMap, grid: np.ndarray, dets, target: str, n: int,
-                 r_scale: float = 50.0) -> Ppm:
+                 r_scale: float = EngineConfig.subregion_scale) -> Ppm:
     """Allocation half of build_ppm, reusable with a fixed segmentation."""
     if n <= 0:
         raise ValueError("particle count must be > 0")

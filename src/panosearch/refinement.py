@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import EngineConfig
 from .detector import Detection
 from .galvo import clamp_angle
 from .scene import left_sum
@@ -72,7 +73,8 @@ def _overlap_weights(ious, sigma_t: float) -> list[float]:
     return [math.exp(x) for x in (-miss * miss / sigma_t).tolist()]
 
 
-def overlap_prob(b_i: Detection, b_m: Detection, sigma_t: float = 0.025) -> float:
+def overlap_prob(b_i: Detection, b_m: Detection,
+                 sigma_t: float = EngineConfig.sigma_t) -> float:
     """exp(-(1 - IoU)^2 / sigma_t); callers only pass overlapping pairs."""
     return _overlap_weights(iou(b_i, b_m), sigma_t)[0]
 
@@ -101,8 +103,9 @@ def variance_vote(members) -> tuple[float, float, float, float]:
                             for d, p in members]).T)
 
 
-def nms_merge(dets, iou_keep: float = 0.5, sigma_t: float = 0.025,
-              vote: bool = True, limit: float = 20.0) -> list[SearchWindow]:
+def nms_merge(dets, iou_keep: float = EngineConfig.iou_keep,
+              sigma_t: float = EngineConfig.sigma_t, vote: bool = True,
+              limit: float = EngineConfig.galvo_limit_deg) -> list[SearchWindow]:
     """Greedy confidence-ranked suppression into voted search windows.
 
     Detections overlapping a selected box above iou_keep fold into its member

@@ -75,6 +75,20 @@ def test_elapsed_time_model_exact(scenario):
         result.views * eng.dwell_ms
 
 
+def test_scan_log_elapsed_time_is_the_trial_model(scenario):
+    # 5 * (0.1 + 0.2) is 1.5000000000000002, 5 * 0.1 + 5 * 0.2 is 1.5: each
+    # row, over both passes, takes the trial's expression for its view count
+    cfg = dataclasses.replace(scenario, engine=dataclasses.replace(
+        scenario.engine, step_response_ms=0.1, dwell_ms=0.2))
+    trace = TrialTrace()
+    result = run_trial(build_scene(cfg.scene, seed=1), "ppm_ps", 5, 2, seed=0,
+                       cfg=cfg, trace=trace)
+    assert [row[3] for row in trace.scan] == [k * 0.1 + k * 0.2
+                                              for k in range(1, 6)]
+    assert trace.scan[-1][3] == result.elapsed_sim_ms == 1.5
+    assert len({row[0] for row in trace.particles}) == 2
+
+
 def test_run_trial_deterministic(scenario):
     scene = build_scene(scenario.scene, seed=2)
     a = run_trial(scene, "ppm_ps", 150, 2, seed=9, cfg=scenario)

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panosearch.config import (ObjectGroupSpec, RegionSpec, SceneConfig,
-                               default_scenario)
+from panosearch.config import (EngineConfig, ObjectGroupSpec, RegionSpec,
+                               SceneConfig, default_scenario)
 from panosearch import experiment
 from panosearch.experiment import TrialTrace, _grid_particles, run_trial
-from panosearch.galvo import (GALVO_LIMIT_DEG, View, VisibleObject,
-                              capture_view, clamp_angle, image_to_galvo,
-                              plan_scan, view_candidates)
+from panosearch.galvo import (View, VisibleObject, capture_view, clamp_angle,
+                              image_to_galvo, plan_scan, view_candidates)
 from panosearch.scene import build_scene, object_columns, step_motion
 
 
@@ -50,7 +49,7 @@ def test_clamp_at_range_limit_sets_flag():
                                    25.0, 3.5, math.inf, -math.inf])
 def test_clamp_angle_matches_the_conditional_on_scalars_and_arrays(theta):
     want = -20.0 if theta < -20.0 else (20.0 if theta > 20.0 else theta)
-    assert repr(clamp_angle(theta, 20.0)) == repr(want)  # keeps -0.0 and NaN
+    # the bytes keep -0.0 and NaN
     assert clamp_angle(np.array([theta]), 20.0).tobytes() == \
         np.array([want]).tobytes()
 
@@ -100,6 +99,21 @@ def test_round_trip_recenters_object():
     again = capture_view(scene, g_h, g_v)
     assert again.visible[0].x_px == pytest.approx(132.0, abs=1.0)
     assert again.visible[0].y_px == pytest.approx(112.0, abs=1.0)
+
+
+def test_capture_places_a_named_object_without_testing_it():
+    # view_candidates alone decides visibility: an object named in `among`
+    # but far outside the view lands on the clipped border, at its size
+    scene = scene_with(center=(900.0, 700.0), size=(4.0, 4.0))
+    th, tv = scene.pano_to_galvo(900.0, 700.0)
+    mag = scene.deg_per_px / 0.002
+    for gaze, x_px, y_px in [((th - 5.0, tv), 263.0, 112.0),
+                             ((th + 5.0, tv + 5.0), 0.0, 0.0),
+                             ((th, tv - 5.0), 132.0, 223.0)]:
+        assert view_candidates(scene, *np.array([gaze]).T) == [()]
+        assert capture_view(scene, *gaze).visible == ()
+        (vis,) = capture_view(scene, *gaze, among=(0,)).visible
+        assert vis == (0, x_px, y_px, 4.0 * mag, 4.0 * mag, 0.0)
 
 
 def test_apparent_size_uses_optics_consistent_magnification():
@@ -158,9 +172,9 @@ def scene_of(objects, **dims):
 
 
 def assert_same_pass(scene, gazes, **kw):
-    """Every gaze of one pass, captured over all objects and over its
-    view_candidates set, is the full scan's capture; each set is exactly the
-    objects that capture keeps, so the scalar test rejects none of them."""
+    """Every gaze of one pass, captured with its view_candidates set and with
+    among=None, is the full scan's capture: each set is exactly the objects
+    the reference keeps, in scene order."""
     theta_h, theta_v = np.array(gazes, dtype=float).reshape(-1, 2).T
     among = view_candidates(scene, theta_h, theta_v, **kw)
     assert len(among) == len(gazes)
@@ -172,7 +186,7 @@ def assert_same_pass(scene, gazes, **kw):
         assert type(ids) is tuple and list(ids) == sorted(ids)
         assert [scene.objects[i].id for i in ids] == [v.object_id
                                                       for v in want.visible]
-        # only the objects named are tested
+        # only the objects named are placed
         assert repr(capture_view(scene, th, tv, among=ids[1:], **kw).visible) \
             == repr(want.visible[1:])
 
@@ -363,8 +377,8 @@ def test_view_candidates_peak_memory_is_one_block():
     centers = rng.uniform((0.0, 0.0), (1440.0, 1200.0), size=(4096, 2))
     scene = scene_of([(c, (48.0, 28.0)) for c in map(tuple, centers.tolist())],
                      **dims)
-    theta_h, theta_v = rng.uniform(-GALVO_LIMIT_DEG, GALVO_LIMIT_DEG,
-                                   size=(2, 2048))
+    limit = EngineConfig.galvo_limit_deg
+    theta_h, theta_v = rng.uniform(-limit, limit, size=(2, 2048))
     tracemalloc.start()
     try:
         among = view_candidates(scene, theta_h, theta_v)
@@ -484,7 +498,7 @@ GRID_SCENE = build_scene(default_scenario().scene, seed=0)
 
 
 def grid_positions(count):
-    grid = _grid_particles(GRID_SCENE, count, 1.0, GALVO_LIMIT_DEG)
+    grid = _grid_particles(GRID_SCENE, count, 1.0, EngineConfig.galvo_limit_deg)
     return list(zip(grid.theta_h.tolist(), grid.theta_v.tolist()))
 
 

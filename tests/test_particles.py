@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panosearch.config import (ObjectGroupSpec, RegionSpec, SceneConfig,
-                               SegNoiseConfig, default_scenario)
+from panosearch.config import (EngineConfig, ObjectGroupSpec, RegionSpec,
+                               SceneConfig, SegNoiseConfig, default_scenario)
 from panosearch.experiment import _grid_particles, _uniform_particles
-from panosearch.galvo import GALVO_LIMIT_DEG
 from panosearch.particles import (Particle, ParticleSet, _disc_draw,
                                   build_proposal, initial_sample,
                                   normalize_weights, prune_redundant,
@@ -546,14 +545,14 @@ GRID_SCENE = build_scene(default_scenario().scene, seed=0)
 
 
 @pytest.mark.parametrize("count", [1, 7, 401])
-@pytest.mark.parametrize("limit", [GALVO_LIMIT_DEG, 5.0])
+@pytest.mark.parametrize("limit", [EngineConfig.galvo_limit_deg, 5.0])
 def test_grid_particles_match_list_reference(count, limit):
     assert_bits(_grid_particles(GRID_SCENE, count, 0.7, limit),
                 ref_grid_particles(GRID_SCENE, count, 0.7, limit))
 
 
 @given(count=st.integers(1, 500), seed=st.integers(0, 2**32 - 1),
-       limit=st.sampled_from([GALVO_LIMIT_DEG, 5.0]))
+       limit=st.sampled_from([EngineConfig.galvo_limit_deg, 5.0]))
 @settings(max_examples=100, deadline=None)
 def test_uniform_and_grid_particles_match_list_reference(count, seed, limit):
     old, new = np.random.default_rng(seed), np.random.default_rng(seed)

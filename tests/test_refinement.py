@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panosearch.detector import Detection
-from panosearch.galvo import clamp_angle
 from panosearch.refinement import (VAR_FLOOR, SearchWindow, bounds_iou,
                                    box_bounds, iou, nms_merge, overlap_prob,
                                    variance_vote)
@@ -252,7 +251,8 @@ def reference_nms_merge(dets, iou_keep=0.5, sigma_t=0.025, vote=True,
             c_h, c_v = best.theta_h, best.theta_v
             r_h, r_v = max(best.var_h, VAR_FLOOR), max(best.var_v, VAR_FLOOR)
         windows.append(SearchWindow(
-            center_h=clamp_angle(c_h, limit), center_v=clamp_angle(c_v, limit),
+            center_h=min(max(c_h, -limit), limit),
+            center_v=min(max(c_v, -limit), limit),
             radius_h=r_h, radius_v=r_v, confidence=best.confidence,
             width_deg=best.width_deg, height_deg=best.height_deg,
             members=tuple(members)))
@@ -499,4 +499,5 @@ def test_nms_windows_vote_as_the_member_loop(seed, n, sigma_t):
             c_h, c_v, r_h, r_v = reference_variance_vote(
                 [(m, overlap_prob(m, best, sigma_t)) for m in w.members])
             assert repr((w.center_h, w.center_v, w.radius_h, w.radius_v)) == \
-                repr((clamp_angle(c_h, limit), clamp_angle(c_v, limit), r_h, r_v))
+                repr((min(max(c_h, -limit), limit), min(max(c_v, -limit), limit),
+                      r_h, r_v))
