@@ -3,7 +3,8 @@ of runs, recorded in golden.json beside this file.
 
 The runs are the four studies on the small config below at --jobs 1, a
 `trial --dump` of every method at two seeds with three passes and label
-noise, and the default config echoed as effective.cfg.  One more digest
+noise, the same dump of two methods where false positives dominate (fp_rate
+9.99, about 10 per view), and the default config echoed as effective.cfg.  One more digest
 covers what no file shows: every field of `run_trial`'s finds, its
 pre-search variances, recall and AP over every method and ten seeds on the
 default scene and on a crowded one.  Float sums and random streams may
@@ -57,6 +58,8 @@ STUDIES = ("curve", "sweep", "ablation", "deviation")
 METHODS = ("ppm_ps", "ppm_only", "rpm", "mpf", "uniform")
 TRIAL_SEEDS = (0, 3)
 TRIAL_SETS = ("engine.iterations=3", "noise.label_flip=0.05")
+FP_METHODS = ("ppm_ps", "mpf")
+FP_SETS = TRIAL_SETS + ("detector.fp_rate=9.99",)
 RESULT_SEEDS = 10
 RESULT_BUDGET = 200
 
@@ -72,14 +75,15 @@ def write_outputs(root: Path) -> None:
     for study in STUDIES:
         assert main([study, "--config", str(tiny), "--jobs", "1",
                      "--out", str(root / study)]) == 0
-    for method in METHODS:
-        for seed in TRIAL_SEEDS:
-            argv = ["trial", "--config", str(DEFAULT_CFG), "--method", method,
-                    "--seed", str(seed), "--dump",
-                    "--out", str(root / f"trial_{method}_{seed}")]
-            for override in TRIAL_SETS:
-                argv += ["--set", override]
-            assert main(argv) == 0
+    dumps = [(method, seed, f"trial_{method}_{seed}", TRIAL_SETS)
+             for method in METHODS for seed in TRIAL_SEEDS]
+    dumps += [(method, 0, f"trial_{method}_fp", FP_SETS) for method in FP_METHODS]
+    for method, seed, out, overrides in dumps:
+        argv = ["trial", "--config", str(DEFAULT_CFG), "--method", method,
+                "--seed", str(seed), "--dump", "--out", str(root / out)]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 0
     (root / "default").mkdir()
     (root / "default" / "effective.cfg").write_text(
         serialize_scenario(load_scenario(None)), encoding="utf-8")
