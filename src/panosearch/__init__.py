@@ -4,7 +4,7 @@ from .config import (ConfigError, DetectorConfig, EngineConfig,
                      ExperimentConfig, ObjectGroupSpec, RegionSpec,
                      ScenarioConfig, SceneConfig, SegNoiseConfig,
                      default_scenario, load_scenario)
-from .detector import Detection, SyntheticDetector
+from .detector import DETECTION_ROW, Detection, SyntheticDetector
 from .experiment import (METHODS, TrialResult, ablation, deviation_study,
                          proportion_sweep, recall_curve, run_trial)
 from .galvo import View, capture_view, image_to_galvo, plan_scan
@@ -13,7 +13,7 @@ from .particles import (Particle, ParticleSet, build_proposal,
                         sample_next, update_weights)
 from .ppm import (PanoDetection, Ppm, build_ppm, refine_allocation,
                   region_sampling_prob, segment_panorama)
-from .refinement import SearchWindow, iou, nms_merge, overlap_prob, variance_vote
+from .refinement import SearchWindows, iou, nms_merge, overlap_prob, variance_vote
 from .scene import GtObject, Region, SceneMap, build_scene, step_motion
 
 __version__ = "0.1.0"
@@ -22,7 +22,7 @@ __all__ = [
     "ConfigError", "DetectorConfig", "EngineConfig", "ExperimentConfig",
     "ObjectGroupSpec", "RegionSpec", "ScenarioConfig", "SceneConfig",
     "SegNoiseConfig", "default_scenario", "load_scenario",
-    "Detection", "SyntheticDetector",
+    "DETECTION_ROW", "Detection", "SyntheticDetector",
     "METHODS", "TrialResult", "ablation", "deviation_study",
     "proportion_sweep", "recall_curve", "run_trial",
     "View", "capture_view", "image_to_galvo", "plan_scan",
@@ -30,6 +30,6 @@ __all__ = [
     "normalize_weights", "prune_redundant", "sample_next", "update_weights",
     "PanoDetection", "Ppm", "build_ppm", "refine_allocation",
     "region_sampling_prob", "segment_panorama",
-    "SearchWindow", "iou", "nms_merge", "overlap_prob", "variance_vote",
+    "SearchWindows", "iou", "nms_merge", "overlap_prob", "variance_vote",
     "GtObject", "Region", "SceneMap", "build_scene", "step_motion",
 ]

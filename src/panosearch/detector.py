@@ -1,13 +1,11 @@
 """Search-camera detector: the synthetic model every trial runs.
 
-A detector turns a captured view into detections carrying a confidence and
-per-axis localization variances, and reduces a view's detections to a single
-likelihood scalar for particle weighting.  A trial builds its
-`SyntheticDetector` from the config and, per scan pass, calls its
-``detect_pass(views, rng)`` once, with the draws of one ``detect(view, rng)``
-per view, and ``likelihood(view, dets)`` only on the views it returns with
-detections; a view without detections keeps the floor.  A run of views with
-nothing visible draws its false-positive counts in one batch.
+A detector turns captured views into detections carrying a confidence and
+per-axis localization variances.  A trial builds its `SyntheticDetector` from
+the config and, per scan pass, calls its ``detect_pass(views, rng)`` once for
+the pass's table of `DETECTION_ROW`s, with the draws of one
+``detect(view, rng)`` per view.  ``likelihood(view, detections)`` is a
+view's particle weight; the trial reads it off the table's confidence column.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DetectorConfig, EngineConfig
-from .galvo import View, image_to_galvo
+from .galvo import View, clamp_angle, image_to_galvo
 
 
 class Detection(NamedTuple):
@@ -30,6 +28,14 @@ class Detection(NamedTuple):
     var_h: float          # localization variance, degrees^2
     var_v: float
     object_id: int | None = None  # simulator truth tag; None for false positives
+
+
+# a pass's detection table holds these rows by view, a view's true detections
+# in visible order, then its false positives; `view` is a position in the
+# pass, and `object_id` is -1 for a false positive
+DETECTION_ROW = np.dtype([("view", np.intp),
+                          *((name, float) for name in Detection._fields[:7]),
+                          ("object_id", np.intp)])
 
 
 def _model(cfg: DetectorConfig, occlusion: float, width_px: float,
@@ -44,11 +50,6 @@ def _model(cfg: DetectorConfig, occlusion: float, width_px: float,
     return (cfg.base_recall * (1.0 - occlusion) * size_factor * center_factor,
             base * common * (cfg.size_ref_px / max(width_px, 1.0)),
             base * common * (cfg.size_ref_px / max(height_px, 1.0)))
-
-
-def _frame(width: int, height: int) -> tuple[float, float, float]:
-    """A view's center (c_x, c_y) and half diagonal, in view pixels."""
-    return width / 2.0, height / 2.0, 0.5 * math.hypot(width, height)
 
 
 class SyntheticDetector:
@@ -71,12 +72,19 @@ class SyntheticDetector:
         angles.  False positives arrive Poisson-distributed at fp_rate per
         view with confidence below fp_conf_cap.
         """
+        rows, fps = [], []
+        self._detect(0, view, np.random.default_rng(seed), rows, fps)
+        return [Detection(*row[1:8], None if row[8] < 0 else row[8])
+                for row in self._table(rows, fps).tolist()]
+
+    def _detect(self, i: int, view: View, rng, rows: list, fps: list) -> None:
+        """Detect view `i`: add a table row per true detection to `rows`, and
+        its position, gaze, size and four uniforms per false positive to `fps`."""
         cfg, alpha, limit = self.cfg, self.alpha, self.limit
-        rng = np.random.default_rng(seed)
         theta_h, theta_v, width, height, visible = view
-        out: list[Detection] = []
         if visible:
-            c_x, c_y, half_diag = _frame(width, height)
+            c_x, c_y = width / 2.0, height / 2.0
+            half_diag = 0.5 * math.hypot(width, height)
         for object_id, x_px, y_px, width_px, height_px, occlusion in visible:
             dist_norm = math.hypot(x_px - c_x, y_px - c_y) / half_diag
             d, var_h, var_v = _model(cfg, occlusion, width_px, height_px,
@@ -94,67 +102,76 @@ class SyntheticDetector:
             conf = d + (0.0 + cfg.conf_noise * next(z) if cfg.conf_noise > 0 else 0.0)
             g_h, g_v, _ = image_to_galvo(theta_h, theta_v, t_x, t_y, alpha,
                                          width, height, limit)
-            out.append(Detection(g_h, g_v, width_px * alpha, height_px * alpha,
-                                 min(max(conf, 0.0), 1.0), var_h, var_v,
-                                 object_id))
+            rows.append((i, g_h, g_v, width_px * alpha, height_px * alpha,
+                         min(max(conf, 0.0), 1.0), var_h, var_v, object_id))
         # a view with nothing visible draws this count and, when it is 0
         # (always at fp_rate 0), nothing else: most views are empty
         k = rng.poisson(cfg.fp_rate) if cfg.fp_rate > 0.0 else 0
         if k:
             # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), so one
             # draw gives the k false positives' uniforms
-            out += self._false_positives(view, rng.random((k, 4)).tolist())
-        return out
+            head = (i, theta_h, theta_v, width, height)
+            fps += [(*head, *u) for u in rng.random((k, 4)).tolist()]
 
-    def _false_positives(self, view: View, rows) -> list[Detection]:
-        """One false positive per row of 4 uniforms: its t_x, t_y, size and
-        confidence."""
-        cfg, alpha, limit = self.cfg, self.alpha, self.limit
-        theta_h, theta_v, width, height, _ = view
-        c_x, c_y, half_diag = _frame(width, height)
-        out = []
-        for u_x, u_y, u_size, u_conf in rows:
-            t_x, t_y = (width - 1.0) * u_x, (height - 1.0) * u_y
-            size = 10.0 + 30.0 * u_size
-            dist_norm = math.hypot(t_x - c_x, t_y - c_y) / half_diag
-            _, var_h, var_v = _model(cfg, 0.0, size, size, dist_norm)
-            g_h, g_v, _ = image_to_galvo(theta_h, theta_v, t_x, t_y, alpha,
-                                         width, height, limit)
-            out.append(Detection(g_h, g_v, size * alpha, size * alpha,
-                                 cfg.fp_conf_cap * u_conf, var_h, var_v))
-        return out
-
-    def detect_pass(self, views, rng) -> list[tuple[int, list[Detection]]]:
-        """`(position, detections)` per view of a pass that detects, in view
-        order, with the draws, detections and generator end state of
-        ``[detect(v, rng) for v in views]``.
+    def detect_pass(self, views, rng) -> np.ndarray:
+        """The detections of a pass's views as one table, with the draws,
+        rows and generator end state of ``[detect(v, rng) for v in views]``.
 
         Below fp_rate 10 numpy's Poisson sampler multiplies uniform doubles
         until the product falls to e^-fp_rate, so a count of 0 is one double
         at most e^-fp_rate: a run of views with nothing visible draws its
         doubles in one call (none at fp_rate 0), and the other views go
-        through `detect`.  From 10 on the sampler is PTRS rejection, and
-        every view goes through `detect`.
+        through the per-view core, `_detect`.  From 10 on the sampler is PTRS
+        rejection, and every view goes through that core.  The false
+        positives become rows in one array expression.
         """
-        fp_rate, out, start = self.cfg.fp_rate, [], 0
+        fp_rate, rows, fps, start = self.cfg.fp_rate, [], [], 0
         ptrs = fp_rate >= 10.0
         for i in [i for i, v in enumerate(views) if v.visible or ptrs] + [len(views)]:
             if fp_rate > 0.0 and i > start:
-                out += self._empty_run(views, start, i, rng)
-            if i < len(views) and (dets := self.detect(views[i], rng)):
-                out.append((i, dets))
+                self._empty_run(views, start, i, rng, fps)
+            if i < len(views):
+                self._detect(i, views[i], rng, rows, fps)
             start = i + 1
-        return out
+        return self._table(rows, fps)
 
-    def _empty_run(self, views, start: int, stop: int, rng) -> list:
-        """The false positives of views[start:stop], none with anything
-        visible.  Every view draws at least one double, so a draw takes the
-        doubles needed now plus one per later view, never one more."""
+    def _table(self, rows: list, fps: list) -> np.ndarray:
+        """The table of `_detect`'s rows and false positives, each view's
+        false positives after its true detections.  These are one array
+        expression over their views and uniforms, with `_model`'s variances
+        for a square box at occlusion 0; distances take `math.hypot` per row,
+        since `np.hypot` differs from it in the last bit on some offsets."""
+        table = np.empty(len(rows) + len(fps), DETECTION_ROW)
+        table[:len(rows)] = rows
+        if not fps:
+            return table
+        cfg, alpha = self.cfg, self.alpha
+        i, theta_h, theta_v, width, height, u_x, u_y, u_size, u_conf = np.array(fps).T
+        t_x, t_y = (width - 1.0) * u_x, (height - 1.0) * u_y
+        size = 10.0 + 30.0 * u_size
+        off_x, off_y = t_x - width / 2.0, t_y - height / 2.0
+        dist_norm = np.array([
+            math.hypot(x, y) / (0.5 * math.hypot(w, h)) for x, y, w, h in
+            zip(off_x.tolist(), off_y.tolist(), width.tolist(), height.tolist())])
+        common = (1.0 + cfg.k_occ * 0.0) * (1.0 + cfg.k_ctr * dist_norm)
+        var = cfg.sigma_base_deg ** 2 * common * (cfg.size_ref_px
+                                                 / np.maximum(size, 1.0))
+        for name, column in zip(DETECTION_ROW.names, (
+                i, clamp_angle(theta_h + alpha * off_x, self.limit),
+                clamp_angle(theta_v + alpha * off_y, self.limit), size * alpha,
+                size * alpha, cfg.fp_conf_cap * u_conf, var, var, -1)):
+            table[len(rows):][name] = column
+        return table[np.argsort(table["view"], kind="stable")]
+
+    def _empty_run(self, views, start: int, stop: int, rng, fps: list) -> None:
+        """Add the false positives of views[start:stop], none with anything
+        visible, to `fps`.  Every view draws at least one double, so a draw
+        takes the doubles needed now plus one per later view, never one more."""
         e_neg = math.exp(-self.cfg.fp_rate)
         buf = rng.random(stop - start).tolist()
         if max(buf) <= e_neg:
-            return []
-        out, pos = [], 0
+            return
+        pos = 0
         for i in range(start, stop):
             later = stop - 1 - i
             k, prod = 0, 1.0
@@ -172,9 +189,8 @@ class SyntheticDetector:
                         pos + 4 * k - len(buf) + later).tolist(), 0
                 flat = iter(buf[pos:pos + 4 * k])
                 pos += 4 * k
-                out.append((i, self._false_positives(views[i],
-                                                     zip(flat, flat, flat, flat))))
-        return out
+                head = (i, *views[i][:4])
+                fps += [(*head, *u) for u in zip(flat, flat, flat, flat)]
 
     def likelihood(self, view: View, detections) -> float:
         """View likelihood: best detection confidence, floored so misses survive."""

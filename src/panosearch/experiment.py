@@ -4,11 +4,11 @@ A trial spends a total view budget over one or more scan passes, each a
 record that four stages fill: draw places particles from the configured prior
 (probability map, region probabilities, uniform, or a fixed grid) or from the
 last pass's weighted proposal mixture; scan captures a view per particle
-and detects the pass's views in one call; merge folds the detections into
-search windows, matched against ground truth for recall, average precision,
-and gaze-deviation metrics; refine reweights the particles into the next
-proposal.  The trace is filled
-in one place, from each pass record.
+and detects the pass's views in one call, as one detection table; merge
+folds the table's rows into search windows, matched against ground truth
+for recall, average precision, and gaze-deviation metrics; refine reweights
+the particles into the next proposal.  The trace is filled in one place,
+from each pass record.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ import numpy as np
 from .config import (METHODS, ConfigError, DetectorPreset, MethodSpec,
                      ObjectGroupSpec, RegionSpec, ScenarioConfig, SceneConfig,
                      pin_errors, region_parts)
-from .detector import Detection, SyntheticDetector
+from .detector import SyntheticDetector
 from .galvo import capture_view, plan_scan, view_candidates
 from .particles import (ParticleSet, build_proposal, initial_sample,
                         normalize_weights, prune_redundant, sample_next,
                         update_weights)
 from .ppm import Ppm, allocate_ppm, segment_panorama
-from .refinement import SearchWindow, bounds_iou, box_bounds, nms_merge
+from .refinement import SearchWindows, bounds_iou, box_bounds, nms_merge
 from .scene import SceneMap, build_scene, left_sum, step_motion
 
 
@@ -173,7 +173,7 @@ def average_precision_11pt(records, n_gt: int) -> float:
                      for level in range(11)]) / 11.0
 
 
-def _claim(boxes: np.ndarray, windows: list[SearchWindow], stage: int,
+def _claim(boxes: np.ndarray, windows: SearchWindows, stage: int,
            found: dict[int, FoundObject], alpha: float,
            ap_records: list | None = None) -> np.ndarray:
     """One stage's windows, in confidence order, claim the objects whose boxes
@@ -182,44 +182,45 @@ def _claim(boxes: np.ndarray, windows: list[SearchWindow], stage: int,
     one (confidence, IoU-matched object index or None) record per window to
     `ap_records` if given; returns each window's match index, -1 for none.
     """
-    centers = np.array([(w.center_h, w.center_v) for w in windows]).reshape(-1, 2)
+    centers = np.column_stack((windows.center_h, windows.center_v))
     matches = _match_objects(boxes, centers)
-    # Python scalars: the same float subtractions, without numpy's per-item cost
-    rows = boxes.tolist()
+    hit = np.flatnonzero(matches >= 0)
+    err = (centers[hit] - boxes[matches[hit], :2]) / alpha
+    post_var = (windows.radius_h[hit] + windows.radius_v[hit]) / 2.0
     claimed: set[int] = set()
-    for w, j in zip(windows, matches.tolist()):
-        if j < 0 or j in claimed:
+    for j, conf, (err_x, err_y), var in zip(
+            matches[hit].tolist(), windows.confidence[hit].tolist(),
+            err.tolist(), post_var.tolist()):
+        if j in claimed:
             continue
         claimed.add(j)
         old = found.get(j)
-        if old is not None and w.confidence < old.confidence:
+        if old is not None and conf < old.confidence:
             continue
-        found[j] = FoundObject(
-            stage=stage if old is None else old.stage,
-            err_x_px=float(w.center_h - rows[j][0]) / alpha,
-            err_y_px=float(w.center_v - rows[j][1]) / alpha,
-            post_var=(w.radius_h + w.radius_v) / 2.0,
-            confidence=w.confidence)
+        found[j] = FoundObject(stage if old is None else old.stage, err_x,
+                               err_y, var, conf)
     if ap_records is not None:
-        sizes = np.array([(w.width_deg, w.height_deg) for w in windows]).reshape(-1, 2)
-        ap_records.extend((w.confidence, None if j < 0 else j) for w, j
-                          in zip(windows, _ap_matches(boxes, centers, sizes).tolist()))
+        sizes = np.column_stack((windows.width_deg, windows.height_deg))
+        ap_records.extend((conf, None if j < 0 else j) for conf, j in zip(
+            windows.confidence.tolist(),
+            _ap_matches(boxes, centers, sizes).tolist()))
     return matches
 
 
 @dataclass
 class _Pass:
-    """One scan pass as draw, scan and merge fill it; `hits` holds a (particle
-    index, detections, likelihood) triple per view that `detect_pass` returned,
-    in tour order."""
+    """One scan pass as draw, scan and merge fill it: `order` is the tour over
+    the particles, `dets` the table `detect_pass` returned, whose `view`
+    column is a position in `order`, and `windows` the merged windows, which
+    also give each detection row's window."""
 
     stage: int
     particles: ParticleSet
     ppm: Ppm | None = None
     order: list[int] = field(default_factory=list)
     among: list[tuple] = field(default_factory=list)
-    hits: list[tuple[int, list[Detection], float]] = field(default_factory=list)
-    windows: list[SearchWindow] = field(default_factory=list)
+    dets: np.ndarray | None = None  # of DETECTION_ROWs
+    windows: SearchWindows | None = None
 
 
 def _sim_ms(views: int, eng) -> float:
@@ -238,12 +239,14 @@ def _log_pass(trace: TrialTrace, rec: _Pass, eng) -> None:
     trace.scan.extend((seq, theta_h[idx], theta_v[idx], _sim_ms(seq + 1, eng),
                        len(rec.among[idx]))
                       for seq, idx in enumerate(rec.order, start=len(trace.scan)))
-    trace.detections.extend((stage, idx, d.theta_h, d.theta_v, d.confidence,
-                             d.var_h, d.var_v)
-                            for idx, dets, _ in rec.hits for d in dets)
-    trace.windows.extend((stage, wi, w.center_h, w.center_v, w.radius_h,
-                          w.radius_v, len(w.members))
-                         for wi, w in enumerate(rec.windows))
+    d, w = rec.dets, rec.windows
+    trace.detections.extend((stage, idx, *row) for idx, row in zip(
+        np.asarray(rec.order)[d["view"]].tolist(),
+        d[["theta_h", "theta_v", "confidence", "var_h", "var_v"]].tolist()))
+    trace.windows.extend(zip(
+        [stage] * len(w), range(len(w)), w.center_h.tolist(),
+        w.center_v.tolist(), w.radius_h.tolist(), w.radius_v.tolist(),
+        np.bincount(w.window_of, minlength=len(w)).tolist()))
 
 
 def _draw(stage: int, n: int, spec: MethodSpec, scene: SceneMap, prior,
@@ -266,9 +269,8 @@ def _draw(stage: int, n: int, spec: MethodSpec, scene: SceneMap, prior,
 
 def _scan(rec: _Pass, scene: SceneMap, pose: tuple[float, float], detector,
           rng, eng) -> tuple[float, float]:
-    """One capture per particle along a tour from `pose`, one `detect_pass`
-    over the views in tour order, and a likelihood per view that detects;
-    returns the last gaze."""
+    """One capture per particle along a tour from `pose` and one `detect_pass`
+    over the views in tour order; returns the last gaze."""
     p = rec.particles
     rec.order = plan_scan(pose, np.column_stack((p.theta_h, p.theta_v)))
     theta_h, theta_v = p.theta_h.tolist(), p.theta_v.tolist()
@@ -279,8 +281,7 @@ def _scan(rec: _Pass, scene: SceneMap, pose: tuple[float, float], detector,
     # sees every view
     views = [capture_view(scene, theta_h[idx], theta_v[idx], view_w, view_h,
                           alpha, among[idx]) for idx in rec.order]
-    rec.hits = [(rec.order[pos], dets, detector.likelihood(views[pos], dets))
-                for pos, dets in detector.detect_pass(views, rng)]
+    rec.dets = detector.detect_pass(views, rng)
     last = rec.order[-1]
     return theta_h[last], theta_v[last]
 
@@ -288,12 +289,13 @@ def _scan(rec: _Pass, scene: SceneMap, pose: tuple[float, float], detector,
 def _merge(rec: _Pass, boxes: np.ndarray, spec: MethodSpec, eng, found: dict,
            pre_vars: dict, ap_records: list | None) -> None:
     """Merge the pass's detections into search windows that claim objects by
-    their `boxes`; an object's first detection gives its pre-refinement variance."""
-    dets = [d for _, view_dets, _ in rec.hits for d in view_dets]
-    for d in dets:
-        if d.object_id is not None:
-            pre_vars.setdefault(d.object_id, (d.var_h + d.var_v) / 2.0)
-    rec.windows = nms_merge(dets, iou_keep=eng.iou_keep, sigma_t=eng.sigma_t,
+    their `boxes`; an object's first row gives its pre-refinement variance."""
+    d = rec.dets
+    for j, var in zip(d["object_id"].tolist(),
+                      ((d["var_h"] + d["var_v"]) / 2.0).tolist()):
+        if j >= 0:
+            pre_vars.setdefault(j, var)
+    rec.windows = nms_merge(d, iou_keep=eng.iou_keep, sigma_t=eng.sigma_t,
                             vote=spec.voting, limit=eng.galvo_limit_deg)
     _claim(boxes, rec.windows, rec.stage, found, eng.alpha, ap_records)
 
@@ -301,24 +303,27 @@ def _merge(rec: _Pass, boxes: np.ndarray, spec: MethodSpec, eng, found: dict,
 def _refine(rec: _Pass, spec: MethodSpec, eng) -> ParticleSet | None:
     """The next pass's proposal, or None when no weight survives and the
     next pass reseeds from the prior."""
-    # coordinate refinement: a detecting particle re-centers on the search
-    # window its best detection merged into, so the next pass gazes at the
-    # refined coordinates instead of the old offset
-    window_center = {id(m): (w.center_h, w.center_v)
-                     for w in rec.windows for m in w.members}
-    p = rec.particles
-    theta_h, theta_v, sigmas = p.theta_h.tolist(), p.theta_v.tolist(), p.sigma.tolist()
+    d, windows, p = rec.dets, rec.windows, rec.particles
+    theta_h, theta_v, sigmas = p.theta_h.copy(), p.theta_v.copy(), p.sigma.copy()
     # without detections a view keeps the likelihood floor
-    likes = [eng.likelihood_floor] * len(p)
-    for idx, dets, like in rec.hits:
-        likes[idx] = like
-        best = max(dets, key=lambda d: d.confidence)  # the first of equals
-        theta_h[idx], theta_v[idx] = window_center[id(best)]
-        if spec.adaptive_sigma:
-            sigma = math.sqrt((best.var_h + best.var_v) / 2.0)
-            sigmas[idx] = min(max(sigma, eng.sigma_min_deg), eng.sigma_max_deg)
-    particles = update_weights(ParticleSet(np.array(theta_h), np.array(theta_v),
-                                           p.weight, np.array(sigmas)), likes)
+    likes = np.full(len(p), eng.likelihood_floor)
+    # each detecting view's best row, the first of equals, and its weight
+    starts = np.flatnonzero(np.diff(d["view"], prepend=-1))
+    by_conf = np.argsort(-d["confidence"], kind="stable")
+    best = by_conf[np.argsort(d["view"][by_conf], kind="stable")][starts]
+    idx = np.asarray(rec.order)[d["view"][best]]
+    likes[idx] = np.maximum(d["confidence"][best], eng.likelihood_floor)
+    # coordinate refinement: a detecting particle re-centers on the
+    # search window its best row merged into, so the next pass gazes at
+    # the refined coordinates instead of the old offset
+    win = windows.window_of[best]
+    theta_h[idx], theta_v[idx] = windows.center_h[win], windows.center_v[win]
+    if spec.adaptive_sigma:
+        sigma = np.sqrt((d["var_h"][best] + d["var_v"][best]) / 2.0)
+        sigmas[idx] = np.minimum(np.maximum(sigma, eng.sigma_min_deg),
+                                 eng.sigma_max_deg)
+    particles = update_weights(ParticleSet(theta_h, theta_v, p.weight, sigmas),
+                               likes)
     try:
         particles = normalize_weights(particles)
     except ValueError:
@@ -361,15 +366,16 @@ def run_trial(scene: SceneMap, method: str, budget: int, iters: int, seed,
     if spec.init == "ppm":
         # the wide camera's detections are stage-0 windows: both radii are
         # the sub-region prior variance, the extent is the object's box
-        windows = []
-        for det in dets_pano:
-            var = (eng.subregion_scale * det.sigma_o * scene.deg_per_px) ** 2
-            windows.append(SearchWindow(*scene.pano_to_galvo(*det.center), var, var,
-                                        det.confidence, *boxes[det.object_id, 2:], ()))
+        var = [(eng.subregion_scale * det.sigma_o * scene.deg_per_px) ** 2
+               for det in dets_pano]
+        rows = [(*scene.pano_to_galvo(*det.center), v, v, det.confidence,
+                 *boxes[det.object_id, 2:]) for det, v in zip(dets_pano, var)]
+        windows = SearchWindows(*np.array(rows).reshape(-1, 7).T,
+                                np.zeros(0, dtype=np.intp))
         matches = _claim(boxes, windows, 0, found, eng.alpha, ap_records)
-        for w, j in zip(windows, matches.tolist()):
+        for j, v in zip(matches.tolist(), var):
             if j >= 0:
-                pre_vars.setdefault(j, w.radius_h)
+                pre_vars.setdefault(j, v)
 
     pose = (0.0, 0.0)  # the last gaze
     proposal = None

@@ -1,18 +1,18 @@
 """Coordinate refinement: overlap-weighted, precision-weighted merging of boxes.
 
-Confidence-ranked NMS groups overlapping detections into search windows.
-Each window's center is then re-estimated by voting: every member
-contributes its center weighted by overlap probability over localization
-variance, so tight, well-localized neighbours dominate and uncertain or
-barely-overlapping ones are discounted.  The same weights aggregate into a
-shrunken per-axis sampling radius for the next search stage.
+Confidence-ranked NMS groups the overlapping rows of a pass's detection
+table into `SearchWindows`.  Each window's center is then re-estimated by
+voting: every member contributes its center weighted by overlap probability
+over localization variance, so tight, well-localized neighbours dominate and
+uncertain or barely-overlapping ones are discounted.  The same weights
+aggregate into a shrunken per-axis sampling radius for the next search stage.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,15 +25,22 @@ VAR_FLOOR = 1e-6  # degrees^2
 _NMS_BLOCK = 32   # selected boxes whose IoU rows nms_merge computes at once
 
 
-class SearchWindow(NamedTuple):
-    center_h: float
-    center_v: float
-    radius_h: float           # per-axis variance of the window estimate, deg^2
-    radius_v: float
-    confidence: float         # best member confidence
-    width_deg: float          # extent kept from the best member
-    height_deg: float
-    members: tuple[Detection, ...]
+@dataclass(frozen=True, eq=False)
+class SearchWindows:
+    """A stage's search windows as columns, one row per window, and
+    `window_of`, the window of each row of the merged detection table."""
+
+    center_h: np.ndarray
+    center_v: np.ndarray
+    radius_h: np.ndarray      # per-axis variance of the window estimate, deg^2
+    radius_v: np.ndarray
+    confidence: np.ndarray    # best member confidence
+    width_deg: np.ndarray     # extent kept from the best member
+    height_deg: np.ndarray
+    window_of: np.ndarray     # int, one per detection row
+
+    def __len__(self) -> int:
+        return len(self.center_h)
 
 
 def iou(a: Detection, b: Detection) -> float:
@@ -103,28 +110,25 @@ def variance_vote(members) -> tuple[float, float, float, float]:
                             for d, p in members]).T)
 
 
-def nms_merge(dets, iou_keep: float = EngineConfig.iou_keep,
+def nms_merge(dets: np.ndarray, iou_keep: float = EngineConfig.iou_keep,
               sigma_t: float = EngineConfig.sigma_t, vote: bool = True,
-              limit: float = EngineConfig.galvo_limit_deg) -> list[SearchWindow]:
+              limit: float = EngineConfig.galvo_limit_deg) -> SearchWindows:
     """Greedy confidence-ranked suppression into voted search windows.
 
-    Detections overlapping a selected box above iou_keep fold into its member
-    list instead of surviving on their own.  With voting enabled the window
-    center moves to the members' precision-weighted vote and its radii are
-    the vote's aggregate variances; otherwise it stays at the best member,
-    whose floored variances are the radii.  IoUs are computed as arrays, one
-    block of ranks against every later untaken rank at a time, so memory
-    stays O(n) for a fixed block size; only a box that merges others costs
-    numpy calls in the walk.  One vote then covers every window.
+    Rows overlapping a selected box above iou_keep join its window instead
+    of surviving on their own.  With voting enabled the window center moves
+    to the members' precision-weighted vote and its radii are the vote's
+    aggregate variances; otherwise it stays at the best member, whose
+    floored variances are the radii.  IoUs are computed as arrays, one block
+    of ranks against every later untaken rank at a time, so memory stays
+    O(n) for a fixed block size; only a box that merges others costs numpy
+    calls in the walk.  One vote then covers every window.
     """
-    if not dets:
-        return []
     n = len(dets)
-    # theta_h, theta_v, width_deg, height_deg, confidence, var_h, var_v
-    table = np.array([d[:7] for d in dets])
-    order = np.argsort(-table[:, 4], kind="stable")  # ties: lower index first
-    ranked = table[order]
-    bounds = box_bounds(ranked[:, :2], ranked[:, 2:4])
+    order = np.argsort(-dets["confidence"], kind="stable")  # ties: lower index first
+    ranked = dets[order]
+    bounds = box_bounds(np.column_stack((ranked["theta_h"], ranked["theta_v"])),
+                        np.column_stack((ranked["width_deg"], ranked["height_deg"])))
     best_iou = bounds_iou(bounds, bounds)  # each rank's IoU with its window's best
     alive = np.ones(n, dtype=bool)
     groups: list[list[int]] = []  # each window's ranks, best first
@@ -150,21 +154,20 @@ def nms_merge(dets, iou_keep: float = EngineConfig.iou_keep,
                 alive[untaken[merge]] = False
                 best_iou[untaken[merge]] = ious[i, merge]
                 groups.append([p, *untaken[merge].tolist()])
+    m = np.fromiter(itertools.chain.from_iterable(groups), np.intp, n)
+    window = np.repeat(np.arange(len(groups)), [len(g) for g in groups])  # by m
+    window_of = np.empty(n, dtype=np.intp)
+    window_of[order[m]] = window
+    heads = ranked[[g[0] for g in groups]]
     if vote:
-        m = np.fromiter(itertools.chain.from_iterable(groups), int, n)
         c_h, c_v, r_h, r_v = _vote(
-            *ranked[m][:, [0, 1, 5, 6]].T,
-            np.array(_overlap_weights(best_iou[m], sigma_t)),
-            np.repeat(np.arange(len(groups)), [len(g) for g in groups]),
-            len(groups))
+            ranked["theta_h"][m], ranked["theta_v"][m], ranked["var_h"][m],
+            ranked["var_v"][m], np.array(_overlap_weights(best_iou[m], sigma_t)),
+            window, len(groups))
     else:
-        heads = ranked[[g[0] for g in groups]]
-        c_h, c_v = heads[:, 0], heads[:, 1]
-        r_h, r_v = np.maximum(heads[:, 5:7], VAR_FLOOR).T
-    ranked_dets = [dets[i] for i in order.tolist()]
-    return [SearchWindow(ch, cv, rh, rv, ms[0].confidence, ms[0].width_deg,
-                         ms[0].height_deg, ms)
-            for ch, cv, rh, rv, ms in zip(
-                clamp_angle(c_h, limit).tolist(), clamp_angle(c_v, limit).tolist(),
-                r_h.tolist(), r_v.tolist(),
-                [tuple([ranked_dets[j] for j in g]) for g in groups])]
+        c_h, c_v = heads["theta_h"], heads["theta_v"]
+        r_h = np.maximum(heads["var_h"], VAR_FLOOR)
+        r_v = np.maximum(heads["var_v"], VAR_FLOOR)
+    return SearchWindows(clamp_angle(c_h, limit), clamp_angle(c_v, limit), r_h,
+                         r_v, heads["confidence"], heads["width_deg"],
+                         heads["height_deg"], window_of)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panosearch.config import DetectorConfig
-from panosearch.detector import Detection, SyntheticDetector, _model
+from panosearch.detector import (DETECTION_ROW, Detection, SyntheticDetector,
+                                 _model)
 from panosearch.galvo import View, VisibleObject, image_to_galvo
 
 
@@ -257,12 +258,73 @@ def test_normal_is_the_scaled_standard_normal_detect_uses(k):
     assert scalar.bit_generator.state == batched.bit_generator.state
 
 
+# --- false positives as arrays against the scalar formula ----------------------
+
+def reference_false_positives(cfg, view, uniforms, alpha=0.002, limit=20.0):
+    """The former per-row false-positive code, one Detection per row of the
+    four uniforms of t_x, t_y, size and confidence."""
+    theta_h, theta_v, width, height, _ = view
+    c_x, c_y = width / 2.0, height / 2.0
+    half_diag = 0.5 * math.hypot(width, height)
+    out = []
+    for u_x, u_y, u_size, u_conf in uniforms:
+        t_x, t_y = (width - 1.0) * u_x, (height - 1.0) * u_y
+        size = 10.0 + 30.0 * u_size
+        dist_norm = math.hypot(t_x - c_x, t_y - c_y) / half_diag
+        _, var_h, var_v = _model(cfg, 0.0, size, size, dist_norm)
+        g_h, g_v, _ = image_to_galvo(theta_h, theta_v, t_x, t_y, alpha,
+                                     width, height, limit)
+        out.append(Detection(g_h, g_v, size * alpha, size * alpha,
+                             cfg.fp_conf_cap * u_conf, var_h, var_v))
+    return out
+
+
+# (u_x, u_y) whose view offsets np.hypot and math.hypot put an ulp apart, far
+# enough to move the variance at the default config
+HYPOT_SPLITS = [(0.16855004777996285, 0.8338771992471672),
+                (0.9497155310066655, 0.8077348787893226),
+                (0.9424668365695249, 0.010870747633565103),
+                (0.03863868694195649, 0.14293242044948495),
+                (0.25973670552222183, 0.9478640075483022)]
+
+
+@pytest.mark.parametrize("alpha, limit, size", [(0.002, 20.0, (264, 224)),
+                                                (0.003, 0.5, (64, 48))])
+def test_false_positive_rows_match_the_scalar_formula(alpha, limit, size):
+    cfg = DetectorConfig(k_ctr=3.0) if size[0] == 64 else DetectorConfig()
+    detector = SyntheticDetector(cfg, alpha=alpha, limit=limit)
+    rng = np.random.default_rng(17)
+    views = [View(*(float(t) for t in rng.uniform(-21.0, 21.0, 2)), *size, ())
+             for _ in range(5)]
+    uniforms = [[(u_x, u_y, 0.5, 0.5) for u_x, u_y in HYPOT_SPLITS]]
+    uniforms += [rng.random((k, 4)).tolist() for k in (1, 3, 0, 40)]
+    uniforms[1] += [(0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)]
+    want = [(i, *d) for i, (view, rows) in enumerate(zip(views, uniforms))
+            for d in reference_false_positives(cfg, view, rows, alpha, limit)]
+    got = detector._table([], [(i, *view[:4], *u) for i, (view, rows)
+                               in enumerate(zip(views, uniforms)) for u in rows])
+    assert got.dtype == DETECTION_ROW and (got["object_id"] == -1).all()
+    assert repr([(*row[:8], None) for row in got.tolist()]) == repr(want)
+    if size[0] == 264:  # these rows tell math.hypot from np.hypot
+        off = [((264 - 1.0) * u_x - 132.0, (224 - 1.0) * u_y - 112.0)
+               for u_x, u_y in HYPOT_SPLITS]
+        assert all(math.hypot(*o) != np.hypot(*o) for o in off)
+
+
 # --- detect_pass against per-view detect ---------------------------------------
 
+def table_rows(table):
+    """(view, Detection) per row of a detection table."""
+    return [(row[0], Detection(*row[1:8], None if row[8] < 0 else row[8]))
+            for row in table.tolist()]
+
+
 def per_view_pass(detector, views, rng):
-    """The reference detect_pass: one detect call per view, in view order."""
-    return [(i, dets) for i, view in enumerate(views)
-            if (dets := detector.detect(view, rng))]
+    """The reference detect_pass: one detect call per view, in view order, as
+    one table."""
+    return np.array([(i, *d[:7], -1 if d.object_id is None else d.object_id)
+                     for i, view in enumerate(views)
+                     for d in detector.detect(view, rng)], dtype=DETECTION_ROW)
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.5, 1.0, 3.0, 9.99])
@@ -301,8 +363,8 @@ PASS_PATTERNS = {
 
 
 @pytest.mark.parametrize("pattern", sorted(PASS_PATTERNS))
-@pytest.mark.parametrize("fp_rate", [0.0, 1e-300, 0.01, 0.5, 3.0, 9.999, 10.0,
-                                     40.0])
+@pytest.mark.parametrize("fp_rate", [0.0, 1e-300, 0.01, 0.5, 3.0, 9.99, 9.999,
+                                     10.0, 40.0])
 def test_detect_pass_takes_the_draws_of_per_view_detect(pattern, fp_rate):
     # a config past fp_rate's domain still runs: from 10 on numpy draws a
     # count by rejection, and every view goes through detect
@@ -314,12 +376,13 @@ def test_detect_pass_takes_the_draws_of_per_view_detect(pattern, fp_rate):
                  else View(*random_view(views_rng, 264, 224)[:4], visible=())
                  for c in PASS_PATTERNS[pattern]]
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = detector.detect_pass(views, got_rng)
-        want = per_view_pass(detector, views, want_rng)
+        got = table_rows(detector.detect_pass(views, got_rng))
+        # the rows of one detect per view, each view's rows in its order
+        want = [(i, d) for i, view in enumerate(views)
+                for d in detector.detect(view, want_rng)]
         assert repr(got) == repr(want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        false_positives += sum(len(dets) for i, dets in got
-                               if not views[i].visible)
+        false_positives += sum(not views[i].visible for i, _ in got)
     if fp_rate < 0.01:  # e^-1e-300 is 1.0, so every count is 0
         assert false_positives == 0
     elif "e" in PASS_PATTERNS[pattern]:  # empty views' counts were replayed
@@ -357,9 +420,6 @@ class AlwaysDetect:
 
     def detect_pass(self, views, seed):
         return per_view_pass(self, views, seed)
-
-    def likelihood(self, view, detections):
-        return 1.0 if detections else 1e-3
 
 
 def test_stub_detector_runs_in_the_engine():
@@ -408,28 +468,42 @@ def test_trial_asks_likelihood_only_of_views_with_detections(monkeypatch,
     cfg = default_scenario()
     cfg = replace(cfg, detector=replace(cfg.detector, fp_rate=fp_rate))
     scene = build_scene(cfg.scene, seed=1)
-    seen, detected, asked = [], [], []
+    seen, detected, weighed = [], [], []
 
     class CountingDetector(SyntheticDetector):
         def detect_pass(self, views, rng):
-            hits = super().detect_pass(views, rng)
+            table = super().detect_pass(views, rng)
             seen.extend(views)
-            detected.extend((views[i], dets) for i, dets in hits)
-            return hits
+            detected.append((len(views), table))
+            return table
 
-        def likelihood(self, view, detections):
-            asked.append((view, detections))
-            return super().likelihood(view, detections)
+    def update_weights(particles, likelihoods):
+        weighed.append(likelihoods.tolist())
+        return real_update(particles, likelihoods)
 
     want = run_trial(scene, "ppm_ps", 120, 3, seed=3, cfg=cfg)
+    real_update = exp.update_weights
     monkeypatch.setattr(exp, "SyntheticDetector", CountingDetector)
+    monkeypatch.setattr(exp, "update_weights", update_weights)
     trace = TrialTrace()
     got = run_trial(scene, "ppm_ps", 120, 3, seed=3, cfg=cfg, trace=trace)
     # every view reaches the detector once, in scan order
     assert [(v.theta_h, v.theta_v) for v in seen] == \
         [(th, tv) for _, th, tv, *_ in trace.scan]
     assert len(seen) == got.views == 120
-    # one likelihood per view that detected something, in scan order
-    assert detected == asked
-    assert all(d for _, d in asked) and 0 < len(asked) < 120
+    # one likelihood per view that detected something, the per-view
+    # likelihood of its rows (matched by the particle the dump names), and
+    # the floor for every other view
+    detector = SyntheticDetector(cfg.detector)
+    assert len(weighed) == 2  # every pass but the last refines
+    for stage, ((n_views, table), likes) in enumerate(zip(detected, weighed),
+                                                      start=1):
+        rows = [row for row in trace.detections if row[0] == stage]
+        assert len(rows) == len(table)
+        by_particle = {}
+        for (_, idx, *_), (_, det) in zip(rows, table_rows(table)):
+            by_particle.setdefault(idx, []).append(det)
+        assert 0 < len(by_particle) < n_views == len(likes)
+        assert likes == [detector.likelihood(None, by_particle.get(idx, []))
+                         for idx in range(n_views)]
     assert replace(got, wall_ms=0.0) == replace(want, wall_ms=0.0)

@@ -12,7 +12,7 @@ from panosearch import experiment
 from panosearch.config import (METHODS, ConfigError, ObjectGroupSpec,
                                RegionSpec, SceneConfig, SegNoiseConfig,
                                default_scenario)
-from panosearch.detector import Detection
+from panosearch.detector import DETECTION_ROW, Detection
 from panosearch.experiment import (FoundObject, TrialTrace, _ap_matches, _claim,
                                    _match_objects, _object_boxes, _split_budget,
                                    average_precision_11pt,
@@ -20,7 +20,7 @@ from panosearch.experiment import (FoundObject, TrialTrace, _ap_matches, _claim,
                                    deviation_study, proportion_sweep,
                                    recall_curve, run_trial)
 from panosearch.galvo import capture_view
-from panosearch.refinement import SearchWindow
+from panosearch.refinement import SearchWindows
 from panosearch.scene import (SceneMap, build_scene, object_columns,
                               step_motion)
 
@@ -146,10 +146,31 @@ def test_dump_logs_agree(scenario, method):
                          for stage, (_, th, tv, *_) in zip(stages, trace.scan)]
 
 
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_windows_hold_every_detection_past_the_rate_domain(scenario, method):
+    # fp_rate 40 lies past the config domain's 10, where numpy draws each
+    # count by PTRS rejection: every view goes through the per-view core,
+    # and each stage's windows still hold each of its detection rows once
+    cfg = dataclasses.replace(
+        scenario, noise=dataclasses.replace(scenario.noise, label_flip=0.05),
+        detector=dataclasses.replace(scenario.detector, fp_rate=40.0))
+    trace = TrialTrace()
+    run_trial(build_scene(cfg.scene, seed=1), method, 60, 3, seed=3, cfg=cfg,
+              trace=trace)
+    stages = {row[0] for row in trace.particles}
+    assert len(trace.detections) > 60 * 30
+    for stage in stages:
+        dets = sum(row[0] == stage for row in trace.detections)
+        members = [row[6] for row in trace.windows if row[0] == stage]
+        assert dets > 0 and min(members) >= 1 and sum(members) == dets
+
+
 def per_view_pass(detector, views, rng):
-    """The reference detect_pass: one detect call per view, in view order."""
-    return [(i, dets) for i, view in enumerate(views)
-            if (dets := detector.detect(view, rng))]
+    """The reference detect_pass: one detect call per view, in view order, as
+    one table."""
+    return np.array([(i, *d[:7], -1 if d.object_id is None else d.object_id)
+                     for i, view in enumerate(views)
+                     for d in detector.detect(view, rng)], dtype=DETECTION_ROW)
 
 
 def test_confidence_ties_keep_the_first_detection(scenario, monkeypatch):
@@ -169,9 +190,6 @@ def test_confidence_ties_keep_the_first_detection(scenario, monkeypatch):
 
         def detect_pass(self, views, seed):
             return per_view_pass(self, views, seed)
-
-        def likelihood(self, view, detections):
-            return 1.0 if detections else 1e-3
 
     monkeypatch.setattr(experiment, "SyntheticDetector", TwinBoxes)
     trace = TrialTrace()
@@ -692,12 +710,15 @@ CLAIM_SCENE = make_scene([((720.0, 600.0), (64.0, 64.0)),
 
 
 def window(h, v, confidence, radius=0.01, size=(2.0, 2.0)):
-    return SearchWindow(h, v, radius, 3 * radius, confidence, *size, ())
+    """One window's row: center, radii, confidence and extent."""
+    return (h, v, radius, 3 * radius, confidence, *size)
 
 
 def claim(windows, stage, found, ap_records=None):
-    return _claim(_object_boxes(CLAIM_SCENE), windows, stage, found, 0.5,
-                  ap_records).tolist()
+    columns = np.array(windows, dtype=float).reshape(-1, 7).T
+    return _claim(_object_boxes(CLAIM_SCENE),
+                  SearchWindows(*columns, np.zeros(0, dtype=np.intp)), stage,
+                  found, 0.5, ap_records).tolist()
 
 
 def test_claim_first_match_per_object_wins_the_stage():

@@ -1,11 +1,16 @@
 """The public record types: field order, defaults, construction, immutability
-and repr.  They are NamedTuples, so they also compare and unpack as tuples."""
+and repr.  They are NamedTuples, so they also compare and unpack as tuples.
+A pass's detections are an array of `DETECTION_ROW`s and its search windows
+a `SearchWindows` of columns: their field order is pinned here too."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from panosearch.detector import Detection
+from panosearch.detector import DETECTION_ROW, Detection
 from panosearch.galvo import View, VisibleObject
-from panosearch.refinement import SearchWindow
+from panosearch.refinement import SearchWindows
 
 VISIBLE = VisibleObject(object_id=3, x_px=1.5, y_px=2.5, width_px=30.0,
                         height_px=20.0, occlusion=0.25)
@@ -23,11 +28,8 @@ RECORDS = {
     "Detection": (Detection, ("theta_h", "theta_v", "width_deg", "height_deg",
                               "confidence", "var_h", "var_v", "object_id"),
                   {"object_id": None}, tuple(DETECTION)),
-    "SearchWindow": (SearchWindow, ("center_h", "center_v", "radius_h",
-                                    "radius_v", "confidence", "width_deg",
-                                    "height_deg", "members"), {},
-                     (0.5, -0.5, 1e-4, 2e-4, 0.9, 0.06, 0.04, (DETECTION,))),
 }
+
 
 
 @pytest.fixture(params=sorted(RECORDS))
@@ -71,3 +73,29 @@ def test_detection_defaults_to_a_false_positive():
     det = Detection(0.0, 0.0, 0.1, 0.1, 0.2, 1e-4, 1e-4)
     assert det.object_id is None
     assert repr(det).endswith(", object_id=None)")
+
+
+
+def test_detection_row_is_a_view_then_a_detection():
+    assert DETECTION_ROW.names == ("view", *Detection._fields)
+    assert [DETECTION_ROW[n].kind for n in DETECTION_ROW.names] == \
+        ["i"] + ["f"] * 7 + ["i"]
+    table = np.array([(2, *DETECTION[:7], 3), (2, *DETECTION[:7], -1)],
+                     dtype=DETECTION_ROW)
+    assert table.tolist() == [(2, *DETECTION), (2, *DETECTION[:7], -1)]
+    assert len(table) == 2
+
+
+def test_search_windows_field_order_and_immutability():
+    # a window's columns, then each merged detection row's window
+    names = ("center_h", "center_v", "radius_h", "radius_v", "confidence",
+             "width_deg", "height_deg", "window_of")
+    assert tuple(f.name for f in dataclasses.fields(SearchWindows)) == names
+    # three detection rows merged into two windows
+    windows = SearchWindows(*[np.zeros(2)] * 7, np.array([0, 1, 0]))
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(windows, name, None)
+    with pytest.raises(AttributeError):
+        windows.extra = 0
+    assert len(windows) == 2  # windows, not their members

@@ -1,14 +1,14 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panosearch.detector import Detection
-from panosearch.refinement import (VAR_FLOOR, SearchWindow, bounds_iou,
-                                   box_bounds, iou, nms_merge, overlap_prob,
-                                   variance_vote)
+from panosearch.detector import DETECTION_ROW, Detection
+from panosearch.refinement import (VAR_FLOOR, bounds_iou, box_bounds, iou,
+                                   nms_merge, overlap_prob, variance_vote)
 
 
 def box(th=0.0, tv=0.0, w=1.0, h=1.0, conf=0.9, var_h=1e-4, var_v=1e-4, oid=None):
@@ -168,14 +168,49 @@ def test_variances_between_1e6_and_1e5_are_not_floored():
                           1.0 / (wa_v + wb_v))
     assert c_h == pytest.approx(1.0 / 60.0, rel=1e-12)
     assert r_h == pytest.approx(1.0 / 6e5, rel=1e-12)
-    (window,) = nms_merge([a, b], vote=False)
+    (window,) = merge([a, b], vote=False)
     assert (window.radius_h, window.radius_v) == (2e-6, 5e-6)
 
 
 # --- nms_merge --------------------------------------------------------------------
 
+class Window(NamedTuple):
+    """One search window with its member detections, best first."""
+
+    center_h: float
+    center_v: float
+    radius_h: float
+    radius_v: float
+    confidence: float
+    width_deg: float
+    height_deg: float
+    members: tuple
+
+
+def table(dets):
+    """A one-view detection table of `dets`, in their order."""
+    return np.array([(0, *d[:7], -1 if d.object_id is None else d.object_id)
+                     for d in dets], dtype=DETECTION_ROW)
+
+
+def merge(dets, **kw):
+    """nms_merge over the table of `dets`, as one Window per window; a
+    window's members are its rows in rank order (falling confidence, ties
+    to the lower row)."""
+    windows = nms_merge(table(dets), **kw)
+    assert len(windows.window_of) == len(dets)
+    rank = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
+    window_of = windows.window_of.tolist()
+    return [Window(*row, tuple(dets[i] for i in rank if window_of[i] == w))
+            for w, row in enumerate(zip(
+                windows.center_h.tolist(), windows.center_v.tolist(),
+                windows.radius_h.tolist(), windows.radius_v.tolist(),
+                windows.confidence.tolist(), windows.width_deg.tolist(),
+                windows.height_deg.tolist()))]
+
+
 def test_single_detection_single_window():
-    (window,) = nms_merge([box(1.0, 1.0, conf=0.7)])
+    (window,) = merge([box(1.0, 1.0, conf=0.7)])
     assert window.center_h == pytest.approx(1.0)
     assert window.members == (box(1.0, 1.0, conf=0.7),)
 
@@ -183,7 +218,7 @@ def test_single_detection_single_window():
 def test_two_overlapping_merge_into_voted_window():
     a = box(0.0, 0.0, conf=0.9, var_h=1e-4, var_v=1e-4)
     b = box(0.1, 0.0, conf=0.7, var_h=4e-4, var_v=4e-4)
-    (window,) = nms_merge([a, b])
+    (window,) = merge([a, b])
     assert len(window.members) == 2
     p_b = overlap_prob(b, a)
     expected = (1.0 * 0.0 / 1e-4 + p_b * 0.1 / 4e-4) / (1.0 / 1e-4 + p_b / 4e-4)
@@ -192,12 +227,12 @@ def test_two_overlapping_merge_into_voted_window():
 
 
 def test_two_disjoint_detections_stay_separate():
-    windows = nms_merge([box(0.0, 0.0, conf=0.9), box(5.0, 5.0, conf=0.8)])
+    windows = merge([box(0.0, 0.0, conf=0.9), box(5.0, 5.0, conf=0.8)])
     assert len(windows) == 2
 
 
 def test_empty_input_empty_output():
-    assert nms_merge([]) == []
+    assert merge([]) == []
 
 
 def test_windows_pairwise_below_keep_threshold():
@@ -205,7 +240,7 @@ def test_windows_pairwise_below_keep_threshold():
     dets = [box(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)),
                 w=1.0, h=1.0, conf=float(rng.uniform(0.1, 1.0)))
             for _ in range(40)]
-    windows = nms_merge(dets, iou_keep=0.5)
+    windows = merge(dets, iou_keep=0.5)
     for i in range(len(windows)):
         for j in range(i + 1, len(windows)):
             a, b = windows[i], windows[j]
@@ -217,7 +252,7 @@ def test_windows_pairwise_below_keep_threshold():
 def test_no_vote_keeps_best_member_center():
     a = box(0.0, 0.0, conf=0.9)
     b = box(0.2, 0.0, conf=0.7)
-    (window,) = nms_merge([a, b], vote=False)
+    (window,) = merge([a, b], vote=False)
     assert window.center_h == 0.0
     assert len(window.members) == 2
 
@@ -250,7 +285,7 @@ def reference_nms_merge(dets, iou_keep=0.5, sigma_t=0.025, vote=True,
         else:
             c_h, c_v = best.theta_h, best.theta_v
             r_h, r_v = max(best.var_h, VAR_FLOOR), max(best.var_v, VAR_FLOOR)
-        windows.append(SearchWindow(
+        windows.append(Window(
             center_h=min(max(c_h, -limit), limit),
             center_v=min(max(c_v, -limit), limit),
             radius_h=r_h, radius_v=r_v, confidence=best.confidence,
@@ -279,7 +314,7 @@ coarse_dets = st.lists(
 @settings(max_examples=300, deadline=None)
 def test_nms_matches_reference(dets, iou_keep, vote, limit):
     kw = dict(iou_keep=iou_keep, vote=vote, limit=limit)
-    assert nms_merge(dets, **kw) == reference_nms_merge(dets, **kw)
+    assert merge(dets, **kw) == reference_nms_merge(dets, **kw)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300))
@@ -294,15 +329,16 @@ def test_nms_matches_reference_on_random_clusters(seed, n):
             for (h, v), w, c, vh in zip(pts, rng.uniform(0.05, 0.3, n),
                                         rng.uniform(0.1, 1.0, n),
                                         rng.uniform(1e-6, 1e-3, n))]
-    assert nms_merge(dets) == reference_nms_merge(dets)
+    assert merge(dets) == reference_nms_merge(dets)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 120),
        iou_keep=st.sampled_from([0.0, 0.3, 0.5]), vote=st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_nms_windows_partition_the_detections(seed, n, iou_keep, vote):
-    # run_trial looks up each detection's window by identity, so every
-    # detection object, equal-valued copies included, is in exactly one
+    # run_trial looks up each row's window by its row index, so every row,
+    # equal-valued copies included, is in exactly one window, and every
+    # window holds a row
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-3.0, 3.0, size=(max(1, n // 10), 2))
     pts = centers[rng.integers(0, len(centers), n)] + rng.normal(0.0, 0.05, (n, 2))
@@ -310,9 +346,12 @@ def test_nms_windows_partition_the_detections(seed, n, iou_keep, vote):
             for (h, v), w, c in zip(pts, rng.uniform(0.05, 0.3, n),
                                     rng.choice([0.5, 0.9], n))]
     dets += [box(*d[:4], conf=d.confidence) for d in dets[:n // 4]]
-    windows = nms_merge(dets, iou_keep=iou_keep, vote=vote)
-    members = sorted(id(m) for w in windows for m in w.members)
-    assert members == sorted(id(d) for d in dets)
+    windows = nms_merge(table(dets), iou_keep=iou_keep, vote=vote)
+    window_of = windows.window_of
+    assert window_of.shape == (len(dets),)
+    assert sorted(set(window_of.tolist())) == list(range(len(windows)))
+    assert [len(w.members) for w in merge(dets, iou_keep=iou_keep, vote=vote)] \
+        == np.bincount(window_of, minlength=len(windows)).tolist()
 
 
 def test_nms_confidence_tie_goes_to_lower_index():
@@ -320,7 +359,7 @@ def test_nms_confidence_tie_goes_to_lower_index():
     b = box(0.1, 0.0, conf=0.8, var_h=2e-4)
     c = box(5.0, 0.0, conf=0.8)
     for dets in ([a, b, c], [b, a, c], [c, b, a]):
-        windows = nms_merge(dets)
+        windows = merge(dets)
         assert windows == reference_nms_merge(dets)
         first = next(d for d in dets if d is not c)
         assert windows[[len(w.members) for w in windows].index(2)].members[0] is first
@@ -329,15 +368,15 @@ def test_nms_confidence_tie_goes_to_lower_index():
 def test_nms_iou_exactly_at_keep_does_not_merge():
     a, b = box(0.0, 0.0, conf=0.9), box(0.5, 0.0, conf=0.8)
     assert iou(a, b) == 1.0 / 3.0
-    assert len(nms_merge([a, b], iou_keep=1.0 / 3.0)) == 2
-    assert nms_merge([a, b], iou_keep=1.0 / 3.0) == \
+    assert len(merge([a, b], iou_keep=1.0 / 3.0)) == 2
+    assert merge([a, b], iou_keep=1.0 / 3.0) == \
         reference_nms_merge([a, b], iou_keep=1.0 / 3.0)
 
 
 def test_nms_touching_boxes_do_not_merge_at_zero_keep():
     dets = [box(0.0, 0.0, conf=0.9), box(1.0, 0.0, conf=0.8),
             box(0.0, 1.0, conf=0.7)]
-    windows = nms_merge(dets, iou_keep=0.0)
+    windows = merge(dets, iou_keep=0.0)
     assert [len(w.members) for w in windows] == [1, 1, 1]
     assert windows == reference_nms_merge(dets, iou_keep=0.0)
 
@@ -345,7 +384,7 @@ def test_nms_touching_boxes_do_not_merge_at_zero_keep():
 def test_nms_members_keep_rank_order():
     dets = [box(0.02 * k, 0.0, conf=c) for k, c in
             enumerate([0.5, 0.9, 0.5, 0.7, 0.9])]
-    (window,) = nms_merge(dets)
+    (window,) = merge(dets)
     assert window.members == (dets[1], dets[4], dets[3], dets[0], dets[2])
     assert [window] == reference_nms_merge(dets)
 
@@ -383,7 +422,7 @@ def test_voting_matches_overlap_prob_reference(dets, iou_keep, sigma_t):
     # dense coarse clusters span several blocks; zero-area boxes have IoU 0
     # with themselves, which their vote weight must keep
     kw = dict(iou_keep=iou_keep, sigma_t=sigma_t)
-    assert nms_merge(dets, **kw) == reference_nms_merge(dets, **kw)
+    assert merge(dets, **kw) == reference_nms_merge(dets, **kw)
 
 
 @pytest.mark.parametrize("n", [1, 2, 31, 33, 300])
@@ -396,7 +435,7 @@ def test_voting_matches_overlap_prob_reference_on_clusters(n):
             for (h, v), w, c, vh in zip(pts, rng.uniform(0.1, 0.3, n),
                                         rng.uniform(0.1, 1.0, n),
                                         rng.uniform(1e-6, 1e-3, n))]
-    windows = nms_merge(dets)
+    windows = merge(dets)
     assert windows == reference_nms_merge(dets)
     if n == 300:
         assert max(len(w.members) for w in windows) > 32
@@ -494,7 +533,7 @@ def test_nms_windows_vote_as_the_member_loop(seed, n, sigma_t):
                                         rng.choice([0.5, 0.7, 0.9], n),
                                         rng.choice([0.0, 1e-6, 2e-4], n))]
     for limit in (20.0, 1.0):
-        for w in nms_merge(dets, sigma_t=sigma_t, limit=limit):
+        for w in merge(dets, sigma_t=sigma_t, limit=limit):
             best = w.members[0]
             c_h, c_v, r_h, r_v = reference_variance_vote(
                 [(m, overlap_prob(m, best, sigma_t)) for m in w.members])
