@@ -153,9 +153,9 @@ class SyntheticDetector:
         dist_norm = np.array([
             math.hypot(x, y) / (0.5 * math.hypot(w, h)) for x, y, w, h in
             zip(off_x.tolist(), off_y.tolist(), width.tolist(), height.tolist())])
-        common = (1.0 + cfg.k_occ * 0.0) * (1.0 + cfg.k_ctr * dist_norm)
-        var = cfg.sigma_base_deg ** 2 * common * (cfg.size_ref_px
-                                                 / np.maximum(size, 1.0))
+        # at occlusion 0 the occlusion factor is 1.0, and size is at least 10
+        var = cfg.sigma_base_deg ** 2 * (1.0 + cfg.k_ctr * dist_norm) * (
+            cfg.size_ref_px / size)
         for name, column in zip(DETECTION_ROW.names, (
                 i, clamp_angle(theta_h + alpha * off_x, self.limit),
                 clamp_angle(theta_v + alpha * off_y, self.limit), size * alpha,

@@ -155,7 +155,8 @@ def nms_merge(dets: np.ndarray, iou_keep: float = EngineConfig.iou_keep,
                 best_iou[untaken[merge]] = ious[i, merge]
                 groups.append([p, *untaken[merge].tolist()])
     m = np.fromiter(itertools.chain.from_iterable(groups), np.intp, n)
-    window = np.repeat(np.arange(len(groups)), [len(g) for g in groups])  # by m
+    # the window of each rank in m, and of each row
+    window = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     window_of = np.empty(n, dtype=np.intp)
     window_of[order[m]] = window
     heads = ranked[[g[0] for g in groups]]

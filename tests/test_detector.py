@@ -494,7 +494,7 @@ def test_trial_asks_likelihood_only_of_views_with_detections(monkeypatch,
     # one likelihood per view that detected something, the per-view
     # likelihood of its rows (matched by the particle the dump names), and
     # the floor for every other view
-    detector = SyntheticDetector(cfg.detector)
+    detector = SyntheticDetector(cfg.detector, floor=cfg.engine.likelihood_floor)
     assert len(weighed) == 2  # every pass but the last refines
     for stage, ((n_views, table), likes) in enumerate(zip(detected, weighed),
                                                       start=1):

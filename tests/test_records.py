@@ -31,7 +31,6 @@ RECORDS = {
 }
 
 
-
 @pytest.fixture(params=sorted(RECORDS))
 def record(request):
     return RECORDS[request.param]
@@ -73,7 +72,6 @@ def test_detection_defaults_to_a_false_positive():
     det = Detection(0.0, 0.0, 0.1, 0.1, 0.2, 1e-4, 1e-4)
     assert det.object_id is None
     assert repr(det).endswith(", object_id=None)")
-
 
 
 def test_detection_row_is_a_view_then_a_detection():
