@@ -1,7 +1,8 @@
 """The public record types: field order, defaults, construction, immutability
 and repr.  They are NamedTuples, so they also compare and unpack as tuples.
 A pass's detections are an array of `DETECTION_ROW`s and its search windows
-a `SearchWindows` of columns: their field order is pinned here too."""
+a `SearchWindows` of columns, one search window a row: their field order is
+pinned here too, and the window table's immutability."""
 
 import dataclasses
 
@@ -30,16 +31,36 @@ RECORDS = {
                   {"object_id": None}, tuple(DETECTION)),
 }
 
+# a search window is a row of the frozen SearchWindows table: its columns,
+# then each merged detection row's window (three rows merged into two windows)
+WINDOWS = {
+    "SearchWindow": (SearchWindows, ("center_h", "center_v", "radius_h",
+                                     "radius_v", "confidence", "width_deg",
+                                     "height_deg", "window_of"), {},
+                     (*[np.zeros(2)] * 7, np.array([0, 1, 0]))),
+}
+
 
 @pytest.fixture(params=sorted(RECORDS))
 def record(request):
     return RECORDS[request.param]
 
 
-def test_field_order_and_defaults(record):
-    cls, names, defaults, _ = record
-    assert cls._fields == names
-    assert cls._field_defaults == defaults
+@pytest.fixture(params=sorted(RECORDS | WINDOWS))
+def record_or_table(request):
+    return (RECORDS | WINDOWS)[request.param]
+
+
+def test_field_order_and_defaults(record_or_table):
+    cls, names, defaults, _ = record_or_table
+    if dataclasses.is_dataclass(cls):
+        fields = dataclasses.fields(cls)
+        assert tuple(f.name for f in fields) == names
+        assert {f.name: f.default for f in fields
+                if f.default is not dataclasses.MISSING} == defaults
+    else:
+        assert cls._fields == names
+        assert cls._field_defaults == defaults
 
 
 def test_keyword_construction_matches_positional(record):
@@ -51,15 +72,17 @@ def test_keyword_construction_matches_positional(record):
     assert last == values[-1]
 
 
-def test_fields_cannot_be_assigned(record):
-    cls, names, _, values = record
+def test_fields_cannot_be_assigned(record_or_table):
+    cls, names, _, values = record_or_table
     rec = cls(*values)
     for name in names:
         with pytest.raises(AttributeError):
             setattr(rec, name, 0)
     with pytest.raises(AttributeError):
         rec.extra = 0
-    assert tuple(rec) == values
+    assert all(getattr(rec, n) is v for n, v in zip(names, values))
+    if not dataclasses.is_dataclass(cls):
+        assert tuple(rec) == values
 
 
 def test_repr_names_every_field(record):
@@ -84,16 +107,6 @@ def test_detection_row_is_a_view_then_a_detection():
     assert len(table) == 2
 
 
-def test_search_windows_field_order_and_immutability():
-    # a window's columns, then each merged detection row's window
-    names = ("center_h", "center_v", "radius_h", "radius_v", "confidence",
-             "width_deg", "height_deg", "window_of")
-    assert tuple(f.name for f in dataclasses.fields(SearchWindows)) == names
-    # three detection rows merged into two windows
-    windows = SearchWindows(*[np.zeros(2)] * 7, np.array([0, 1, 0]))
-    for name in names:
-        with pytest.raises(AttributeError):
-            setattr(windows, name, None)
-    with pytest.raises(AttributeError):
-        windows.extra = 0
-    assert len(windows) == 2  # windows, not their members
+def test_search_windows_count_windows_not_members():
+    windows = SearchWindows(*WINDOWS["SearchWindow"][3])
+    assert len(windows) == 2
