@@ -66,13 +66,17 @@ def segment_panorama(scene: SceneMap, noise: SegNoiseConfig, seed):
         at = (None if noise.label_flip >= 1.0
               else _flip_positions(flat.size, noise.label_flip, rng))
         count = flat.size if at is None else at.size
-        # int16 (an int8 draw is another stream); int32 sums cannot wrap,
-        # and 16 Ki flips at a time keep their temporaries small
+        # int16 offsets (an int8 draw is another stream); sums at twice the
+        # grid's item size cannot wrap, and as both terms are under n_regions
+        # one subtract reduces them; 16 Ki flips a chunk bound the temporaries
         offsets = rng.integers(1, n_regions, size=count, dtype=np.int16)
+        wide = np.int16 if flat.dtype == np.int8 else np.int32
         for lo in range(0, count, 1 << 14):
             hi = lo + (1 << 14)
             hit = slice(lo, hi) if at is None else at[lo:hi]
-            flat[hit] = np.add(flat[hit], offsets[lo:hi], dtype=np.int32) % n_regions
+            total = np.add(flat[hit], offsets[lo:hi], dtype=wide)
+            np.subtract(total, n_regions, out=total, where=total >= n_regions)
+            flat[hit] = total.astype(flat.dtype)
         grid.setflags(write=False)
     else:
         grid = scene.labels
@@ -113,11 +117,12 @@ def _flip_positions(n: int, p: float, rng, batch: int = 0) -> np.ndarray:
     parts, last = [], -1.0
     while last < n - 1:
         pos = rng.standard_exponential(batch)
-        # a gap past n + 1 lands past the last pixel all the same; clamping E
-        # first keeps E / s finite down to p = 5e-324
+        # clamping E keeps E / s finite down to p = 5e-324; a gap of n + 1 or
+        # n + 2 (its most) puts every later position at n or past it alike, and
+        # with E < 45 it is at most 45 / p + 1: a batch sums under 2^40 < 2^53
         np.minimum(pos, (n + 1) * s, out=pos)
         pos /= s
-        np.minimum(np.ceil(pos, out=pos), n + 1, out=pos)
+        np.ceil(pos, out=pos)
         pos[0] += last
         kept = pos[:np.searchsorted(np.cumsum(pos, out=pos), n)]
         last = float(pos[-1])

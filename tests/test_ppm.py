@@ -310,6 +310,20 @@ def test_label_flip_of_ids_past_16383_does_not_wrap():
     check_label_flip_against_reference(cfg, 0.3, 3)
 
 
+@pytest.mark.parametrize("label_flip,seed", [(0.05, 1), (1.0, 2)])
+@pytest.mark.parametrize("rects,dtype", [(127, np.int8), (128, np.int16)],
+                         ids=["int8_ids_to_127", "int16_ids_from_128"])
+def test_label_flip_at_the_edge_of_int8_ids(rects, dtype, label_flip, seed):
+    # one-pixel regions and the background: 128 regions keep int8 ids up to
+    # 127, whose sums with an offset reach 254 in int16; 129 take int16 ids
+    # and int32 sums
+    cfg = SceneConfig(width=64, height=32, groups=[],
+                      regions=[RegionSpec(f"r{k}", (k % 64, k // 64, 1, 1))
+                               for k in range(rects)])
+    assert build_scene(cfg, seed=2).labels.dtype == dtype
+    check_label_flip_against_reference(cfg, label_flip, seed)
+
+
 @pytest.mark.parametrize("n,label_flip", [(1, 0.5), (50, 0.3), (1000, 0.05),
                                           (10**6, 0.001)])
 def test_flip_gaps_come_in_one_batch_of_the_pinned_size(n, label_flip):
@@ -428,8 +442,8 @@ def test_label_flip_peak_memory_is_the_grid_and_the_flips(label_flip):
 
 def test_label_flip_of_one_peak_memory_is_the_grid_and_the_offsets():
     # every pixel flips, so the offsets apply over slices: no position
-    # array, only the int16 offsets and one 16 Ki chunk's int32 temporaries
-    # (128 KiB) beside the noisy grid
+    # array, only the int16 offsets and one 16 Ki chunk's temporaries (its
+    # sums, mask and cast, under 128 KiB) beside the noisy grid
     scene = build_scene(default_scenario().scene, seed=2)
     noise = SegNoiseConfig(label_flip=1.0)
     (grid, _), peak = traced_peak(lambda: segment_panorama(scene, noise, 1))
