@@ -43,13 +43,16 @@ def _model(cfg: DetectorConfig, occlusion: float, width_px: float,
     """(detection probability, var_h, var_v) of an object in a view: both
     variances (degrees^2) grow with occlusion and border distance and shrink
     with size, as the probability falls with the one and rises with the other."""
-    size_factor = min(1.0, math.sqrt(width_px * height_px) / cfg.size_ref_px)
-    center_factor = max(0.0, 1.0 - cfg.center_falloff * dist_norm)
+    # min(1.0, s), max(0.0, c) and max(w, 1.0) as comparisons in the
+    # builtins' argument order, so NaN and -0.0 come out as there
+    size_ref = cfg.size_ref_px
+    size_factor = s if (s := math.sqrt(width_px * height_px) / size_ref) < 1.0 else 1.0
+    center_factor = c if (c := 1.0 - cfg.center_falloff * dist_norm) > 0.0 else 0.0
     base = cfg.sigma_base_deg ** 2
     common = (1.0 + cfg.k_occ * occlusion) * (1.0 + cfg.k_ctr * dist_norm)
     return (cfg.base_recall * (1.0 - occlusion) * size_factor * center_factor,
-            base * common * (cfg.size_ref_px / max(width_px, 1.0)),
-            base * common * (cfg.size_ref_px / max(height_px, 1.0)))
+            base * common * (size_ref / (1.0 if 1.0 > width_px else width_px)),
+            base * common * (size_ref / (1.0 if 1.0 > height_px else height_px)))
 
 
 class SyntheticDetector:
@@ -84,26 +87,29 @@ class SyntheticDetector:
         theta_h, theta_v, width, height, visible = view
         if visible:
             c_x, c_y = width / 2.0, height / 2.0
-            half_diag = 0.5 * math.hypot(width, height)
+            hypot, sqrt, random, normal = math.hypot, math.sqrt, rng.random, rng.standard_normal
+            loc_px, loc_scale, conf_noise = cfg.loc_noise_px, cfg.loc_noise_scale, cfg.conf_noise
+            half_diag = 0.5 * hypot(width, height)
         for object_id, x_px, y_px, width_px, height_px, occlusion in visible:
-            dist_norm = math.hypot(x_px - c_x, y_px - c_y) / half_diag
+            dist_norm = hypot(x_px - c_x, y_px - c_y) / half_diag
             d, var_h, var_v = _model(cfg, occlusion, width_px, height_px,
                                      dist_norm)
-            if rng.random() >= d:
+            if random() >= d:
                 continue
-            std_x = cfg.loc_noise_px + math.sqrt(var_h) / alpha * cfg.loc_noise_scale
-            std_y = cfg.loc_noise_px + math.sqrt(var_v) / alpha * cfg.loc_noise_scale
+            std_x = loc_px + sqrt(var_h) / alpha * loc_scale
+            std_y = loc_px + sqrt(var_v) / alpha * loc_scale
             # rng.normal(0.0, s) is 0.0 + s * z on the same standard normal
             # z, so one call draws the k <= 3 nonzero-std noises in order
-            z = iter(rng.standard_normal(
-                (std_x > 0) + (std_y > 0) + (cfg.conf_noise > 0)).tolist())
+            z = iter(normal((std_x > 0) + (std_y > 0) + (conf_noise > 0)).tolist())
             t_x = x_px + (0.0 + std_x * next(z) if std_x > 0 else 0.0)
             t_y = y_px + (0.0 + std_y * next(z) if std_y > 0 else 0.0)
-            conf = d + (0.0 + cfg.conf_noise * next(z) if cfg.conf_noise > 0 else 0.0)
+            conf = d + (0.0 + conf_noise * next(z) if conf_noise > 0 else 0.0)
             g_h, g_v, _ = image_to_galvo(theta_h, theta_v, t_x, t_y, alpha,
                                          width, height, limit)
+            # min(max(conf, 0.0), 1.0), as image_to_galvo clamps
+            conf = 1.0 if 1.0 < (conf := 0.0 if 0.0 > conf else conf) else conf
             rows.append((i, g_h, g_v, width_px * alpha, height_px * alpha,
-                         min(max(conf, 0.0), 1.0), var_h, var_v, object_id))
+                         conf, var_h, var_v, object_id))
         # a view with nothing visible draws this count and, when it is 0
         # (always at fp_rate 0), nothing else: most views are empty
         k = rng.poisson(cfg.fp_rate) if cfg.fp_rate > 0.0 else 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -171,6 +172,35 @@ def reference_detect(cfg, view, seed, alpha=0.002, limit=20.0):
                 var_h=var_h, var_v=var_v, object_id=None,
             ))
     return out
+
+
+def test_model_clamps_are_the_builtin_clamps():
+    # _model clamps by comparisons in the builtins' argument order; the
+    # reference is the builtin form above.  Sizes and distances run through
+    # NaN, both zeros, both infinities, and each clamp's bound with the
+    # doubles just past and just inside it: an apparent size of 1 px and of
+    # size_ref_px (a size factor of 1), and a distance of 5 (a center factor
+    # of 0 at a falloff of 0.2).  A negative area, as of -inf by 1, is a
+    # math domain error either way, so those pairs are left out
+    cfg = DetectorConfig()
+    def edges(*bounds):
+        out = [math.nan, -0.0, 0.0, math.inf, -math.inf]
+        for b in bounds:
+            out += [b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf)]
+        return out
+    sizes, dists = edges(1.0, cfg.size_ref_px), edges(5.0) + [0.5]
+    for w, h, dist in itertools.product(sizes, sizes, dists):
+        if w * h < 0.0:
+            continue
+        want = (detection_probability(cfg, 0.25, w, h, dist),
+                *_variances(cfg, 0.25, w, h, dist))
+        assert repr(_model(cfg, 0.25, w, h, dist)) == repr(want), (w, h, dist)
+    # a NaN occlusion fires (no uniform is at least NaN) with a NaN
+    # confidence, which the confidence clamp passes through as the builtins do
+    view = make_view([centered_object(occlusion=math.nan)])
+    got = SyntheticDetector(cfg).detect(view, 4)
+    assert math.isnan(got[0].confidence)
+    assert repr(got) == repr(reference_detect(cfg, view, 4))
 
 
 def random_view(rng, width, height):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -52,6 +53,33 @@ def test_clamp_angle_matches_the_conditional_on_scalars_and_arrays(theta):
     # the bytes keep -0.0 and NaN
     assert clamp_angle(np.array([theta]), 20.0).tobytes() == \
         np.array([want]).tobytes()
+
+
+def edge_values(*bounds):
+    """NaN, both zeros, both infinities, 3.5, and each bound with the doubles
+    just past and just inside it."""
+    out = [math.nan, -0.0, 0.0, math.inf, -math.inf, 3.5]
+    for b in bounds:
+        out += [b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf)]
+    return out
+
+
+@pytest.mark.parametrize("limit", [20.0, 0.0])
+def test_pose_clamp_is_the_builtin_clamp(limit):
+    # image_to_galvo clamps by comparisons in the builtins' argument order;
+    # a view 0 px wide and a target at -0.0 make the offset -0.0, so the
+    # refined pose is the pose itself, -0.0 included, and at limit 0 the
+    # bounds are -0.0 and 0.0
+    values = edge_values(-limit, limit)
+    for (theta_h, theta_v), (width, t) in itertools.product(
+            itertools.product(values, values), [(0, -0.0), (264, 300.0)]):
+        g_h = theta_h + 0.002 * (t - width / 2.0)
+        g_v = theta_v + 0.002 * (t - width / 2.0)
+        c_h = min(max(g_h, -limit), limit)
+        c_v = min(max(g_v, -limit), limit)
+        want = (c_h, c_v, c_h != g_h or c_v != g_v)
+        got = image_to_galvo(theta_h, theta_v, t, t, 0.002, width, width, limit)
+        assert repr(got) == repr(want), (theta_h, theta_v, width)
 
 
 def test_transform_is_affine_in_the_target():
@@ -123,6 +151,28 @@ def test_apparent_size_uses_optics_consistent_magnification():
     mag = scene.deg_per_px / 0.002
     assert view.visible[0].width_px == pytest.approx(48.0 * mag)
     assert view.visible[0].height_px == pytest.approx(28.0 * mag)
+
+
+def test_view_clamp_is_the_builtin_clamp():
+    # at the dyadic scale a panorama px is 16 view px, so from a gaze at
+    # (512, 256) an object 8.25 px left or 7 px above lands on 0, one 8.1875
+    # px right or 6.9375 px below on 263 or 223, and 2^-30 px more or less is
+    # just past or just inside; a position is never -0.0, since the view
+    # center is added to it
+    def offsets(low, high):
+        return [math.nan, math.inf, -math.inf, 0.0] + [
+            b + e for b in (low, high) for e in (0.0, 2.0 ** -30, -(2.0 ** -30))]
+    centers = list(itertools.product((512.0 + d for d in offsets(-8.25, 8.1875)),
+                                     (256.0 + d for d in offsets(-7.0, 6.9375))))
+    scene = scene_of([(c, (4.0, 4.0)) for c in centers])
+    dpp, alpha = scene.deg_per_px, DYADIC_ALPHA
+    th, tv = scene.pano_to_galvo(512.0, 256.0)
+    view = capture_view(scene, th, tv, alpha=alpha, among=range(len(centers)))
+    want = [(min(max(264 / 2.0 + (c_x - 512.0) * dpp / alpha, 0.0), 263.0),
+             min(max(224 / 2.0 + (c_y - 256.0) * dpp / alpha, 0.0), 223.0))
+            for c_x, c_y in centers]
+    assert repr([(v.x_px, v.y_px) for v in view.visible]) == repr(want)
+    assert {v.x_px for v in view.visible} >= {0.0, 263.0}
 
 
 # --- one broadcast per pass, then capture among its sets, against the full scan
