@@ -26,7 +26,10 @@ OUT_ENV = "PANOSEARCH_OUT"
 
 def _out_dir(args, cfg: ScenarioConfig) -> str:
     out = args.out or os.environ.get(OUT_ENV) or cfg.out_dir or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file at or above the path, or no permission
+        raise ConfigError(f"output directory {out}: {exc.strerror}") from None
     return out
 
 

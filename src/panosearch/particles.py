@@ -16,9 +16,8 @@ import numpy as np
 from .config import EngineConfig
 from .galvo import clamp_angle
 from .ppm import Ppm
+from .refinement import greedy_heads
 from .scene import SceneMap, left_sum, rejection_sample, sample_region
-
-_PRUNE_BLOCK = 32  # ranked particles whose distance rows are computed at once
 
 
 @dataclass(eq=False)
@@ -177,10 +176,9 @@ def prune_redundant(particles: ParticleSet, fov_deg: float,
     """Drop particles whose gaze lies within overlap_frac * fov of a kept one.
 
     Greedy by descending weight (ties: lower index first), so the heaviest
-    representative of each cluster survives.  Output preserves the input
-    order and is never empty.  Distances are computed as arrays, one block
-    of ranks against every later rank at a time; only a kept particle near
-    another one costs a numpy call.
+    representative of each cluster survives: the ranks that head themselves
+    in refinement.greedy_heads, the grouping NMS uses.  Output preserves the
+    input order and is never empty.
     """
     n = len(particles)
     if n <= 1:
@@ -188,24 +186,12 @@ def prune_redundant(particles: ParticleSet, fov_deg: float,
     thr = overlap_frac * fov_deg
     order = np.argsort(-particles.weight, kind="stable")
     th, tv = particles.theta_h[order], particles.theta_v[order]
-    alive = np.ones(n, dtype=bool)
-    kept = np.zeros(n, dtype=bool)
-    # ranks before `start` are decided by the time its block is reached,
-    # so the block's particles only suppress ranks >= start
-    for start in range(0, n, _PRUNE_BLOCK):
-        stop = min(start + _PRUNE_BLOCK, n)
-        if not alive[start:stop].any():
-            continue
+
+    def near(start, stop):
         d_h = th[start:] - th[start:stop, None]
         d_v = tv[start:] - tv[start:stop, None]
-        far = d_h * d_h + d_v * d_v >= thr * thr
-        np.fill_diagonal(far, True)  # a particle is not near itself
-        busy = (~far.all(axis=1)).tolist()
-        for r in range(start, stop):
-            if alive[r]:
-                kept[r] = True
-                if busy[r - start]:
-                    alive[start:] &= far[r - start]
+        return ~(d_h * d_h + d_v * d_v >= thr * thr)
+
     keep = np.zeros(n, dtype=bool)
-    keep[order[kept]] = True
+    keep[order[greedy_heads(n, near) == np.arange(n)]] = True
     return particles.subset(keep)

@@ -1,16 +1,17 @@
 """Coordinate refinement: overlap-weighted, precision-weighted merging of boxes.
 
-Confidence-ranked NMS groups the overlapping rows of a pass's detection
-table into `SearchWindows`.  Each window's center is then re-estimated by
-voting: every member contributes its center weighted by overlap probability
-over localization variance, so tight, well-localized neighbours dominate and
+`greedy_heads` is the one ranked greedy grouping of the search: confidence-
+ranked NMS uses it to group the overlapping rows of a pass's detection table
+into `SearchWindows`, and `particles.prune_redundant` to drop particles near
+a heavier one.  Each window's center is then re-estimated by voting: every
+member contributes its center weighted by overlap probability over
+localization variance, so tight, well-localized neighbours dominate and
 uncertain or barely-overlapping ones are discounted.  The same weights
 aggregate into a shrunken per-axis sampling radius for the next search stage.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .galvo import clamp_angle
 from .scene import left_sum
 
 VAR_FLOOR = 1e-6  # degrees^2
-_NMS_BLOCK = 32   # selected boxes whose IoU rows nms_merge computes at once
+_GREEDY_BLOCK = 32  # ranks whose pair tests greedy_heads makes at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,61 +111,65 @@ def variance_vote(members) -> tuple[float, float, float, float]:
                             for d, p in members]).T)
 
 
+def greedy_heads(n: int, near) -> np.ndarray:
+    """Each rank's head in a greedy walk over ranks 0 .. n-1.
+
+    An untaken rank heads itself and takes every later untaken rank it is
+    near; a taken rank takes none.  near(start, stop) is the caller's
+    symmetric pair test, a boolean matrix of ranks start:stop against
+    start:; its diagonal is ignored.  When the block at `start` is reached,
+    each earlier rank is a head or taken, and by symmetry an untaken rank is
+    near no earlier head, so no column before `start` is needed.  Memory
+    stays O(n) for a fixed block size, and only a rank that takes others
+    costs numpy calls in the walk.
+    """
+    head = np.arange(n)
+    alive = np.ones(n, dtype=bool)  # untaken
+    for start in range(0, n, _GREEDY_BLOCK):
+        stop = min(start + _GREEDY_BLOCK, n)
+        if not alive[start:stop].any():
+            continue
+        pairs = near(start, stop)
+        np.fill_diagonal(pairs, False)
+        busy = pairs.any(axis=1).tolist()
+        live, heads = alive[start:], head[start:]
+        for i in range(stop - start):
+            if busy[i] and live[i]:
+                take = pairs[i] & live
+                live[take] = False
+                heads[take] = start + i
+    return head
+
+
 def nms_merge(dets: np.ndarray, iou_keep: float = EngineConfig.iou_keep,
               sigma_t: float = EngineConfig.sigma_t, vote: bool = True,
               limit: float = EngineConfig.galvo_limit_deg) -> SearchWindows:
     """Greedy confidence-ranked suppression into voted search windows.
 
     Rows overlapping a selected box above iou_keep join its window instead
-    of surviving on their own.  With voting enabled the window center moves
-    to the members' precision-weighted vote and its radii are the vote's
-    aggregate variances; otherwise it stays at the best member, whose
-    floored variances are the radii.  IoUs are computed as arrays, one block
-    of ranks against every later untaken rank at a time, so memory stays
-    O(n) for a fixed block size; only a box that merges others costs numpy
-    calls in the walk.  One vote then covers every window.
+    of surviving on their own (greedy_heads over the ranks, ties: lower
+    index first).  With voting enabled the window center moves to the
+    members' precision-weighted vote and its radii are the vote's aggregate
+    variances; otherwise it stays at the best member, whose floored
+    variances are the radii.  One vote covers every window, its members in
+    rank order.
     """
-    n = len(dets)
-    order = np.argsort(-dets["confidence"], kind="stable")  # ties: lower index first
+    order = np.argsort(-dets["confidence"], kind="stable")
     ranked = dets[order]
     bounds = box_bounds(np.column_stack((ranked["theta_h"], ranked["theta_v"])),
                         np.column_stack((ranked["width_deg"], ranked["height_deg"])))
-    best_iou = bounds_iou(bounds, bounds)  # each rank's IoU with its window's best
-    alive = np.ones(n, dtype=bool)
-    groups: list[list[int]] = []  # each window's ranks, best first
-    # every rank before `start` is taken by the time its block is reached,
-    # so the block's boxes only need IoUs against the untaken ranks >= start
-    for start in range(0, n, _NMS_BLOCK):
-        untaken = start + np.flatnonzero(alive[start:])
-        rows = untaken[:np.searchsorted(untaken, start + _NMS_BLOCK)]
-        if not rows.size:
-            continue
-        ious = bounds_iou(bounds[rows, None], bounds[untaken])
-        over = ious > iou_keep
-        np.fill_diagonal(over, False)
-        # IoU is symmetric, so a box that overlaps no other untaken one is
-        # never merged either: it is a one-member window, left unmarked
-        busy = over.any(axis=1).tolist()
-        for i, p in enumerate(rows.tolist()):
-            if not busy[i]:
-                groups.append([p])
-            elif alive[p]:
-                alive[p] = False
-                merge = np.flatnonzero(over[i] & alive[untaken])
-                alive[untaken[merge]] = False
-                best_iou[untaken[merge]] = ious[i, merge]
-                groups.append([p, *untaken[merge].tolist()])
-    m = np.fromiter(itertools.chain.from_iterable(groups), np.intp, n)
-    # the window of each rank in m, and of each row
-    window = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    window_of = np.empty(n, dtype=np.intp)
-    window_of[order[m]] = window
-    heads = ranked[[g[0] for g in groups]]
+    head = greedy_heads(len(dets), lambda start, stop: bounds_iou(
+        bounds[start:stop, None], bounds[start:]) > iou_keep)
+    best = np.flatnonzero(head == np.arange(len(dets)))  # each window's head
+    window = np.searchsorted(best, head)  # the window of each rank
+    window_of = np.empty_like(window)
+    window_of[order] = window
+    heads = ranked[best]
     if vote:
-        c_h, c_v, r_h, r_v = _vote(
-            ranked["theta_h"][m], ranked["theta_v"][m], ranked["var_h"][m],
-            ranked["var_v"][m], np.array(_overlap_weights(best_iou[m], sigma_t)),
-            window, len(groups))
+        p = _overlap_weights(bounds_iou(bounds[head], bounds), sigma_t)
+        c_h, c_v, r_h, r_v = _vote(ranked["theta_h"], ranked["theta_v"],
+                                   ranked["var_h"], ranked["var_v"], np.array(p),
+                                   window, len(best))
     else:
         c_h, c_v = heads["theta_h"], heads["theta_v"]
         r_h = np.maximum(heads["var_h"], VAR_FLOOR)

@@ -439,6 +439,32 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "trial.csv").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("under", [False, True])
+@pytest.mark.parametrize("command", [["trial", "--budget", "10"], ["curve"]])
+def test_out_path_at_or_under_a_file_is_an_error_line(tmp_path, monkeypatch,
+                                                       capsys, source, under,
+                                                       command):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = str(taken / "run" if under else taken)
+    argv = list(command)
+    if source == "flag":
+        argv += ["--out", out]
+    elif source == "env":
+        monkeypatch.setenv("PANOSEARCH_OUT", out)
+    else:
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(f"out = {out}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: output directory {out}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert taken.read_text() == "kept\n"
+
+
 def _tiny_cfg(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(

@@ -13,6 +13,7 @@ import pytest
 from panosearch.config import DetectorConfig, RegionSpec, SceneConfig, SegNoiseConfig
 from panosearch.detector import SyntheticDetector, _model
 from panosearch.galvo import View, VisibleObject
+from panosearch.particles import ParticleSet, build_proposal, sample_next
 from panosearch.ppm import segment_panorama
 from panosearch.scene import build_scene
 
@@ -95,3 +96,33 @@ def test_a_true_detection_is_normal_about_the_object_and_its_firing_rate():
         # mean square: within 5 SE = 5 sd^2 sqrt(2 / n) of sd^2, since a
         # normal's fourth moment is 3 sd^4; an sd 1.1x off is 21% away
         assert abs(np.mean(noise ** 2) - sd ** 2) <= 5.0 * sd ** 2 * math.sqrt(2.0 / n)
+
+
+def test_sample_next_draws_the_proposal_mixture():
+    # four isotropic components with distinct mix weights (0.1-0.4) and
+    # sigmas (0.5-2.0 deg); each mean is within 6 deg of the center, so a
+    # child is clamped at the 20 deg mirror limit only past 7 sigma.  A
+    # child inherits its component's weight, which names its pick
+    proposal = build_proposal(ParticleSet(
+        theta_h=np.array([-6.0, 6.0, -3.0, 2.0]),
+        theta_v=np.array([4.0, -6.0, 0.0, 5.0]),
+        weight=np.array([1.0, 2.0, 3.0, 4.0]),
+        sigma=np.array([2.0, 0.5, 1.5, 1.0])))
+    n = 40_000
+    children = sample_next(proposal, n, seed=12)
+    pick = np.searchsorted(proposal.weight, children.weight)
+    assert np.array_equal(proposal.weight[pick], children.weight)
+    # component counts over N = 40,000 children: the chi-square statistic
+    # against N times the mix weights at most CHI2_3DF_AT_5_SE
+    expected = n * proposal.weight
+    counts = np.bincount(pick, minlength=4)
+    assert float(np.sum((counts - expected) ** 2 / expected)) <= CHI2_3DF_AT_5_SE
+    assert np.array_equal(children.sigma, proposal.sigma[pick])
+    for child, mean in [(children.theta_h, proposal.theta_h),
+                        (children.theta_v, proposal.theta_v)]:
+        z = (child - mean[pick]) / proposal.sigma[pick]
+        # per axis over N = 40,000 children: the mean within 5 SE = 5 /
+        # sqrt(N) of 0, and the mean square within 5 SE = 5 sqrt(2 / N) of
+        # 1; a sigma 1.1x off puts it 0.21 away, six times the bound
+        assert abs(z.mean()) <= 5.0 / math.sqrt(n)
+        assert abs(np.mean(z ** 2) - 1.0) <= 5.0 * math.sqrt(2.0 / n)

@@ -539,6 +539,24 @@ def test_prune_matches_the_two_column_distances(n):
     assert len(prune_redundant(indexed(points), 3.0, overlap_frac=0.0)) == n
 
 
+@pytest.mark.parametrize("n", [31, 32, 33, 64, 65])
+def test_prune_chains_across_block_edges_match_reference(n):
+    # ranks 2.0 apart, except b-2 .. b+1 around each block edge b = 32, 64,
+    # 0.375 apart at a threshold of 0.5: rank b-1, dropped for b-2 in the
+    # block before the edge, is near rank b, which no kept rank is near
+    x = 2.0 * np.arange(n)
+    for b in (32, 64):
+        for r in range(b - 2, min(b + 2, n)):
+            x[r] = 2.0 * (b - 2) + 0.375 * (r - b + 2)
+    points = [(float(x[r]), 0.0, 1.0 - r / 128.0)
+              for r in np.random.default_rng(n).permutation(n)]
+    assert_same_prune(points, fov_deg=1.0)
+    kept = prune_redundant(indexed(points), fov_deg=1.0).theta_h.tolist()
+    for b in (32, 64):
+        if b < n:
+            assert x[b] in kept and x[b - 1] not in kept
+
+
 # --- first-pass sets without a map -------------------------------------------------
 
 GRID_SCENE = build_scene(default_scenario().scene, seed=0)

@@ -386,6 +386,27 @@ def test_nms_members_keep_rank_order():
     assert [window] == reference_nms_merge(dets)
 
 
+@pytest.mark.parametrize("n", [31, 32, 33, 64, 65])
+@pytest.mark.parametrize("vote", [True, False])
+def test_nms_chains_across_block_edges_match_reference(n, vote):
+    # unit boxes ranked by confidence, 2.0 apart, except b-2 .. b+1 around
+    # each block edge b = 32, 64, 0.25 apart (IoU 0.6; 1/3 at 0.5 apart):
+    # rank b-1, taken by b-2 in the block before the edge, overlaps rank b,
+    # which no head before it overlaps
+    x = 2.0 * np.arange(n)
+    for b in (32, 64):
+        for r in range(b - 2, min(b + 2, n)):
+            x[r] = 2.0 * (b - 2) + 0.25 * (r - b + 2)
+    dets = [box(float(x[r]), 0.0, conf=1.0 - r / 128.0)
+            for r in np.random.default_rng(n).permutation(n)]
+    windows = merge(dets, vote=vote)
+    assert windows == reference_nms_merge(dets, vote=vote)
+    heads = [w.members[0].theta_h for w in windows]
+    for b in (32, 64):
+        if b < n:
+            assert x[b] in heads and x[b - 1] not in heads
+
+
 @given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8),
                           st.integers(1, 8), st.integers(1, 8)),
                 min_size=2, max_size=12))
