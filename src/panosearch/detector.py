@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DetectorConfig, EngineConfig
-from .galvo import View, clamp_angle, image_to_galvo
+from .galvo import View, image_to_galvo
 
 
 class Detection(NamedTuple):
@@ -75,14 +75,14 @@ class SyntheticDetector:
         angles.  False positives arrive Poisson-distributed at fp_rate per
         view with confidence below fp_conf_cap.
         """
-        rows, fps = [], []
-        self._detect(0, view, np.random.default_rng(seed), rows, fps)
+        rows = []
+        self._detect(0, view, np.random.default_rng(seed), rows)
         return [Detection(*row[1:8], None if row[8] < 0 else row[8])
-                for row in self._table(rows, fps).tolist()]
+                for row in np.array(rows, DETECTION_ROW).tolist()]
 
-    def _detect(self, i: int, view: View, rng, rows: list, fps: list) -> None:
-        """Detect view `i`: add a table row per true detection to `rows`, and
-        its position, gaze, size and four uniforms per false positive to `fps`."""
+    def _detect(self, i: int, view: View, rng, rows: list) -> None:
+        """Detect view `i`: add a table row per true detection, then one per
+        false positive, to `rows`."""
         cfg, alpha, limit = self.cfg, self.alpha, self.limit
         theta_h, theta_v, width, height, visible = view
         if visible:
@@ -116,8 +116,26 @@ class SyntheticDetector:
         if k:
             # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), so one
             # draw gives the k false positives' uniforms
-            head = (i, theta_h, theta_v, width, height)
-            fps += [(*head, *u) for u in rng.random((k, 4)).tolist()]
+            self._false_positives(i, view, rng.random((k, 4)).tolist(), rows)
+
+    def _false_positives(self, i: int, view: View, uniforms, rows: list) -> None:
+        """Add a table row to `rows` per false positive of view `i`, one per
+        tuple of the four uniforms of its t_x, t_y, size and confidence: a
+        square box at occlusion 0, through the true detections' `_model` and
+        `image_to_galvo`."""
+        cfg, alpha, limit = self.cfg, self.alpha, self.limit
+        theta_h, theta_v, width, height, _ = view
+        c_x, c_y = width / 2.0, height / 2.0
+        half_diag = 0.5 * math.hypot(width, height)
+        for u_x, u_y, u_size, u_conf in uniforms:
+            t_x, t_y = (width - 1.0) * u_x, (height - 1.0) * u_y
+            size = 10.0 + 30.0 * u_size
+            _, var_h, var_v = _model(cfg, 0.0, size, size,
+                                     math.hypot(t_x - c_x, t_y - c_y) / half_diag)
+            g_h, g_v, _ = image_to_galvo(theta_h, theta_v, t_x, t_y, alpha,
+                                         width, height, limit)
+            rows.append((i, g_h, g_v, size * alpha, size * alpha,
+                         cfg.fp_conf_cap * u_conf, var_h, var_v, -1))
 
     def detect_pass(self, views, rng) -> np.ndarray:
         """The detections of a pass's views as one table, with the draws,
@@ -128,50 +146,22 @@ class SyntheticDetector:
         at most e^-fp_rate: a run of views with nothing visible draws its
         doubles in one call (none at fp_rate 0), and the other views go
         through the per-view core, `_detect`.  From 10 on the sampler is PTRS
-        rejection, and every view goes through that core.  The false
-        positives become rows in one array expression.
+        rejection, and every view goes through that core.  Both add their rows
+        in view order, each view's false positives after its true detections.
         """
-        fp_rate, rows, fps, start = self.cfg.fp_rate, [], [], 0
+        fp_rate, rows, start = self.cfg.fp_rate, [], 0
         ptrs = fp_rate >= 10.0
         for i in [i for i, v in enumerate(views) if v.visible or ptrs] + [len(views)]:
             if fp_rate > 0.0 and i > start:
-                self._empty_run(views, start, i, rng, fps)
+                self._empty_run(views, start, i, rng, rows)
             if i < len(views):
-                self._detect(i, views[i], rng, rows, fps)
+                self._detect(i, views[i], rng, rows)
             start = i + 1
-        return self._table(rows, fps)
+        return np.array(rows, DETECTION_ROW)
 
-    def _table(self, rows: list, fps: list) -> np.ndarray:
-        """The table of `_detect`'s rows and false positives, each view's
-        false positives after its true detections.  These are one array
-        expression over their views and uniforms, with `_model`'s variances
-        for a square box at occlusion 0; distances take `math.hypot` per row,
-        since `np.hypot` differs from it in the last bit on some offsets."""
-        table = np.empty(len(rows) + len(fps), DETECTION_ROW)
-        table[:len(rows)] = rows
-        if not fps:
-            return table
-        cfg, alpha = self.cfg, self.alpha
-        i, theta_h, theta_v, width, height, u_x, u_y, u_size, u_conf = np.array(fps).T
-        t_x, t_y = (width - 1.0) * u_x, (height - 1.0) * u_y
-        size = 10.0 + 30.0 * u_size
-        off_x, off_y = t_x - width / 2.0, t_y - height / 2.0
-        dist_norm = np.array([
-            math.hypot(x, y) / (0.5 * math.hypot(w, h)) for x, y, w, h in
-            zip(off_x.tolist(), off_y.tolist(), width.tolist(), height.tolist())])
-        # at occlusion 0 the occlusion factor is 1.0, and size is at least 10
-        var = cfg.sigma_base_deg ** 2 * (1.0 + cfg.k_ctr * dist_norm) * (
-            cfg.size_ref_px / size)
-        for name, column in zip(DETECTION_ROW.names, (
-                i, clamp_angle(theta_h + alpha * off_x, self.limit),
-                clamp_angle(theta_v + alpha * off_y, self.limit), size * alpha,
-                size * alpha, cfg.fp_conf_cap * u_conf, var, var, -1)):
-            table[len(rows):][name] = column
-        return table[np.argsort(table["view"], kind="stable")]
-
-    def _empty_run(self, views, start: int, stop: int, rng, fps: list) -> None:
-        """Add the false positives of views[start:stop], none with anything
-        visible, to `fps`.  Every view draws at least one double, so a draw
+    def _empty_run(self, views, start: int, stop: int, rng, rows: list) -> None:
+        """Add the false-positive rows of views[start:stop], none with anything
+        visible, to `rows`.  Every view draws at least one double, so a draw
         takes the doubles needed now plus one per later view, never one more."""
         e_neg = math.exp(-self.cfg.fp_rate)
         buf = rng.random(stop - start).tolist()
@@ -195,8 +185,7 @@ class SyntheticDetector:
                         pos + 4 * k - len(buf) + later).tolist(), 0
                 flat = iter(buf[pos:pos + 4 * k])
                 pos += 4 * k
-                head = (i, *views[i][:4])
-                fps += [(*head, *u) for u in zip(flat, flat, flat, flat)]
+                self._false_positives(i, views[i], zip(flat, flat, flat, flat), rows)
 
     def likelihood(self, view: View, detections) -> float:
         """View likelihood: best detection confidence, floored so misses survive."""

@@ -288,7 +288,7 @@ def test_normal_is_the_scaled_standard_normal_detect_uses(k):
     assert scalar.bit_generator.state == batched.bit_generator.state
 
 
-# --- false positives as arrays against the scalar formula ----------------------
+# --- false-positive rows against the scalar formula ---------------------------
 
 def reference_false_positives(cfg, view, uniforms, alpha=0.002, limit=20.0):
     """The former per-row false-positive code, one Detection per row of the
@@ -331,8 +331,10 @@ def test_false_positive_rows_match_the_scalar_formula(alpha, limit, size):
     uniforms[1] += [(0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)]
     want = [(i, *d) for i, (view, rows) in enumerate(zip(views, uniforms))
             for d in reference_false_positives(cfg, view, rows, alpha, limit)]
-    got = detector._table([], [(i, *view[:4], *u) for i, (view, rows)
-                               in enumerate(zip(views, uniforms)) for u in rows])
+    got = []
+    for i, (view, rows) in enumerate(zip(views, uniforms)):
+        detector._false_positives(i, view, rows, got)
+    got = np.array(got, DETECTION_ROW)
     assert got.dtype == DETECTION_ROW and (got["object_id"] == -1).all()
     assert repr([(*row[:8], None) for row in got.tolist()]) == repr(want)
     if size[0] == 264:  # these rows tell math.hypot from np.hypot
@@ -406,7 +408,10 @@ def test_detect_pass_takes_the_draws_of_per_view_detect(pattern, fp_rate):
                  else View(*random_view(views_rng, 264, 224)[:4], visible=())
                  for c in PASS_PATTERNS[pattern]]
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = table_rows(detector.detect_pass(views, got_rng))
+        table = detector.detect_pass(views, got_rng)
+        # a table even with no rows: no views, or fp_rate 0 on empty views
+        assert table.dtype == DETECTION_ROW and table.ndim == 1
+        got = table_rows(table)
         # the rows of one detect per view, each view's rows in its order
         want = [(i, d) for i, view in enumerate(views)
                 for d in detector.detect(view, want_rng)]

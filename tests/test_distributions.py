@@ -126,3 +126,42 @@ def test_sample_next_draws_the_proposal_mixture():
         # 1; a sigma 1.1x off puts it 0.21 away, six times the bound
         assert abs(z.mean()) <= 5.0 / math.sqrt(n)
         assert abs(np.mean(z ** 2) - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+
+
+def chi2_quartiles(u):
+    """The chi-square statistic of values in [0, 1) over 4 equal bins."""
+    counts = np.bincount(np.minimum((4.0 * u).astype(np.intp), 3), minlength=4)
+    expected = len(u) / 4
+    return float(np.sum((counts - expected) ** 2) / expected)
+
+
+@pytest.mark.parametrize("fp_rate, n_views", [(0.5, 20_000), (10.0, 4_000)])
+def test_false_positives_are_poisson_per_view_and_uniform_over_it(fp_rate, n_views):
+    # views at gaze 0 with nothing visible, so every row is a false positive:
+    # below fp_rate 10 the pass replays numpy's Poisson loop over each run
+    # of such views, and at 10 every view draws rng.poisson (PTRS).  Each
+    # view's count is Poisson(fp_rate); each false positive's center is
+    # uniform over [0, width - 1) x [0, height - 1) view px, its square
+    # size over [10, 40) px and its confidence over [0, fp_conf_cap)
+    cfg = DetectorConfig(fp_rate=fp_rate)
+    alpha, width, height = 0.002, 264, 224
+    view = View(theta_h=0.0, theta_v=0.0, width=width, height=height, visible=())
+    rows = SyntheticDetector(cfg, alpha=alpha).detect_pass(
+        [view] * n_views, np.random.default_rng(34))
+    assert (rows["object_id"] == -1).all()
+    counts = np.bincount(rows["view"], minlength=n_views)
+    # over N = 20,000 views at 0.5 (4,000 at 10): the mean count within
+    # 5 SE = 5 sqrt(fp_rate / N) of fp_rate, so a rate 1.1x off lies 10 SE
+    # (13 SE) away, and the index of dispersion (variance over mean) within
+    # 5 SE = 5 sqrt(2 / N) of 1, its standard error under any Poisson rate
+    assert abs(counts.mean() - fp_rate) <= 5.0 * math.sqrt(fp_rate / n_views)
+    assert abs(counts.var(ddof=1) / counts.mean() - 1.0) <= 5.0 * math.sqrt(2.0 / n_views)
+    # over the N fp_rate false positives, about 10,000 at 0.5 and 40,000 at
+    # 10: each law's chi-square statistic over 4 equal bins at most
+    # CHI2_3DF_AT_5_SE; gaze 0 puts the center at t = theta / alpha + side / 2
+    for u in [(rows["theta_h"] / alpha + width / 2.0) / (width - 1.0),
+              (rows["theta_v"] / alpha + height / 2.0) / (height - 1.0),
+              (rows["width_deg"] / alpha - 10.0) / 30.0,
+              rows["confidence"] / cfg.fp_conf_cap]:
+        assert chi2_quartiles(u) <= CHI2_3DF_AT_5_SE
+    assert np.array_equal(rows["width_deg"], rows["height_deg"])
